@@ -26,13 +26,12 @@ class Var:
     (allocated lazily so constant-only forward passes stay cheap).
     """
 
-    __slots__ = ("value", "_grad", "tape", "node_id")
+    __slots__ = ("value", "_grad", "tape")
 
     def __init__(self, value, tape: Optional["Tape"] = None):
         self.value = np.asarray(value)
         self._grad = None
         self.tape = tape
-        self.node_id = tape._register() if tape is not None else None
 
     @property
     def grad(self) -> np.ndarray:
@@ -68,15 +67,9 @@ class Tape:
     """
 
     def __init__(self):
-        self._next_id = 0
         self._released = False
         # (output Var, tuple of parent Vars, vjp: g_out -> per-parent grads)
         self._records: list[tuple[Var, tuple, Callable]] = []
-
-    def _register(self) -> int:
-        nid = self._next_id
-        self._next_id += 1
-        return nid
 
     def var(self, value) -> Var:
         """Create a leaf Var on this tape."""

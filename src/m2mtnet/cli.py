@@ -204,6 +204,15 @@ def _gradcheck_battery(seed: int):
             ),
         )
     )
+    # the conv branches the first conv2d entry (3x3, Cout < Cin) does not reach
+    for name, kshape in (("conv2d.1x1", (4, 3, 1, 1)), ("conv2d.up", (4, 2, 3, 3))):
+        kc = rng.standard_normal(kshape)
+        bc = rng.standard_normal(kshape[0])
+        xc = rng.standard_normal((2, kshape[1], 3, 4))
+        checks.append((name, gradcheck(lambda x: ops.vsum(ops.square(ops.conv2d(x, kc, bc))), xc)))
+        checks.append(
+            (f"{name}.k", gradcheck(lambda k: ops.vsum(ops.square(ops.conv2d(xc, k, bc))), kc))
+        )
     return checks
 
 

@@ -83,10 +83,14 @@ def self_ensemble(forward_fn, lr: LfTensor, transforms=None) -> LfTensor:
 
     forward_fn: LfTensor -> LfTensor.  Outputs are summed pairwise in
     float64 and divided once, so identical per-transform outputs average to
-    themselves bit-exactly when len(transforms) is a power of two.
+    themselves bit-exactly when len(transforms) is a power of two.  By
+    default all eight elements are used; a field with U != V or W != H has
+    no transpose, so it gets the four flip-only elements.
     """
     if transforms is None:
         transforms = all_transforms()
+        if lr.u != lr.v or lr.w != lr.h:
+            transforms = tuple(t for t in transforms if not t.transpose)
     if len(transforms) == 0:
         raise ValueError("self_ensemble needs at least one transform")
     outs = [

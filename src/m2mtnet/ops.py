@@ -8,7 +8,6 @@ float32, float64 stays float64.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from .autodiff import Tape, Var
@@ -258,17 +257,70 @@ def linear(x, w, b) -> Var:
 # ---------------------------------------------------------------------------
 # Convolution
 
+def _shift_spans(s: int, n: int) -> tuple[slice, slice]:
+    """Output and input index ranges where out[i] reads in[i + s], 0 <= i+s < n."""
+    return slice(max(0, -s), n - max(0, s)), slice(max(0, s), n + min(0, s))
+
+
 def _conv_value(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
-    """Shape-preserving cross-correlation, x (B,C,H,W), k (Co,Ci,kh,kw)."""
+    """Shape-preserving cross-correlation, x (B,C,H,W), k (Co,Ci,kh,kw).
+
+    The strategy follows the shapes (see conv2d); no branch gathers an
+    im2col through a transposing copy.
+    """
     bsz, cin, h, w = x.shape
     cout, _, kh, kw = k.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))  # (B, C, H, W, kh, kw)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * h * w, cin * kh * kw)
-    y = cols @ k.reshape(cout, -1).T
+    if kh == 1:
+        y = np.matmul(k.reshape(cout, cin), x.reshape(bsz, cin, h * w))
+    elif cout < cin:
+        # one GEMM for all taps, then each tap plane is added shifted by its
+        # offset; the zero padding is the part of a plane that falls outside
+        kt = k.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
+        z = np.matmul(kt, x.reshape(bsz, cin, h * w)).reshape(bsz, kh, kw, cout, h, w)
+        y = np.zeros((bsz, cout, h, w), dtype=z.dtype)
+        for dy in range(kh):
+            oy, iy = _shift_spans(dy - pad, h)
+            for dx in range(kw):
+                ox, ix = _shift_spans(dx - pad, w)
+                y[:, :, oy, ox] += z[:, dy, dx, :, iy, ix]
+    else:
+        # channels-last im2col: every copy moves contiguous runs of Ci values
+        xp = np.zeros((bsz, h + 2 * pad, w + 2 * pad, cin), dtype=x.dtype)
+        xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+        cols = np.empty((bsz, h, w, kh, kw, cin), dtype=x.dtype)
+        for dy in range(kh):
+            for dx in range(kw):
+                cols[:, :, :, dy, dx] = xp[:, dy:dy + h, dx:dx + w]
+        kt = k.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
+        y = (cols.reshape(bsz * h * w, -1) @ kt).reshape(bsz, h, w, cout)
+        y = np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+    y = y.reshape(bsz, cout, h, w)
     if b is not None:
-        y = y + b
-    return y.reshape(bsz, h, w, cout).transpose(0, 3, 1, 2)
+        y += b.reshape(cout, 1, 1)
+    return y
+
+
+def _conv_kernel_grad(x: np.ndarray, g: np.ndarray, kh: int, pad: int) -> np.ndarray:
+    """d/dk of sum(g * conv(x, k)): per tap, one batched GEMM of g against
+    the flattened padded input shifted by that tap's flat offset."""
+    bsz, cin, h, w = x.shape
+    cout = g.shape[1]
+    wp = w + 2 * pad
+    n = h * wp - 2 * pad
+    xp, gq = x, g
+    if pad:
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        # g laid out on the padded row width; the pad columns stay zero
+        gq = np.zeros((bsz, cout, h, wp), dtype=g.dtype)
+        gq[..., :w] = g
+    xp = xp.reshape(bsz, cin, -1)
+    gq = gq.reshape(bsz, cout, -1)[..., :n]
+    gk = np.empty((cout, cin, kh, kh), dtype=np.result_type(x, g))
+    for dy in range(kh):
+        for dx in range(kh):
+            off = dy * wp + dx
+            gk[:, :, dy, dx] = np.matmul(gq, xp[..., off:off + n].transpose(0, 2, 1)).sum(axis=0)
+    return gk
 
 
 def conv2d(x, kernel, bias) -> Var:
@@ -276,6 +328,20 @@ def conv2d(x, kernel, bias) -> Var:
 
     Kernel dims (Cout, Cin, kh, kw) with kh == kw in {1, 3}; padding is
     (kh-1)//2 so spatial dims are preserved.
+
+    The strategy is chosen from the shapes.  Beside input and output, each
+    branch's intermediates are, in elements, with P = (H+2)(W+2):
+      - 1x1: one batched (Cout,Cin) @ (Cin,H*W) GEMM; none.
+      - 3x3, Cout < Cin: one GEMM of all 9 taps against the input, whose
+        tap planes are then summed, each shifted by its tap offset;
+        B*9*Cout*H*W tap planes.
+      - 3x3, Cout >= Cin: a channels-last im2col times the kernel; B*Cin*P
+        padded input, B*H*W*9*Cin columns, B*H*W*Cout channels-last output
+        before the copy back to (B,Cout,H,W).
+    The kernel gradient is one batched GEMM per tap against the shifted
+    padded input (B*Cin*P, plus B*Cout*H*(W+2) for the gradient on the
+    padded row width); the input gradient is the flipped-kernel
+    convolution, which picks its own branch.
     """
     x, kernel, bias = as_var(x), as_var(kernel), as_var(bias)
     squeeze = x.value.ndim == 3
@@ -298,17 +364,11 @@ def conv2d(x, kernel, bias) -> Var:
 
         def vjp(g):
             gv = g[None] if squeeze else g
-            bsz, _, h, w = gv.shape
-            g2 = gv.transpose(0, 2, 3, 1).reshape(-1, cout)
-            # rebuild im2col patches from the saved input
-            xp = np.pad(xv, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-            win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-            cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(-1, cin * kh * kw)
-            gk = (g2.T @ cols).reshape(kv.shape)
-            gb = g2.sum(axis=0)
+            gk = _conv_kernel_grad(xv, gv, kh, pad)
+            gb = gv.sum(axis=(0, 2, 3))
             # input grad = correlation with the spatially flipped, channel-swapped kernel
             kt = kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx = _conv_value(gv, np.ascontiguousarray(kt), None, pad)
+            gx = _conv_value(gv, kt, None, pad)
             return (gx[0] if squeeze else gx, gk, gb)
 
         t.record(out, (x, kernel, bias), vjp)

@@ -29,7 +29,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     iters: int = 300
-    batch: int = 4
     loss: str = "l1"
 
     def validate(self) -> None:

@@ -138,3 +138,32 @@ class TestSelfEnsemble:
         single = net.forward(lf)
         averaged = self_ensemble(net.forward, lf)
         np.testing.assert_array_equal(averaged.data, single.data)
+
+    def test_zero_weight_network_non_square_views_bitwise(self):
+        """W != H has no transpose; the four flips still average bit-exactly."""
+        rng = np.random.default_rng(10)
+        cfg = network.NetConfig(u=3, v=3, c=8, c_cor=12, n1=2, n2=1, r=2)
+        net = network.build(cfg, dtype=np.float64)
+        for k, p in net.params.items():
+            p[...] = 1.0 if k.endswith("norm.g") else 0.0
+        lf = LfTensor(rng.standard_normal((3, 3, 6, 4, 1)))
+        single = net.forward(lf)
+        averaged = self_ensemble(net.forward, lf)
+        np.testing.assert_array_equal(averaged.data, single.data)
+
+    @pytest.mark.parametrize(
+        "dims, members",
+        [((3, 3, 4, 4), 8), ((3, 3, 6, 4), 4), ((2, 3, 4, 4), 4)],
+    )
+    def test_default_group_follows_the_field_shape(self, dims, members):
+        rng = np.random.default_rng(11)
+        lf = _rand_lf(rng, *dims)
+        seen = []
+
+        def record(a):
+            seen.append(a.dims)
+            return LfTensor(a.data.copy())
+
+        out = self_ensemble(record, lf)
+        assert len(seen) == members
+        np.testing.assert_array_equal(out.data, lf.data)

@@ -5,6 +5,8 @@ scipy computing the same thing a different way) and (2) a finite-difference
 gradient check through a scalar head.  Gradchecks run in float64 at 1e-6.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.ndimage
@@ -130,17 +132,20 @@ class TestMatmulLinear:
         assert gradcheck(lambda v: _head(ops.linear(Var(x), Var(w), v)), b) < TOL
 
 
+def _scipy_conv(x, k, b):
+    """Second route: scipy correlate with zero padding, channel by channel."""
+    co, ci = k.shape[:2]
+    out = np.empty((co,) + x.shape[1:])
+    for o in range(co):
+        acc = np.zeros(x.shape[1:])
+        for i in range(ci):
+            acc += scipy.ndimage.correlate(x[i], k[o, i], mode="constant", cval=0.0)
+        out[o] = acc + b[o]
+    return out
+
+
 class TestConv2d:
-    def _reference(self, x, k, b):
-        # second route: scipy correlate with zero padding, channel by channel
-        co, ci = k.shape[:2]
-        out = np.empty((co,) + x.shape[1:])
-        for o in range(co):
-            acc = np.zeros(x.shape[1:])
-            for i in range(ci):
-                acc += scipy.ndimage.correlate(x[i], k[o, i], mode="constant", cval=0.0)
-            out[o] = acc + b[o]
-        return out
+    _reference = staticmethod(_scipy_conv)
 
     @pytest.mark.parametrize("ksize", [1, 3])
     def test_matches_scipy_correlate(self, ksize):
@@ -168,6 +173,85 @@ class TestConv2d:
         assert gradcheck(lambda v: _head(ops.conv2d(v, Var(k), Var(b))), x) < TOL
         assert gradcheck(lambda v: _head(ops.conv2d(Var(x), v, Var(b))), k) < TOL
         assert gradcheck(lambda v: _head(ops.conv2d(Var(x), Var(k), v)), b) < TOL
+
+
+# one kernel per conv2d strategy: (Cout, Cin, k)
+_CONV_BRANCHES = {
+    "1x1": (4, 3, 1),
+    "out_cout1": (1, 3, 3),
+    "out_mid": (2, 4, 3),
+    "in_cin1": (3, 1, 3),
+    "in_wide": (4, 2, 3),
+    "in_square": (3, 3, 3),
+}
+# (C,H,W) and batched inputs, H != W, and a spatial side of 1
+_CONV_INPUTS = [(5, 7), (2, 4, 6), (2, 1, 5), (6, 1)]
+
+
+def _conv_case(rng, branch, spatial, dtype=np.float64):
+    cout, cin, k = _CONV_BRANCHES[branch]
+    xs = (cin,) + spatial if len(spatial) == 2 else (spatial[0], cin) + spatial[1:]
+    x = rng.standard_normal(xs).astype(dtype)
+    w = rng.standard_normal((cout, cin, k, k)).astype(dtype)
+    b = rng.standard_normal(cout).astype(dtype)
+    return x, w, b
+
+
+class TestConv2dBranches:
+    """Each shape-chosen conv2d strategy against the scipy correlate route."""
+
+    def _reference(self, x, k, b):
+        x, k, b = (a.astype(np.float64) for a in (x, k, b))
+        if x.ndim == 3:
+            return _scipy_conv(x, k, b)
+        return np.stack([_scipy_conv(xi, k, b) for xi in x])
+
+    @pytest.mark.parametrize("spatial", _CONV_INPUTS)
+    @pytest.mark.parametrize("branch", sorted(_CONV_BRANCHES))
+    def test_matches_scipy_correlate_f64(self, branch, spatial):
+        x, k, b = _conv_case(np.random.default_rng(40), branch, spatial)
+        out = ops.conv2d(Var(x), Var(k), Var(b)).value
+        assert out.dtype == np.float64 and out.shape == (x.shape[:-3] + (k.shape[0],) + x.shape[-2:])
+        np.testing.assert_allclose(out, self._reference(x, k, b), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("spatial", _CONV_INPUTS)
+    @pytest.mark.parametrize("branch", sorted(_CONV_BRANCHES))
+    def test_matches_scipy_correlate_f32(self, branch, spatial):
+        # f32 tolerance: 1e-5 of the largest reference magnitude, about 80
+        # f32 ulps for sums of at most 28 terms
+        x, k, b = _conv_case(np.random.default_rng(41), branch, spatial, np.float32)
+        out = ops.conv2d(Var(x), Var(k), Var(b)).value
+        assert out.dtype == np.float32
+        ref = self._reference(x, k, b)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("branch", sorted(_CONV_BRANCHES))
+    def test_gradcheck_every_input(self, branch):
+        x, k, b = _conv_case(np.random.default_rng(42), branch, (2, 3, 4))
+        assert gradcheck(lambda v: _head(ops.conv2d(v, Var(k), Var(b))), x) < TOL
+        assert gradcheck(lambda v: _head(ops.conv2d(Var(x), v, Var(b))), k) < TOL
+        assert gradcheck(lambda v: _head(ops.conv2d(Var(x), Var(k), v)), b) < TOL
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("branch", sorted(_CONV_BRANCHES))
+    def test_zero_kernel_returns_exactly_the_bias(self, branch, dtype):
+        x, k, b = _conv_case(np.random.default_rng(43), branch, (2, 5, 4), dtype)
+        out = ops.conv2d(Var(x), Var(np.zeros_like(k)), Var(b)).value
+        np.testing.assert_array_equal(out, np.broadcast_to(b[:, None, None], out.shape))
+
+    def test_cout1_peak_memory_stays_under_two_inputs(self):
+        """The Cout=1 3x3 conv (tail.squeeze) must not build a 9*Cin im2col."""
+        rng = np.random.default_rng(44)
+        x = rng.standard_normal((25, 48, 128, 128), dtype=np.float32)
+        k = rng.standard_normal((1, 48, 3, 3), dtype=np.float32)
+        b = np.zeros(1, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            ops.conv2d(x, k, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input bytes"
 
 
 class TestSoftmaxAttention:
