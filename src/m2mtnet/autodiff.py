@@ -22,8 +22,11 @@ __all__ = ["Var", "Tape", "backward", "gradcheck", "rel_error"]
 class Var:
     """A value in the computation: ndarray payload plus gradient slot.
 
-    grad always has the same dims and dtype as value and starts at zeros
-    (allocated lazily so constant-only forward passes stay cheap).
+    grad always has the same dims as value and starts at zeros (allocated
+    lazily so constant-only forward passes stay cheap).  After backward, grad
+    may share memory with other Vars' gradients (a vjp may hand one array to
+    several parents, and the first contribution is stored without a copy), so
+    it must not be written in place.
     """
 
     __slots__ = ("value", "_grad", "tape")
@@ -104,7 +107,10 @@ class Tape:
         seed = np.asarray(seed, dtype=output.value.dtype)
         if seed.shape != output.value.shape:
             raise ValueError(f"seed dims {seed.shape} != output dims {output.value.shape}")
-        output.grad = output.grad + seed
+        # A first contribution is stored as is, though it may be an array that
+        # another Var holds too (add hands g to both parents); later ones add
+        # out of place, so no shared array is ever written.
+        output.grad = seed if output._grad is None else output._grad + seed
         for out, parents, vjp in reversed(self._records):
             grads = vjp(out.grad)
             for p, g in zip(parents, grads):
@@ -114,7 +120,7 @@ class Tape:
                     raise ValueError(
                         f"vjp produced dims {g.shape} for parent of dims {p.value.shape}"
                     )
-                p.grad = p.grad + g
+                p.grad = g if p._grad is None else p._grad + g
 
 
 def backward(tape: Tape, output: Var, seed) -> None:

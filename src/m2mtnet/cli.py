@@ -213,6 +213,10 @@ def _gradcheck_battery(seed: int):
         checks.append(
             (f"{name}.k", gradcheck(lambda k: ops.vsum(ops.square(ops.conv2d(xc, k, bc))), kc))
         )
+    # the key and value inputs of a batched attention, Tq != Tk, Dv != D
+    qb, kb, vb = (rng.standard_normal(s) for s in ((2, 3, 4), (2, 5, 4), (2, 5, 3)))
+    checks.append(("attention.k", gradcheck(lambda k: ops.vsum(ops.square(ops.attention(qb, k, vb))), kb)))
+    checks.append(("attention.v", gradcheck(lambda v: ops.vsum(ops.square(ops.attention(qb, kb, v))), vb)))
     return checks
 
 

@@ -41,12 +41,13 @@ def rgb_to_y(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.299 * np.asarray(r) + 0.587 * np.asarray(g) + 0.114 * np.asarray(b)
 
 
-def _gaussian_window(size: int, sigma: float) -> np.ndarray:
+def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
+    """Normalized 1-D Gaussian; its outer product with itself is the
+    normalized 2-D window, so the window filters one axis at a time."""
     half = (size - 1) / 2.0
     x = np.arange(size, dtype=np.float64) - half
     g = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    w = np.outer(g, g)
-    return w / w.sum()
+    return g / g.sum()
 
 
 def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
@@ -54,7 +55,8 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
 
     11x11 Gaussian window (sigma 1.5), K1=0.01, K2=0.03, evaluated on the
     valid region only (no padding).  Images smaller than the window shrink it
-    to min(11, H, W).
+    to min(11, H, W).  The window is applied as two 1-D passes, rows then
+    columns.
     """
     a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
     if a.shape != b.shape:
@@ -62,16 +64,13 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     if a.ndim != 2:
         raise ValueError(f"ssim: expects a 2-D image, got ndim {a.ndim}")
     size = min(11, a.shape[0], a.shape[1])
-    win = _gaussian_window(size, 1.5)
-
-    def local(img):
-        patches = sliding_window_view(img, (size, size))
-        return np.einsum("ijkl,kl->ij", patches, win)
-
-    mu_a, mu_b = local(a), local(b)
-    s_aa = local(a * a) - mu_a * mu_a
-    s_bb = local(b * b) - mu_b * mu_b
-    s_ab = local(a * b) - mu_a * mu_b
+    taps = _gaussian_taps(size, 1.5)
+    planes = np.stack([a, b, a * a, b * b, a * b])
+    cols = sliding_window_view(planes, size, axis=1) @ taps
+    mu_a, mu_b, e_aa, e_bb, e_ab = sliding_window_view(cols, size, axis=2) @ taps
+    s_aa = e_aa - mu_a * mu_a
+    s_bb = e_bb - mu_b * mu_b
+    s_ab = e_ab - mu_a * mu_b
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
     num = (2 * mu_a * mu_b + c1) * (2 * s_ab + c2)

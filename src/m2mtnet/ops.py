@@ -396,9 +396,13 @@ def softmax(x, axis: int = -1) -> Var:
 
 
 def attention(q, k, v) -> Var:
-    """Scaled dot-product attention softmax(q kT / sqrt(D)) v.
+    """Scaled dot-product attention softmax(q kT / sqrt(D)) v, one tape record.
 
     q: (..., Tq, D), k: (..., Tk, D), v: (..., Tk, Dv); leading axes batch.
+    The scores q kT are scaled, max-subtracted, exponentiated and normalized
+    in one (..., Tq, Tk) buffer.  The backward keeps that probability array P
+    (one B·Tq·Tk array) and references to q, k, v and the output; the vjp adds
+    one temporary of the same size, dS = scale * P * (g vT - rowsum(g * out)).
     """
     q, k, v = as_var(q), as_var(k), as_var(v)
     if q.value.shape[-1] != k.value.shape[-1]:
@@ -409,19 +413,29 @@ def attention(q, k, v) -> Var:
         raise ValueError(
             f"attention: k rows {k.value.shape[-2]} != v rows {v.value.shape[-2]}"
         )
-    d = q.value.shape[-1]
-    kt = transpose_last(k)
-    scores = scale(matmul(q, kt), 1.0 / float(np.sqrt(d)))
-    weights = softmax(scores, axis=-1)
-    return matmul(weights, v)
+    c = 1.0 / float(np.sqrt(q.value.shape[-1]))
+    p = q.value @ np.swapaxes(k.value, -1, -2)
+    p *= c
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    t = _tape_of(q, k, v)
+    out = Var(p @ v.value, t)
+    if t is not None:
+        qv, kv, vv, ov = q.value, k.value, v.value, out.value
 
+        def vjp(g):
+            gv = _unbroadcast(np.swapaxes(p, -1, -2) @ g, vv.shape)
+            gs = g * c
+            ds = gs @ np.swapaxes(vv, -1, -2)
+            ds -= (gs * ov).sum(axis=-1, keepdims=True)
+            ds *= p
+            gq = _unbroadcast(ds @ kv, qv.shape)
+            gk = _unbroadcast(np.swapaxes(ds, -1, -2) @ qv, kv.shape)
+            return (gq, gk, gv)
 
-def transpose_last(a) -> Var:
-    """Swap the last two axes (batch-aware)."""
-    a = as_var(a)
-    axes = list(range(a.value.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return transpose(a, tuple(axes))
+        t.record(out, (q, k, v), vjp)
+    return out
 
 
 def layer_norm(x, gain, offset, eps: float = 1e-5) -> Var:

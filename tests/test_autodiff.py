@@ -56,6 +56,19 @@ class TestTape:
         t.backward(z, 1.0)
         np.testing.assert_allclose(x.grad, [12.0])
 
+    def test_later_contribution_leaves_the_shared_array_alone(self):
+        # add's vjp hands one array to a and b; square(a) is recorded before
+        # add, so its contribution to a arrives after that array is stored
+        t = Tape()
+        a = t.var(np.array([1.0, 2.0]))
+        b = t.var(np.array([3.0, 4.0]))
+        sq = ops.square(a)
+        s = ops.add(a, b)
+        t.backward(ops.add(s, sq), np.array([5.0, 6.0]))
+        assert b.grad is s.grad
+        np.testing.assert_array_equal(b.grad, [5.0, 6.0])
+        np.testing.assert_array_equal(a.grad, [5.0 + 5.0 * 2.0, 6.0 + 6.0 * 4.0])
+
     def test_seed_scales_gradient(self):
         t = Tape()
         x = t.var(np.array([2.0]))

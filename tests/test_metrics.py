@@ -6,6 +6,7 @@ metrics have hard invariants (symmetry, identity, monotonicity in noise).
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from m2mtnet import metrics
 from m2mtnet.lftensor import LfTensor
@@ -72,6 +73,26 @@ class TestRgbToY:
         )
 
 
+def _ssim_dense(a, b):
+    """SSIM with the 2-D Gaussian window applied as one dense sum per pixel."""
+    size = min(11, *a.shape)
+    x = np.arange(size) - (size - 1) / 2.0
+    g = np.exp(-(x * x) / (2.0 * 1.5 * 1.5))
+    win = np.outer(g, g) / np.outer(g, g).sum()
+
+    def local(img):
+        return np.einsum("ijkl,kl->ij", sliding_window_view(img, (size, size)), win)
+
+    mu_a, mu_b = local(a), local(b)
+    s_aa = local(a * a) - mu_a * mu_a
+    s_bb = local(b * b) - mu_b * mu_b
+    s_ab = local(a * b) - mu_a * mu_b
+    c1, c2 = 0.01**2, 0.03**2
+    num = (2 * mu_a * mu_b + c1) * (2 * s_ab + c2)
+    den = (mu_a * mu_a + mu_b * mu_b + c1) * (s_aa + s_bb + c2)
+    return float(np.mean(num / den))
+
+
 class TestSsim:
     def test_identity_is_one(self):
         a = np.random.default_rng(5).random((20, 20))
@@ -100,6 +121,15 @@ class TestSsim:
     def test_small_image_shrinks_window(self):
         a = np.random.default_rng(8).random((5, 5))
         assert metrics.ssim(a, a) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("dims", [(32, 32), (24, 17), (11, 11), (9, 13), (5, 5), (1, 6)])
+    def test_separable_window_matches_dense_window(self, dims):
+        """Two 1-D passes against the 121-tap 2-D window, including images
+        smaller than 11 pixels where the window shrinks."""
+        rng = np.random.default_rng(9)
+        a = rng.random(dims)
+        b = np.clip(a + 0.1 * rng.standard_normal(dims), 0.0, 1.0)
+        assert metrics.ssim(a, b) == pytest.approx(_ssim_dense(a, b), rel=1e-12, abs=1e-12)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

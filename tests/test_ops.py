@@ -80,12 +80,6 @@ class TestShapeOps:
         np.testing.assert_array_equal(out.value, a.transpose(2, 0, 1))
         assert gradcheck(lambda x: _head(ops.transpose(x, (2, 0, 1))), a) < TOL
 
-    def test_transpose_last(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((2, 3, 4))
-        np.testing.assert_array_equal(ops.transpose_last(Var(a)).value, np.swapaxes(a, -1, -2))
-        assert gradcheck(lambda x: _head(ops.transpose_last(x)), a) < TOL
-
     def test_getitem_scatter_gradient(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((4, 5))
@@ -292,6 +286,98 @@ class TestSoftmaxAttention:
         assert gradcheck(lambda x: _head(ops.attention(x, Var(k), Var(v))), q) < TOL
         assert gradcheck(lambda x: _head(ops.attention(Var(q), x, Var(v))), k) < TOL
         assert gradcheck(lambda x: _head(ops.attention(Var(q), Var(k), x)), v) < TOL
+
+
+def _attention_composed(q, k, v):
+    """The plain five-op route: matmul(softmax(scale(matmul(q, kT))), v)."""
+    kt = ops.transpose(k, tuple(range(k.value.ndim - 2)) + (k.value.ndim - 1, k.value.ndim - 2))
+    scores = ops.scale(ops.matmul(q, kt), 1.0 / float(np.sqrt(q.value.shape[-1])))
+    return ops.matmul(ops.softmax(scores, -1), v)
+
+
+class TestFusedAttention:
+    """ops.attention against the composition of the ops it fuses."""
+
+    # (q dims, k dims, v dims): 2-D, batched with Tq != Tk and Dv != D, and
+    # a k/v batch broadcast against q's.
+    SHAPES = [
+        ((5, 4), (7, 4), (7, 3)),
+        ((3, 7, 5, 4), (3, 7, 6, 4), (3, 7, 6, 2)),
+        ((2, 3, 5, 4), (3, 6, 4), (3, 6, 5)),
+    ]
+
+    @staticmethod
+    def _both(shapes, dtype, seed):
+        """Output and q, k, v gradients of the fused and the composed route."""
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        g = None
+        results = []
+        for route in (ops.attention, _attention_composed):
+            t = Tape()
+            q, k, v = (t.var(a) for a in arrays)
+            out = route(q, k, v)
+            if g is None:
+                g = rng.standard_normal(out.shape).astype(dtype)
+            t.backward(out, g)
+            results.append([out.value, q.grad, k.grad, v.grad])
+        return results
+
+    @pytest.mark.parametrize("shapes", SHAPES)
+    def test_matches_composition_f64(self, shapes):
+        fused, composed = self._both(shapes, np.float64, 60)
+        for name, a, b in zip(("out", "dq", "dk", "dv"), fused, composed):
+            assert a.shape == b.shape and a.dtype == np.float64, name
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max(), err_msg=name)
+
+    @pytest.mark.parametrize("shapes", SHAPES)
+    def test_matches_composition_f32(self, shapes):
+        """float32 stays float32 and agrees within 1e-5 of the largest
+        magnitude of the composed float32 result."""
+        fused, composed = self._both(shapes, np.float32, 61)
+        for name, a, b in zip(("out", "dq", "dk", "dv"), fused, composed):
+            assert a.dtype == np.float32, name
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-5 * np.abs(b).max(), err_msg=name)
+
+    def test_one_tape_record_per_call(self):
+        rng = np.random.default_rng(62)
+        q, k, v = (rng.standard_normal((2, 5, 4)) for _ in range(3))
+        t = Tape()
+        ops.attention(t.var(q), Var(k), Var(v))
+        assert len(t) == 1
+        ops.attention(Var(q), t.var(k), t.var(v))
+        assert len(t) == 2
+        ops.attention(Var(q), Var(k), Var(v))
+        assert len(t) == 2
+
+    def test_gradcheck_batched_each_input(self):
+        rng = np.random.default_rng(63)
+        q, k, v = rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 5, 4)), rng.standard_normal((2, 5, 3))
+        assert gradcheck(lambda x: _head(ops.attention(x, Var(k), Var(v))), q) < TOL
+        assert gradcheck(lambda x: _head(ops.attention(Var(q), x, Var(v))), k) < TOL
+        assert gradcheck(lambda x: _head(ops.attention(Var(q), Var(k), x)), v) < TOL
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError, match="q dim 4 != k dim 3"):
+            ops.attention(np.ones((2, 4)), np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="k rows 2 != v rows 3"):
+            ops.attention(np.ones((2, 4)), np.ones((2, 4)), np.ones((3, 4)))
+
+    def test_peak_memory_forward_backward_under_three_score_arrays(self):
+        """Taped forward plus backward keeps P and one temporary, not the
+        five-op route's per-record copies of the (B, Tq, Tk) scores."""
+        rng = np.random.default_rng(64)
+        q, k, v = (rng.standard_normal((25, 256, 12)) for _ in range(3))
+        score_bytes = 25 * 256 * 256 * 8
+        tracemalloc.start()
+        try:
+            t = Tape()
+            out = ops.attention(t.var(q), t.var(k), t.var(v))
+            t.backward(out, np.ones_like(out.value))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * score_bytes, f"peak {peak / score_bytes:.2f}x one score array"
 
 
 class TestNormalizationsActivations:
