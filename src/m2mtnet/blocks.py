@@ -22,6 +22,7 @@ import numpy as np
 
 from . import ops
 from .autodiff import Var
+from .lftensor import LAYOUTS, layout_shape
 
 __all__ = [
     "BlockOptions",
@@ -29,9 +30,7 @@ __all__ = [
     "init_m2mt_params",
     "init_angular_params",
     "init_o2o_spatial_params",
-    "correlation_encode",
     "spatial_self_attention",
-    "correlation_decode",
     "m2mt_forward",
     "angular_forward",
     "correlation_block_forward",
@@ -76,116 +75,99 @@ def _norm_params(d, dtype):
     return np.ones(d, dtype=dtype), np.zeros(d, dtype=dtype)
 
 
+def _transformer_params(rng, d, opts: BlockOptions, ffn: bool, dtype):
+    """Pre-norm attention (+ feed-forward when ffn) parameters at width d."""
+    p: dict[str, np.ndarray] = {}
+    if opts.norm:
+        p["att_norm.g"], p["att_norm.b"] = _norm_params(d, dtype)
+    for name in ("q", "k", "v"):
+        p[f"{name}.w"], p[f"{name}.b"] = _linear_params(rng, d, d, dtype)
+    if opts.out_proj:
+        p["proj.w"], p["proj.b"] = _linear_params(rng, d, d, dtype)
+    if ffn:
+        if opts.norm:
+            p["ffn_norm.g"], p["ffn_norm.b"] = _norm_params(d, dtype)
+        hidden = opts.ffn_ratio * d
+        p["ffn1.w"], p["ffn1.b"] = _linear_params(rng, d, hidden, dtype)
+        p["ffn2.w"], p["ffn2.b"] = _linear_params(rng, hidden, d, dtype)
+    return p
+
+
 def init_m2mt_params(rng, u, v, c, c_cor, opts: BlockOptions, dtype=np.float32):
     """Parameter arrays for one many-to-many sub-block, in registry order."""
     p: dict[str, np.ndarray] = {}
     p["pos1.w"], p["pos1.b"] = _conv_params(rng, c, c, 3, dtype)
     p["pos2.w"], p["pos2.b"] = _conv_params(rng, c, c, 3, dtype)
     p["encode.w"], p["encode.b"] = _linear_params(rng, u * v * c, c_cor, dtype)
-    if opts.norm:
-        p["att_norm.g"], p["att_norm.b"] = _norm_params(c_cor, dtype)
-    for name in ("q", "k", "v"):
-        p[f"{name}.w"], p[f"{name}.b"] = _linear_params(rng, c_cor, c_cor, dtype)
-    if opts.out_proj:
-        p["proj.w"], p["proj.b"] = _linear_params(rng, c_cor, c_cor, dtype)
-    if opts.ffn:
-        if opts.norm:
-            p["ffn_norm.g"], p["ffn_norm.b"] = _norm_params(c_cor, dtype)
-        hidden = opts.ffn_ratio * c_cor
-        p["ffn1.w"], p["ffn1.b"] = _linear_params(rng, c_cor, hidden, dtype)
-        p["ffn2.w"], p["ffn2.b"] = _linear_params(rng, hidden, c_cor, dtype)
+    p.update(_transformer_params(rng, c_cor, opts, opts.ffn, dtype))
     p["decode.w"], p["decode.b"] = _linear_params(rng, c_cor, u * v * c, dtype)
     return p
 
 
 def init_angular_params(rng, u, v, c, opts: BlockOptions, dtype=np.float32):
     """Parameter arrays for one angular sub-block."""
-    p: dict[str, np.ndarray] = {}
-    p["pos_embed"] = glorot_uniform(rng, (u * v, c), u * v, c, dtype)
-    if opts.norm:
-        p["att_norm.g"], p["att_norm.b"] = _norm_params(c, dtype)
-    for name in ("q", "k", "v"):
-        p[f"{name}.w"], p[f"{name}.b"] = _linear_params(rng, c, c, dtype)
-    if opts.out_proj:
-        p["proj.w"], p["proj.b"] = _linear_params(rng, c, c, dtype)
-    if opts.angular_ffn:
-        if opts.norm:
-            p["ffn_norm.g"], p["ffn_norm.b"] = _norm_params(c, dtype)
-        hidden = opts.ffn_ratio * c
-        p["ffn1.w"], p["ffn1.b"] = _linear_params(rng, c, hidden, dtype)
-        p["ffn2.w"], p["ffn2.b"] = _linear_params(rng, hidden, c, dtype)
+    p = {"pos_embed": glorot_uniform(rng, (u * v, c), u * v, c, dtype)}
+    p.update(_transformer_params(rng, c, opts, opts.angular_ffn, dtype))
     return p
 
 
 def init_o2o_spatial_params(rng, c, opts: BlockOptions, dtype=np.float32):
     """Parameter arrays for one per-view spatial transformer (baseline)."""
-    p: dict[str, np.ndarray] = {}
-    if opts.norm:
-        p["att_norm.g"], p["att_norm.b"] = _norm_params(c, dtype)
-    for name in ("q", "k", "v"):
-        p[f"{name}.w"], p[f"{name}.b"] = _linear_params(rng, c, c, dtype)
-    if opts.out_proj:
-        p["proj.w"], p["proj.b"] = _linear_params(rng, c, c, dtype)
-    if opts.ffn:
-        if opts.norm:
-            p["ffn_norm.g"], p["ffn_norm.b"] = _norm_params(c, dtype)
-        hidden = opts.ffn_ratio * c
-        p["ffn1.w"], p["ffn1.b"] = _linear_params(rng, c, hidden, dtype)
-        p["ffn2.w"], p["ffn2.b"] = _linear_params(rng, hidden, c, dtype)
-    return p
+    return _transformer_params(rng, c, opts, opts.ffn, dtype)
 
 
 # ---------------------------------------------------------------------------
-# Layout helpers on Vars.  dims is always (u, v, w, h, c).
+# Layouts on Vars, from the lftensor table.  dims is always (u, v, w, h, c).
+# A layout's unit axes (the one instance of `merged`) are left out here.
+
+_IDENTITY = (0, 1, 2, 3, 4)
+
+
+def _to(x: Var, name: str, dims) -> Var:
+    order, groups = LAYOUTS[name]
+    if order != _IDENTITY:
+        x = ops.transpose(x, order)
+    shape = layout_shape(name, dims)
+    return ops.reshape(x, tuple(s for s, g in zip(shape, groups) if g))
+
+
+def _from(x: Var, name: str, dims) -> Var:
+    order, _ = LAYOUTS[name]
+    x = ops.reshape(x, tuple(dims[a] for a in order))
+    if order == _IDENTITY:
+        return x
+    return ops.transpose(x, tuple(np.argsort(order).tolist()))
+
 
 def lf_to_merged(x: Var, dims) -> Var:
     """(U,V,W,H,C) -> (W*H, U*V*C): pixel tokens carrying all views."""
-    u, v, w, h, c = dims
-    m = ops.transpose(x, (2, 3, 0, 1, 4))
-    return ops.reshape(m, (w * h, u * v * c))
+    return _to(x, "merged", dims)
 
 
 def merged_to_lf(x: Var, dims) -> Var:
-    u, v, w, h, c = dims
-    m = ops.reshape(x, (w, h, u, v, c))
-    return ops.transpose(m, (2, 3, 0, 1, 4))
+    return _from(x, "merged", dims)
 
 
 def lf_to_images(x: Var, dims) -> Var:
     """(U,V,W,H,C) -> (U*V, C, H, W) channel-first image batch for convs."""
-    u, v, w, h, c = dims
-    m = ops.transpose(x, (0, 1, 4, 3, 2))
-    return ops.reshape(m, (u * v, c, h, w))
+    return _to(x, "images", dims)
 
 
 def images_to_lf(x: Var, dims) -> Var:
-    u, v, w, h, c = dims
-    m = ops.reshape(x, (u, v, c, h, w))
-    return ops.transpose(m, (0, 1, 4, 3, 2))
+    return _from(x, "images", dims)
 
 
 # ---------------------------------------------------------------------------
 # Sub-block pieces
 
-def correlation_encode(x: Var, p: dict, dims) -> Var:
-    """Merge views into channels and project to correlation space.
-
-    x: Var (U,V,W,H,C) -> Var (W*H, C_Cor).
-    """
-    return ops.linear(lf_to_merged(x, dims), p["encode.w"], p["encode.b"])
-
-
-def spatial_self_attention(i_cor: Var, p: dict, opts: BlockOptions) -> Var:
-    """Self-attention over pixel tokens in correlation space, residual added.
+def spatial_self_attention(t: Var, p: dict, opts: BlockOptions) -> Var:
+    """Self-attention over the tokens of t (..., T, D), residual added.
 
     Pre-norm when configured: attention reads the normalized stream, the
-    residual adds to the raw stream.
+    residual adds to the raw stream.  The one attention body of all three
+    sub-block types; the leading axes batch independent sequences.
     """
-    a_in = (
-        ops.layer_norm(i_cor, p["att_norm.g"], p["att_norm.b"])
-        if opts.norm
-        else i_cor
-    )
+    a_in = ops.layer_norm(t, p["att_norm.g"], p["att_norm.b"]) if opts.norm else t
     att = ops.attention(
         ops.linear(a_in, p["q.w"], p["q.b"]),
         ops.linear(a_in, p["k.w"], p["k.b"]),
@@ -193,7 +175,7 @@ def spatial_self_attention(i_cor: Var, p: dict, opts: BlockOptions) -> Var:
     )
     if opts.out_proj:
         att = ops.linear(att, p["proj.w"], p["proj.b"])
-    return ops.add(i_cor, att)
+    return ops.add(t, att)
 
 
 def _ffn(x: Var, p: dict, opts: BlockOptions) -> Var:
@@ -204,28 +186,24 @@ def _ffn(x: Var, p: dict, opts: BlockOptions) -> Var:
     return ops.add(x, f)
 
 
-def correlation_decode(i_cor: Var, p: dict, dims) -> Var:
-    """Project correlation tokens back to per-view channels, (U,V,W,H,C)."""
-    dec = ops.linear(i_cor, p["decode.w"], p["decode.b"])
-    return merged_to_lf(dec, dims)
-
-
 def m2mt_forward(x: Var, p: dict, dims, opts: BlockOptions) -> Var:
     """One many-to-many sub-block over a light field Var.
 
-    Two per-view 3x3 convs inject spatial position, then
-    encode -> attention(+residual) -> feed-forward(+residual, per config)
-    -> decode, with the decoded field added back to the conv-enriched input.
-    With zero weights the whole sub-block is the identity.
+    Two per-view 3x3 convs inject spatial position; then the views of each
+    pixel are merged into one channel vector and encoded to correlation space
+    (W*H tokens of dim C_Cor), attention(+residual) and feed-forward(+residual,
+    per config) run there, and the decoded field is added back to the
+    conv-enriched input.  With zero weights the whole sub-block is the identity.
     """
     pos = ops.conv2d(lf_to_images(x, dims), p["pos1.w"], p["pos1.b"])
     pos = ops.conv2d(pos, p["pos2.w"], p["pos2.b"])
     base = ops.add(x, images_to_lf(pos, dims))
-    i_cor = correlation_encode(base, p, dims)
+    i_cor = ops.linear(lf_to_merged(base, dims), p["encode.w"], p["encode.b"])
     i_cor = spatial_self_attention(i_cor, p, opts)
     if opts.ffn:
         i_cor = _ffn(i_cor, p, opts)
-    return ops.add(base, correlation_decode(i_cor, p, dims))
+    dec = ops.linear(i_cor, p["decode.w"], p["decode.b"])
+    return ops.add(base, merged_to_lf(dec, dims))
 
 
 def angular_forward(x: Var, p: dict, dims, opts: BlockOptions) -> Var:
@@ -234,23 +212,11 @@ def angular_forward(x: Var, p: dict, dims, opts: BlockOptions) -> Var:
     Tokens are the views of one spatial location (dim C), batched over all
     W*H locations; a learned per-view embedding marks angular position.
     """
-    u, v, w, h, c = dims
-    t = ops.transpose(x, (2, 3, 0, 1, 4))
-    t = ops.reshape(t, (w * h, u * v, c))
-    t = ops.add(t, p["pos_embed"])
-    a_in = ops.layer_norm(t, p["att_norm.g"], p["att_norm.b"]) if opts.norm else t
-    att = ops.attention(
-        ops.linear(a_in, p["q.w"], p["q.b"]),
-        ops.linear(a_in, p["k.w"], p["k.b"]),
-        ops.linear(a_in, p["v.w"], p["v.b"]),
-    )
-    if opts.out_proj:
-        att = ops.linear(att, p["proj.w"], p["proj.b"])
-    t = ops.add(t, att)
+    t = ops.add(_to(x, "angular", dims), p["pos_embed"])
+    t = spatial_self_attention(t, p, opts)
     if opts.angular_ffn:
         t = _ffn(t, p, opts)
-    t = ops.reshape(t, (w, h, u, v, c))
-    return ops.transpose(t, (2, 3, 0, 1, 4))
+    return _from(t, "angular", dims)
 
 
 def correlation_block_forward(
@@ -265,17 +231,7 @@ def correlation_block_forward(
 def o2o_spatial_forward(x: Var, p: dict, dims, opts: BlockOptions) -> Var:
     """Per-view spatial transformer: attention over W*H pixel tokens at dim C,
     each view processed independently (batched over U*V)."""
-    u, v, w, h, c = dims
-    t = ops.reshape(x, (u * v, w * h, c))
-    a_in = ops.layer_norm(t, p["att_norm.g"], p["att_norm.b"]) if opts.norm else t
-    att = ops.attention(
-        ops.linear(a_in, p["q.w"], p["q.b"]),
-        ops.linear(a_in, p["k.w"], p["k.b"]),
-        ops.linear(a_in, p["v.w"], p["v.b"]),
-    )
-    if opts.out_proj:
-        att = ops.linear(att, p["proj.w"], p["proj.b"])
-    t = ops.add(t, att)
+    t = spatial_self_attention(_to(x, "spatial", dims), p, opts)
     if opts.ffn:
         t = _ffn(t, p, opts)
-    return ops.reshape(t, (u, v, w, h, c))
+    return _from(t, "spatial", dims)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -16,23 +17,7 @@ from .autodiff import Var, gradcheck
 from .lftensor import LfTensor, write_lft1
 from .network import NetConfig
 
-_CONFIG_KEYS = {
-    "u": int,
-    "v": int,
-    "c": int,
-    "c_cor": int,
-    "n1": int,
-    "n2": int,
-    "r": int,
-    "norm": bool,
-    "out_proj": bool,
-    "ffn": bool,
-    "angular_ffn": bool,
-    "ffn_ratio": int,
-    "seed": int,
-    "flops_per_mac": int,
-    "arch": str,
-}
+_CONFIG_KEYS = {f.name: type(f.default) for f in fields(NetConfig)}
 
 
 def _f(x) -> str:
@@ -43,10 +28,6 @@ def _load_config(path) -> NetConfig:
     cfg = NetConfig(**lfio.parse_config_file(path, _CONFIG_KEYS))
     cfg.validate()
     return cfg
-
-
-def _build(cfg: NetConfig, dtype=np.float32):
-    return network.build(cfg, dtype) if cfg.arch == "m2m" else network.build_o2o(cfg, dtype)
 
 
 def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
@@ -63,7 +44,7 @@ def _cmd_init(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg = network.NetConfig(**{**cfg.__dict__, "seed": args.seed})
-    net = _build(cfg)
+    net = network.build(cfg)
     network.save_weights(args.out_weights, net)
     print(f"wrote {args.out_weights}: {cfg.arch} net, {_f(net.num_params() / 1e6)}M params")
     return 0
@@ -71,7 +52,7 @@ def _cmd_init(args) -> int:
 
 def _cmd_params(args) -> int:
     cfg = _load_config(args.config)
-    net = _build(cfg)
+    net = network.build(cfg)
     rows, total = network.count_params(net)
     width = max(len(n) for n, _ in rows)
     for name, size in rows:
@@ -236,7 +217,7 @@ def _cmd_train_toy(args) -> int:
     if (hr.u, hr.v) != (cfg.u, cfg.v):
         raise ValueError(f"input grid {hr.u}x{hr.v} != config {cfg.u}x{cfg.v}")
     pair = training.make_pair(hr, cfg.r)
-    net = _build(cfg, np.float64)
+    net = network.build(cfg, np.float64)
     tcfg = training.TrainConfig(iters=args.iters, lr=args.lr)
     curve = training.train_toy(net, pair, tcfg)
     print("iter,loss")

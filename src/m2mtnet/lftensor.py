@@ -10,13 +10,19 @@ stored elements with an exact inverse.  No view changes values, only layout.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 __all__ = [
     "LfTensor",
+    "LAYOUTS",
+    "layout_shape",
+    "to_layout",
+    "from_layout",
     "to_spatial",
     "from_spatial",
     "to_angular",
@@ -90,91 +96,76 @@ def _check_dims(t: np.ndarray, expect: tuple[int, ...], what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subspace views.  Grouping convention for every flattened pair of axes is
-# row-major, e.g. the UV token axis enumerates v fastest within u.
+# Subspace views.  Each layout is an order of the axes (U, V, W, H, C) = (0..4)
+# plus how many consecutive permuted axes merge into each output axis; a group
+# of 0 axes is a unit axis.  Merged axes group row-major, e.g. the UV token axis
+# enumerates v fastest within u.
 
-def to_spatial(lf: LfTensor) -> np.ndarray:
-    """(U*V, W*H, C): one token sequence of W*H pixels per SAI."""
-    u, v, w, h, c = lf.dims
-    return lf.data.reshape(u * v, w * h, c)
+LAYOUTS: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {
+    # (U*V, W*H, C): one token sequence of W*H pixels per SAI
+    "spatial": ((0, 1, 2, 3, 4), (2, 2, 1)),
+    # (W*H, U*V, C): one token sequence of U*V views per pixel
+    "angular": ((2, 3, 0, 1, 4), (2, 2, 1)),
+    # (V*H, U*W, C): horizontal epipolar-plane images, (v, y) by (u, x)
+    "epi_h": ((1, 3, 0, 2, 4), (2, 2, 1)),
+    # (U*W, V*H, C): vertical epipolar-plane images, (u, x) by (v, y)
+    "epi_v": ((0, 2, 1, 3, 4), (2, 2, 1)),
+    # (1, W*H, U*V*C): all views of a pixel merged into one channel vector,
+    # channel index (u*V + v)*C + ch
+    "merged": ((2, 3, 0, 1, 4), (0, 2, 3)),
+    # (H*U, W*V, C) macro-pixel image: row y*U + u, column x*V + v, so each
+    # macro-pixel shows all angular samples of one spatial location
+    "macpi": ((3, 0, 2, 1, 4), (2, 2, 1)),
+    # (U*V, C, H, W): channel-first image batch for convs
+    "images": ((0, 1, 4, 3, 2), (2, 1, 1, 1)),
+}
+
+_INVERSE_NAMES = {"macpi": "macpi_to_lf"}
 
 
-def from_spatial(t: np.ndarray, u: int, v: int, w: int, h: int) -> LfTensor:
-    _check_dims(t, (u * v, w * h, t.shape[-1]), "from_spatial")
-    return LfTensor(t.reshape(u, v, w, h, t.shape[-1]))
+def layout_shape(name: str, dims) -> tuple[int, ...]:
+    """Dims of layout `name` for a light field of dims (U, V, W, H, C)."""
+    order, groups = LAYOUTS[name]
+    sizes = [dims[a] for a in order]
+    ends = np.cumsum(groups)
+    return tuple(math.prod(sizes[e - g : e]) for g, e in zip(groups, ends))
 
 
-def to_angular(lf: LfTensor) -> np.ndarray:
-    """(W*H, U*V, C): one token sequence of U*V views per pixel."""
-    u, v, w, h, c = lf.dims
-    return lf.data.transpose(2, 3, 0, 1, 4).reshape(w * h, u * v, c)
+def to_layout(name: str, lf: LfTensor) -> np.ndarray:
+    """The light field in layout `name` (a view when the order allows)."""
+    order, _ = LAYOUTS[name]
+    return lf.data.transpose(order).reshape(layout_shape(name, lf.dims))
 
 
-def from_angular(t: np.ndarray, u: int, v: int, w: int, h: int) -> LfTensor:
-    _check_dims(t, (w * h, u * v, t.shape[-1]), "from_angular")
-    arr = t.reshape(w, h, u, v, t.shape[-1]).transpose(2, 3, 0, 1, 4)
+def from_layout(name: str, t: np.ndarray, u: int, v: int, w: int, h: int) -> LfTensor:
+    """Inverse of to_layout; C is read from the axis that holds it."""
+    what = _INVERSE_NAMES.get(name, f"from_{name}")
+    order, groups = LAYOUTS[name]
+    unit = layout_shape(name, (u, v, w, h, 1))
+    k = int(np.cumsum(groups).searchsorted(order.index(4), side="right"))  # C's axis
+    c = 1
+    if t.ndim == len(groups):
+        c, rem = divmod(t.shape[k], unit[k])
+        if rem != 0:
+            raise ValueError(f"{what}: channel dim {t.shape[k]} not divisible by {unit[k]}")
+    dims = (u, v, w, h, c)
+    _check_dims(t, layout_shape(name, dims), what)
+    arr = t.reshape([dims[a] for a in order]).transpose(np.argsort(order))
     return LfTensor(np.ascontiguousarray(arr))
 
 
-def to_epi_h(lf: LfTensor) -> np.ndarray:
-    """(V*H, U*W, C): horizontal epipolar-plane images, (v, y) by (u, x)."""
-    u, v, w, h, c = lf.dims
-    return lf.data.transpose(1, 3, 0, 2, 4).reshape(v * h, u * w, c)
-
-
-def from_epi_h(t: np.ndarray, u: int, v: int, w: int, h: int) -> LfTensor:
-    _check_dims(t, (v * h, u * w, t.shape[-1]), "from_epi_h")
-    arr = t.reshape(v, h, u, w, t.shape[-1]).transpose(2, 0, 3, 1, 4)
-    return LfTensor(np.ascontiguousarray(arr))
-
-
-def to_epi_v(lf: LfTensor) -> np.ndarray:
-    """(U*W, V*H, C): vertical epipolar-plane images, (u, x) by (v, y)."""
-    u, v, w, h, c = lf.dims
-    return lf.data.transpose(0, 2, 1, 3, 4).reshape(u * w, v * h, c)
-
-
-def from_epi_v(t: np.ndarray, u: int, v: int, w: int, h: int) -> LfTensor:
-    _check_dims(t, (u * w, v * h, t.shape[-1]), "from_epi_v")
-    arr = t.reshape(u, w, v, h, t.shape[-1]).transpose(0, 2, 1, 3, 4)
-    return LfTensor(np.ascontiguousarray(arr))
-
-
-def to_merged(lf: LfTensor) -> np.ndarray:
-    """(1, W*H, U*V*C): all views of a pixel merged into one channel vector.
-
-    The merged channel index is (u*V + v)*C + ch, i.e. SAIs in row-major
-    angular order, each contributing its C channels contiguously.
-    """
-    u, v, w, h, c = lf.dims
-    return lf.data.transpose(2, 3, 0, 1, 4).reshape(1, w * h, u * v * c)
-
-
-def from_merged(t: np.ndarray, u: int, v: int, w: int, h: int) -> LfTensor:
-    c, rem = divmod(t.shape[-1], u * v)
-    if rem != 0:
-        raise ValueError(
-            f"from_merged: channel dim {t.shape[-1]} not divisible by U*V={u * v}"
-        )
-    _check_dims(t, (1, w * h, u * v * c), "from_merged")
-    arr = t.reshape(w, h, u, v, c).transpose(2, 3, 0, 1, 4)
-    return LfTensor(np.ascontiguousarray(arr))
-
-
-def to_macpi(lf: LfTensor) -> np.ndarray:
-    """(H*U, W*V, C) macro-pixel image: (y, x) macro-grid of U x V patches.
-
-    Row index is y*U + u, column index is x*V + v, so each macro-pixel shows
-    all angular samples of one spatial location side by side.
-    """
-    u, v, w, h, c = lf.dims
-    return lf.data.transpose(3, 0, 2, 1, 4).reshape(h * u, w * v, c)
-
-
-def macpi_to_lf(t: np.ndarray, u: int, v: int, w: int, h: int) -> LfTensor:
-    _check_dims(t, (h * u, w * v, t.shape[-1]), "macpi_to_lf")
-    arr = t.reshape(h, u, w, v, t.shape[-1]).transpose(1, 3, 2, 0, 4)
-    return LfTensor(np.ascontiguousarray(arr))
+to_spatial = partial(to_layout, "spatial")
+from_spatial = partial(from_layout, "spatial")
+to_angular = partial(to_layout, "angular")
+from_angular = partial(from_layout, "angular")
+to_epi_h = partial(to_layout, "epi_h")
+from_epi_h = partial(from_layout, "epi_h")
+to_epi_v = partial(to_layout, "epi_v")
+from_epi_v = partial(from_layout, "epi_v")
+to_merged = partial(to_layout, "merged")
+from_merged = partial(from_layout, "merged")
+to_macpi = partial(to_layout, "macpi")
+macpi_to_lf = partial(from_layout, "macpi")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -203,34 +203,30 @@ def _tail_params(rng, cfg: NetConfig, dtype):
     return p
 
 
-def build(cfg: NetConfig, dtype=np.float32) -> Network:
-    """Deterministically initialize a many-to-many network from cfg.seed."""
+def build(cfg: NetConfig, dtype=np.float32) -> _SrNet:
+    """Deterministically initialize the cfg.arch network from cfg.seed."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     params = _head_tail_params(rng, cfg, dtype)
     opts = cfg.options
     for j in range(cfg.n2):
-        pm = blocks.init_m2mt_params(rng, cfg.u, cfg.v, cfg.c, cfg.c_cor, opts, dtype)
-        for n, a in pm.items():
-            params[f"block{j}.m2mt.{n}"] = a
-        pa = blocks.init_angular_params(rng, cfg.u, cfg.v, cfg.c, opts, dtype)
-        for n, a in pa.items():
-            params[f"block{j}.ang.{n}"] = a
+        if cfg.arch == "m2m":
+            subs = {
+                "m2mt": blocks.init_m2mt_params(rng, cfg.u, cfg.v, cfg.c, cfg.c_cor, opts, dtype),
+                "ang": blocks.init_angular_params(rng, cfg.u, cfg.v, cfg.c, opts, dtype),
+            }
+        else:
+            subs = {"sp": blocks.init_o2o_spatial_params(rng, cfg.c, opts, dtype)}
+        for sub, ps in subs.items():
+            for n, a in ps.items():
+                params[f"block{j}.{sub}.{n}"] = a
     params.update(_tail_params(rng, cfg, dtype))
-    return Network(cfg, params)
+    return (Network if cfg.arch == "m2m" else O2OBaseline)(cfg, params)
 
 
 def build_o2o(cfg: NetConfig, dtype=np.float32) -> O2OBaseline:
     """Per-view baseline with the same head/tail and interior switches."""
-    cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
-    params = _head_tail_params(rng, cfg, dtype)
-    for j in range(cfg.n2):
-        ps = blocks.init_o2o_spatial_params(rng, cfg.c, cfg.options, dtype)
-        for n, a in ps.items():
-            params[f"block{j}.sp.{n}"] = a
-    params.update(_tail_params(rng, cfg, dtype))
-    return O2OBaseline(cfg, params)
+    return build(replace(cfg, arch="o2o"), dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +261,20 @@ def count_flops(cfg: NetConfig, patch: int = 32):
     def lin(din, dout, tokens):
         return fpm * din * dout * tokens
 
-    def att(tok, d, inst):
-        return (fpm * tok * tok * d * 2 + 5 * tok * tok) * inst
-
     rows: list[tuple[str, int]] = []
+
+    def transformer(pre, d, tokens, instances, ffn):
+        """Attention over `instances` sequences of `tokens` tokens at width d."""
+        n = tokens * instances
+        rows.append((f"{pre}.qkv", 3 * lin(d, d, n)))
+        att = fpm * tokens * tokens * d * 2 + 5 * tokens * tokens
+        rows.append((f"{pre}.attention", att * instances))
+        if cfg.out_proj:
+            rows.append((f"{pre}.proj", lin(d, d, n)))
+        if ffn:
+            hidden = cfg.ffn_ratio * d
+            rows.append((f"{pre}.ffn", lin(d, hidden, n) + lin(hidden, d, n)))
+
     rows.append(("head.0", conv(c, 1, 3, t)))
     for i in range(1, cfg.n1):
         rows.append((f"head.{i}", conv(c, c, 3, t)))
@@ -278,31 +284,11 @@ def count_flops(cfg: NetConfig, patch: int = 32):
             pre = f"block{j}.m2mt"
             rows.append((f"{pre}.pos", 2 * conv(c, c, 3, t)))
             rows.append((f"{pre}.encode", lin(uv * c, cc, t)))
-            rows.append((f"{pre}.qkv", 3 * lin(cc, cc, t)))
-            rows.append((f"{pre}.attention", att(t, cc, 1)))
-            if cfg.out_proj:
-                rows.append((f"{pre}.proj", lin(cc, cc, t)))
-            if cfg.ffn:
-                hidden = cfg.ffn_ratio * cc
-                rows.append((f"{pre}.ffn", lin(cc, hidden, t) + lin(hidden, cc, t)))
+            transformer(pre, cc, t, 1, cfg.ffn)
             rows.append((f"{pre}.decode", lin(cc, uv * c, t)))
-            pre = f"block{j}.ang"
-            rows.append((f"{pre}.qkv", 3 * lin(c, c, uv * t)))
-            rows.append((f"{pre}.attention", att(uv, c, t)))
-            if cfg.out_proj:
-                rows.append((f"{pre}.proj", lin(c, c, uv * t)))
-            if cfg.angular_ffn:
-                hidden = cfg.ffn_ratio * c
-                rows.append((f"{pre}.ffn", lin(c, hidden, uv * t) + lin(hidden, c, uv * t)))
+            transformer(f"block{j}.ang", c, uv, t, cfg.angular_ffn)
         else:
-            pre = f"block{j}.sp"
-            rows.append((f"{pre}.qkv", 3 * lin(c, c, uv * t)))
-            rows.append((f"{pre}.attention", att(t, c, uv)))
-            if cfg.out_proj:
-                rows.append((f"{pre}.proj", lin(c, c, uv * t)))
-            if cfg.ffn:
-                hidden = cfg.ffn_ratio * c
-                rows.append((f"{pre}.ffn", lin(c, hidden, uv * t) + lin(hidden, c, uv * t)))
+            transformer(f"block{j}.sp", c, t, uv, cfg.ffn)
 
     rows.append(("tail.expand", conv(r * r * c, c, 1, t)))
     rows.append(("tail.squeeze", conv(1, c, 3, r * r * t)))
@@ -405,38 +391,28 @@ def config_from_manifest(entries, u: int, v: int) -> NetConfig:
         raise ValueError("weight file has no blocks")
     n2 = max(block_ids) + 1
     arch = "m2m" if any(n.startswith("block0.m2mt.") for n in names) else "o2o"
-    if arch == "m2m":
-        din, c_cor = shapes["block0.m2mt.encode.w"]
-        if din != u * v * c:
-            raise ValueError(
-                f"encode input dim {din} != U*V*C = {u}*{v}*{c}; wrong --central or grid?"
-            )
-        ffn = "block0.m2mt.ffn1.w" in names
-        angular_ffn = "block0.ang.ffn1.w" in names
-        norm = "block0.m2mt.att_norm.g" in names
-        out_proj = "block0.m2mt.proj.w" in names
-        ffn_ratio = shapes["block0.m2mt.ffn1.w"][1] // c_cor if ffn else 2
-    else:
-        c_cor = c
-        ffn = "block0.sp.ffn1.w" in names
-        angular_ffn = False
-        norm = "block0.sp.att_norm.g" in names
-        out_proj = "block0.sp.proj.w" in names
-        ffn_ratio = shapes["block0.sp.ffn1.w"][1] // c if ffn else 2
+    pre = "block0.m2mt." if arch == "m2m" else "block0.sp."
+    c_cor = shapes[pre + "q.w"][0]
+    if arch == "m2m" and (din := shapes[pre + "encode.w"][0]) != u * v * c:
+        raise ValueError(
+            f"encode input dim {din} != U*V*C = {u}*{v}*{c}; wrong --central or grid?"
+        )
+    ffn = pre + "ffn1.w" in names
+    ffn_ratio = shapes[pre + "ffn1.w"][1] // c_cor if ffn else 2
     r2c = shapes["tail.expand.w"][0]
     r = int(round(np.sqrt(r2c // c)))
     if r * r * c != r2c:
         raise ValueError(f"tail expand dim {r2c} is not r*r*C for C={c}")
     return NetConfig(
-        u=u, v=v, c=c, c_cor=c_cor, n1=n1, n2=n2, r=r, norm=norm,
-        out_proj=out_proj, ffn=ffn, angular_ffn=angular_ffn,
-        ffn_ratio=ffn_ratio, arch=arch,
+        u=u, v=v, c=c, c_cor=c_cor, n1=n1, n2=n2, r=r, norm=pre + "att_norm.g" in names,
+        out_proj=pre + "proj.w" in names, ffn=ffn,
+        angular_ffn="block0.ang.ffn1.w" in names, ffn_ratio=ffn_ratio, arch=arch,
     )
 
 
 def net_from_file(path, u: int, v: int, dtype=np.float32):
     """Build the right architecture for a weight file and load it."""
     cfg = config_from_manifest(read_manifest(path), u, v)
-    net = build(cfg, dtype) if cfg.arch == "m2m" else build_o2o(cfg, dtype)
+    net = build(cfg, dtype)
     load_into(net, path)
     return net

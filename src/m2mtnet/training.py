@@ -8,7 +8,7 @@ import numpy as np
 
 from . import ops
 from .autodiff import Tape, Var
-from .lftensor import LfTensor
+from .lftensor import LfTensor, from_layout, to_layout
 
 __all__ = [
     "TrainConfig",
@@ -48,11 +48,8 @@ def make_pair(hr: LfTensor, r: int) -> tuple[LfTensor, LfTensor]:
         raise ValueError(f"downsample factor must be >= 1, got {r}")
     if hr.w % r or hr.h % r:
         raise ValueError(f"view dims {hr.w}x{hr.h} not divisible by r={r}")
-    u, v, w, h, c = hr.dims
-    imgs = hr.data.transpose(0, 1, 4, 3, 2).reshape(u * v, c, h, w)
-    lr = ops.resize_bicubic(Var(imgs), 1.0 / r).value
-    lr = lr.reshape(u, v, c, h // r, w // r).transpose(0, 1, 4, 3, 2)
-    return LfTensor(np.ascontiguousarray(lr)), hr
+    lr = ops.resize_bicubic(Var(to_layout("images", hr)), 1.0 / r).value
+    return from_layout("images", lr, hr.u, hr.v, hr.w // r, hr.h // r), hr
 
 
 def l1_loss(pred: Var, target: np.ndarray) -> Var:

@@ -238,3 +238,53 @@ class TestWiring:
                 assert np.all(np.isfinite(v.grad)), k
                 if not k.endswith(".b"):
                     assert np.abs(v.grad).max() > 0, k
+
+
+class TestLayoutTable:
+    """The Var layouts in blocks and the NumPy views in lftensor are one table."""
+
+    DIMS5 = (2, 3, 4, 5, 2)  # no two axes alike, so a wrong order shows
+
+    @pytest.mark.parametrize("name", sorted(lftensor.LAYOUTS))
+    def test_var_path_matches_numpy_path(self, name):
+        x = np.random.default_rng(8).standard_normal(self.DIMS5)
+        got = blocks._to(Var(x), name, self.DIMS5).value
+        ref = lftensor.to_layout(name, lftensor.LfTensor(x))
+        _, groups = lftensor.LAYOUTS[name]
+        assert got.shape == tuple(s for s, g in zip(ref.shape, groups) if g)
+        np.testing.assert_array_equal(got, ref.reshape(got.shape))
+
+    @pytest.mark.parametrize("name", sorted(lftensor.LAYOUTS))
+    def test_round_trips_are_exact(self, name):
+        x = np.random.default_rng(9).standard_normal(self.DIMS5)
+        back = blocks._from(blocks._to(Var(x), name, self.DIMS5), name, self.DIMS5).value
+        np.testing.assert_array_equal(back, x)
+        u, v, w, h, _ = self.DIMS5
+        lf = lftensor.LfTensor(x)
+        again = lftensor.from_layout(name, lftensor.to_layout(name, lf), u, v, w, h)
+        np.testing.assert_array_equal(again.data, x)
+
+    @pytest.mark.parametrize("name", sorted(lftensor.LAYOUTS))
+    def test_backward_applies_the_inverse_permutation(self, name):
+        tape = Tape()
+        x = tape.var(np.zeros(self.DIMS5))
+        y = blocks._to(x, name, self.DIMS5)
+        seed = np.arange(y.value.size, dtype=np.float64).reshape(y.value.shape)
+        tape.backward(y, seed)
+        u, v, w, h, _ = self.DIMS5
+        shape = lftensor.layout_shape(name, self.DIMS5)
+        want = lftensor.from_layout(name, seed.reshape(shape), u, v, w, h).data
+        np.testing.assert_array_equal(x.grad, want)
+
+    @pytest.mark.parametrize("name", sorted(lftensor.LAYOUTS))
+    def test_only_a_reordering_layout_records_a_transpose(self, name, monkeypatch):
+        calls = []
+        transpose = ops.transpose
+        monkeypatch.setattr(ops, "transpose", lambda a, axes: calls.append(axes) or transpose(a, axes))
+        tape = Tape()
+        x = tape.var(np.zeros(self.DIMS5))
+        blocks._from(blocks._to(x, name, self.DIMS5), name, self.DIMS5)
+        reorders = lftensor.LAYOUTS[name][0] != (0, 1, 2, 3, 4)
+        assert len(calls) == (2 if reorders else 0)
+        assert len(tape) == (4 if reorders else 2)
+        assert reorders == (name != "spatial")

@@ -4,6 +4,8 @@ CLI subcommands run in-process through main(argv); error paths must print
 one line to stderr and return exit code 1.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,18 @@ class TestConfigFile:
         p.write_text("just a line\n")
         with pytest.raises(ValueError, match="key=value"):
             lfio.parse_config_file(p, cli._CONFIG_KEYS)
+
+    def test_every_netconfig_field_round_trips(self, tmp_path):
+        want = network.NetConfig(
+            u=3, v=4, c=5, c_cor=7, n1=2, n2=3, r=2, norm=False, out_proj=False,
+            ffn=False, angular_ffn=True, ffn_ratio=3, seed=9, flops_per_mac=1, arch="o2o",
+        )
+        defaults = network.NetConfig()
+        for f in fields(network.NetConfig):
+            assert getattr(want, f.name) != getattr(defaults, f.name), f.name
+        p = tmp_path / "net.cfg"
+        p.write_text("".join(f"{k}={str(v).lower()}\n" for k, v in want.__dict__.items()))
+        assert cli._load_config(p) == want
 
 
 def _write_cfg(tmp_path, **overrides):

@@ -4,10 +4,12 @@ Small configurations are used throughout; the full-size parameter and flop
 totals are pinned separately in the acceptance tests.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from m2mtnet import network, ops
+from m2mtnet import blocks, network, ops
 from m2mtnet.autodiff import Var
 from m2mtnet.lftensor import LfTensor
 from m2mtnet.network import NetConfig
@@ -245,3 +247,119 @@ class TestWeightFiles:
         network.save_weights(p, net)
         with pytest.raises(ValueError, match="encode input dim"):
             network.net_from_file(p, 3, 3)
+
+
+TOY = NetConfig(u=2, v=2, c=3, c_cor=5, n1=2, n2=1, r=2)
+
+
+def _per_arch_params(cfg, arch, dtype=np.float64):
+    """Parameters as the former separate m2m and o2o builders assembled them."""
+    rng = np.random.default_rng(cfg.seed)
+    params = network._head_tail_params(rng, cfg, dtype)
+    for j in range(cfg.n2):
+        if arch == "m2m":
+            pm = blocks.init_m2mt_params(rng, cfg.u, cfg.v, cfg.c, cfg.c_cor, cfg.options, dtype)
+            params.update((f"block{j}.m2mt.{n}", a) for n, a in pm.items())
+            pa = blocks.init_angular_params(rng, cfg.u, cfg.v, cfg.c, cfg.options, dtype)
+            params.update((f"block{j}.ang.{n}", a) for n, a in pa.items())
+        else:
+            ps = blocks.init_o2o_spatial_params(rng, cfg.c, cfg.options, dtype)
+            params.update((f"block{j}.sp.{n}", a) for n, a in ps.items())
+    params.update(network._tail_params(rng, cfg, dtype))
+    return params
+
+
+class TestArchDispatch:
+    def _assert_params(self, net, want):
+        assert list(net.params) == list(want)
+        for n, a in want.items():
+            np.testing.assert_array_equal(net.params[n], a)
+
+    def test_build_follows_cfg_arch(self):
+        m2m = network.build(SMALL, np.float64)
+        assert type(m2m) is network.Network and m2m.cfg.arch == "m2m"
+        self._assert_params(m2m, _per_arch_params(SMALL, "m2m"))
+        o2o = network.build(replace(SMALL, arch="o2o"), np.float64)
+        assert type(o2o) is network.O2OBaseline and o2o.cfg.arch == "o2o"
+        self._assert_params(o2o, _per_arch_params(SMALL, "o2o"))
+
+    def test_build_o2o_records_its_arch(self):
+        net = network.build_o2o(TOY, np.float64)
+        assert type(net) is network.O2OBaseline and net.cfg.arch == "o2o"
+        self._assert_params(net, _per_arch_params(TOY, "o2o"))
+        # the cost model of the built baseline is the baseline's
+        assert network.count_flops(net.cfg, 8)[1] == 444416
+        assert network.count_flops(TOY, 8)[1] == 391168
+
+
+class TestCostModelMatchesForward:
+    """count_flops against FLOPs counted at every conv2d, linear and attention
+    call of a real forward, attributed to the layer whose weights it uses."""
+
+    @staticmethod
+    def _layer(param_name):
+        return ".".join(param_name.split(".")[:2])
+
+    def _counted(self, net, patch, monkeypatch):
+        fpm = net.cfg.flops_per_mac
+        pv = net.param_vars(None)
+        layer_of = {id(var): self._layer(n) for n, var in pv.items()}
+        counted: dict[str, int] = {}
+        last = []
+
+        def count(layer, flops):
+            last[:] = [layer]
+            counted[layer] = counted.get(layer, 0) + flops
+
+        conv2d, linear, attention = ops.conv2d, ops.linear, ops.attention
+
+        def counting_conv2d(x, kernel, bias):
+            out = conv2d(x, kernel, bias)
+            cout, cin, kh, kw = kernel.value.shape
+            hout, wout = out.value.shape[-2:]
+            views = out.value.shape[0] if out.value.ndim == 4 else 1
+            count(layer_of[id(kernel)], fpm * cout * cin * kh * kw * hout * wout * views)
+            return out
+
+        def counting_linear(x, w, b):
+            out = linear(x, w, b)
+            din, dout = w.value.shape
+            count(layer_of[id(w)], fpm * din * dout * (x.value.size // din))
+            return out
+
+        def counting_attention(q, k, v):
+            out = attention(q, k, v)
+            tq, d = q.value.shape[-2:]
+            tk, dv = k.value.shape[-2], v.value.shape[-1]
+            assert (tq, dv) == (tk, d)  # the count_flops formula assumes both
+            per = fpm * tq * tq * d * 2 + 5 * tq * tq
+            count(last[0], per * (q.value.size // (tq * d)))  # layer of the v projection
+            return out
+
+        monkeypatch.setattr(ops, "conv2d", counting_conv2d)
+        monkeypatch.setattr(ops, "linear", counting_linear)
+        monkeypatch.setattr(ops, "attention", counting_attention)
+        x = np.random.default_rng(0).standard_normal((net.cfg.u, net.cfg.v, patch, patch, 1))
+        net.forward_var(Var(x), pv)
+        return counted
+
+    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
+    @pytest.mark.parametrize(
+        "switches",
+        [
+            {},
+            {"norm": False, "out_proj": False, "ffn": False},
+            {"angular_ffn": True, "ffn_ratio": 3, "flops_per_mac": 1},
+            {"out_proj": False, "angular_ffn": True, "r": 4},
+        ],
+    )
+    def test_per_layer_and_total(self, arch, switches, monkeypatch):
+        cfg = replace(NetConfig(u=2, v=3, c=4, c_cor=6, n1=2, n2=2, r=2), arch=arch, **switches)
+        patch = 3
+        counted = self._counted(network.build(cfg, np.float64), patch, monkeypatch)
+        rows, total = network.count_flops(cfg, patch)
+        want: dict[str, int] = {}
+        for name, flops in rows:
+            want[self._layer(name)] = want.get(self._layer(name), 0) + flops
+        assert counted == want
+        assert sum(counted.values()) == total
