@@ -144,18 +144,12 @@ def _check_window(window, w, h):
 
 def detector(sr: LfTensor, window: tuple[int, int, int], sai=None) -> float:
     """Local-variation score: sum of |forward differences| inside the window
-    of one view (channels included)."""
-    su, sv = _resolve_sai(sr.dims, sai)
-    _check_window(window, sr.w, sr.h)
-    x, y, l = window
-    win = sr.data[su, sv, x : x + l, y : y + l, :].astype(np.float64)
-    dx = np.abs(win[1:, :, :] - win[:-1, :, :]).sum()
-    dy = np.abs(win[:, 1:, :] - win[:, :-1, :]).sum()
-    return float(dx + dy)
+    of one view (channels included), in float64."""
+    return float(_detector_var(Var(sr.data.astype(np.float64)), window, sai).value)
 
 
 def _detector_var(out: Var, window, sai) -> Var:
-    """Taped twin of detector(); same value, differentiable."""
+    """detector() on a Var; differentiable when out is on a tape."""
     su, sv = _resolve_sai(out.value.shape, sai)
     _check_window(window, out.value.shape[2], out.value.shape[3])
     x, y, l = window
@@ -213,7 +207,7 @@ def lam(net, lr: LfTensor, cfg: LamConfig) -> LamResult:
     """
     cfg.validate()
     s = cfg.steps
-    path = [_blur_lf(lr.data, cfg.sigma * (1.0 - k / s)) for k in range(s + 1)]
+    path = [gaussian_path(lr, k, cfg).data for k in range(s + 1)]
     net64 = net.astype(np.float64)
     acc = np.zeros_like(path[0])
     for k in range(1, s + 1):

@@ -10,13 +10,14 @@ views isolated instead; the contrast between the two is the point.
 The angular sub-block complements it: per spatial location, the U*V views
 form the token sequence and attention mixes them at channel dim C.
 
-All forwards here operate on a Var holding the raw (U, V, W, H, C) array and
-a flat name->Var parameter mapping; the network module owns parameter
-storage and prefixes.
+All forwards here operate on a Var holding the raw (U, V, W, H, C) array,
+whose shape gives the light-field dims, and a flat name->Var parameter
+mapping; the network module owns parameter storage and prefixes.  Sizes and
+interior switches come from the network's NetConfig.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,8 +25,10 @@ from . import ops
 from .autodiff import Var
 from .lftensor import LAYOUTS, layout_shape
 
+if TYPE_CHECKING:
+    from .network import NetConfig
+
 __all__ = [
-    "BlockOptions",
     "glorot_uniform",
     "init_m2mt_params",
     "init_angular_params",
@@ -36,21 +39,6 @@ __all__ = [
     "correlation_block_forward",
     "o2o_spatial_forward",
 ]
-
-
-@dataclass(frozen=True)
-class BlockOptions:
-    """Interior switches shared by both sub-block types.
-
-    Defaults: pre-norm on, output projection on, feed-forward (expansion 2)
-    on the correlation path but off on the angular path.
-    """
-
-    norm: bool = True
-    out_proj: bool = True
-    ffn: bool = True
-    angular_ffn: bool = False
-    ffn_ratio: int = 2
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype):
@@ -75,59 +63,62 @@ def _norm_params(d, dtype):
     return np.ones(d, dtype=dtype), np.zeros(d, dtype=dtype)
 
 
-def _transformer_params(rng, d, opts: BlockOptions, ffn: bool, dtype):
+def _transformer_params(rng, d, cfg: NetConfig, ffn: bool, dtype):
     """Pre-norm attention (+ feed-forward when ffn) parameters at width d."""
     p: dict[str, np.ndarray] = {}
-    if opts.norm:
+    if cfg.norm:
         p["att_norm.g"], p["att_norm.b"] = _norm_params(d, dtype)
     for name in ("q", "k", "v"):
         p[f"{name}.w"], p[f"{name}.b"] = _linear_params(rng, d, d, dtype)
-    if opts.out_proj:
+    if cfg.out_proj:
         p["proj.w"], p["proj.b"] = _linear_params(rng, d, d, dtype)
     if ffn:
-        if opts.norm:
+        if cfg.norm:
             p["ffn_norm.g"], p["ffn_norm.b"] = _norm_params(d, dtype)
-        hidden = opts.ffn_ratio * d
+        hidden = cfg.ffn_ratio * d
         p["ffn1.w"], p["ffn1.b"] = _linear_params(rng, d, hidden, dtype)
         p["ffn2.w"], p["ffn2.b"] = _linear_params(rng, hidden, d, dtype)
     return p
 
 
-def init_m2mt_params(rng, u, v, c, c_cor, opts: BlockOptions, dtype=np.float32):
+def init_m2mt_params(rng, cfg: NetConfig, dtype=np.float32):
     """Parameter arrays for one many-to-many sub-block, in registry order."""
+    uvc, c = cfg.u * cfg.v * cfg.c, cfg.c
     p: dict[str, np.ndarray] = {}
     p["pos1.w"], p["pos1.b"] = _conv_params(rng, c, c, 3, dtype)
     p["pos2.w"], p["pos2.b"] = _conv_params(rng, c, c, 3, dtype)
-    p["encode.w"], p["encode.b"] = _linear_params(rng, u * v * c, c_cor, dtype)
-    p.update(_transformer_params(rng, c_cor, opts, opts.ffn, dtype))
-    p["decode.w"], p["decode.b"] = _linear_params(rng, c_cor, u * v * c, dtype)
+    p["encode.w"], p["encode.b"] = _linear_params(rng, uvc, cfg.c_cor, dtype)
+    p.update(_transformer_params(rng, cfg.c_cor, cfg, cfg.ffn, dtype))
+    p["decode.w"], p["decode.b"] = _linear_params(rng, cfg.c_cor, uvc, dtype)
     return p
 
 
-def init_angular_params(rng, u, v, c, opts: BlockOptions, dtype=np.float32):
+def init_angular_params(rng, cfg: NetConfig, dtype=np.float32):
     """Parameter arrays for one angular sub-block."""
-    p = {"pos_embed": glorot_uniform(rng, (u * v, c), u * v, c, dtype)}
-    p.update(_transformer_params(rng, c, opts, opts.angular_ffn, dtype))
+    uv, c = cfg.u * cfg.v, cfg.c
+    p = {"pos_embed": glorot_uniform(rng, (uv, c), uv, c, dtype)}
+    p.update(_transformer_params(rng, c, cfg, cfg.angular_ffn, dtype))
     return p
 
 
-def init_o2o_spatial_params(rng, c, opts: BlockOptions, dtype=np.float32):
+def init_o2o_spatial_params(rng, cfg: NetConfig, dtype=np.float32):
     """Parameter arrays for one per-view spatial transformer (baseline)."""
-    return _transformer_params(rng, c, opts, opts.ffn, dtype)
+    return _transformer_params(rng, cfg.c, cfg, cfg.ffn, dtype)
 
 
 # ---------------------------------------------------------------------------
-# Layouts on Vars, from the lftensor table.  dims is always (u, v, w, h, c).
+# Layouts on Vars, from the lftensor table.  The raw side is always the
+# (u, v, w, h, c) array: _to reads its dims from x, _from is given them.
 # A layout's unit axes (the one instance of `merged`) are left out here.
 
 _IDENTITY = (0, 1, 2, 3, 4)
 
 
-def _to(x: Var, name: str, dims) -> Var:
+def _to(x: Var, name: str) -> Var:
     order, groups = LAYOUTS[name]
+    shape = layout_shape(name, x.shape)
     if order != _IDENTITY:
         x = ops.transpose(x, order)
-    shape = layout_shape(name, dims)
     return ops.reshape(x, tuple(s for s, g in zip(shape, groups) if g))
 
 
@@ -139,18 +130,18 @@ def _from(x: Var, name: str, dims) -> Var:
     return ops.transpose(x, tuple(np.argsort(order).tolist()))
 
 
-def lf_to_merged(x: Var, dims) -> Var:
+def lf_to_merged(x: Var) -> Var:
     """(U,V,W,H,C) -> (W*H, U*V*C): pixel tokens carrying all views."""
-    return _to(x, "merged", dims)
+    return _to(x, "merged")
 
 
 def merged_to_lf(x: Var, dims) -> Var:
     return _from(x, "merged", dims)
 
 
-def lf_to_images(x: Var, dims) -> Var:
+def lf_to_images(x: Var) -> Var:
     """(U,V,W,H,C) -> (U*V, C, H, W) channel-first image batch for convs."""
-    return _to(x, "images", dims)
+    return _to(x, "images")
 
 
 def images_to_lf(x: Var, dims) -> Var:
@@ -160,33 +151,33 @@ def images_to_lf(x: Var, dims) -> Var:
 # ---------------------------------------------------------------------------
 # Sub-block pieces
 
-def spatial_self_attention(t: Var, p: dict, opts: BlockOptions) -> Var:
+def spatial_self_attention(t: Var, p: dict, cfg: NetConfig) -> Var:
     """Self-attention over the tokens of t (..., T, D), residual added.
 
     Pre-norm when configured: attention reads the normalized stream, the
     residual adds to the raw stream.  The one attention body of all three
     sub-block types; the leading axes batch independent sequences.
     """
-    a_in = ops.layer_norm(t, p["att_norm.g"], p["att_norm.b"]) if opts.norm else t
+    a_in = ops.layer_norm(t, p["att_norm.g"], p["att_norm.b"]) if cfg.norm else t
     att = ops.attention(
         ops.linear(a_in, p["q.w"], p["q.b"]),
         ops.linear(a_in, p["k.w"], p["k.b"]),
         ops.linear(a_in, p["v.w"], p["v.b"]),
     )
-    if opts.out_proj:
+    if cfg.out_proj:
         att = ops.linear(att, p["proj.w"], p["proj.b"])
     return ops.add(t, att)
 
 
-def _ffn(x: Var, p: dict, opts: BlockOptions) -> Var:
-    f_in = ops.layer_norm(x, p["ffn_norm.g"], p["ffn_norm.b"]) if opts.norm else x
+def _ffn(x: Var, p: dict, cfg: NetConfig) -> Var:
+    f_in = ops.layer_norm(x, p["ffn_norm.g"], p["ffn_norm.b"]) if cfg.norm else x
     f = ops.linear(f_in, p["ffn1.w"], p["ffn1.b"])
     f = ops.gelu(f)
     f = ops.linear(f, p["ffn2.w"], p["ffn2.b"])
     return ops.add(x, f)
 
 
-def m2mt_forward(x: Var, p: dict, dims, opts: BlockOptions) -> Var:
+def m2mt_forward(x: Var, p: dict, cfg: NetConfig) -> Var:
     """One many-to-many sub-block over a light field Var.
 
     Two per-view 3x3 convs inject spatial position; then the views of each
@@ -195,43 +186,41 @@ def m2mt_forward(x: Var, p: dict, dims, opts: BlockOptions) -> Var:
     per config) run there, and the decoded field is added back to the
     conv-enriched input.  With zero weights the whole sub-block is the identity.
     """
-    pos = ops.conv2d(lf_to_images(x, dims), p["pos1.w"], p["pos1.b"])
+    pos = ops.conv2d(lf_to_images(x), p["pos1.w"], p["pos1.b"])
     pos = ops.conv2d(pos, p["pos2.w"], p["pos2.b"])
-    base = ops.add(x, images_to_lf(pos, dims))
-    i_cor = ops.linear(lf_to_merged(base, dims), p["encode.w"], p["encode.b"])
-    i_cor = spatial_self_attention(i_cor, p, opts)
-    if opts.ffn:
-        i_cor = _ffn(i_cor, p, opts)
+    base = ops.add(x, images_to_lf(pos, x.shape))
+    i_cor = ops.linear(lf_to_merged(base), p["encode.w"], p["encode.b"])
+    i_cor = spatial_self_attention(i_cor, p, cfg)
+    if cfg.ffn:
+        i_cor = _ffn(i_cor, p, cfg)
     dec = ops.linear(i_cor, p["decode.w"], p["decode.b"])
-    return ops.add(base, merged_to_lf(dec, dims))
+    return ops.add(base, merged_to_lf(dec, x.shape))
 
 
-def angular_forward(x: Var, p: dict, dims, opts: BlockOptions) -> Var:
+def angular_forward(x: Var, p: dict, cfg: NetConfig) -> Var:
     """One angular sub-block: per-pixel attention across the U*V views.
 
     Tokens are the views of one spatial location (dim C), batched over all
     W*H locations; a learned per-view embedding marks angular position.
     """
-    t = ops.add(_to(x, "angular", dims), p["pos_embed"])
-    t = spatial_self_attention(t, p, opts)
-    if opts.angular_ffn:
-        t = _ffn(t, p, opts)
-    return _from(t, "angular", dims)
+    t = ops.add(_to(x, "angular"), p["pos_embed"])
+    t = spatial_self_attention(t, p, cfg)
+    if cfg.angular_ffn:
+        t = _ffn(t, p, cfg)
+    return _from(t, "angular", x.shape)
 
 
-def correlation_block_forward(
-    x: Var, pm: dict, pa: dict, dims, opts: BlockOptions
-) -> Var:
+def correlation_block_forward(x: Var, pm: dict, pa: dict, cfg: NetConfig) -> Var:
     """Many-to-many sub-block, then angular sub-block, plus an outer skip."""
-    y = m2mt_forward(x, pm, dims, opts)
-    y = angular_forward(y, pa, dims, opts)
+    y = m2mt_forward(x, pm, cfg)
+    y = angular_forward(y, pa, cfg)
     return ops.add(y, x)
 
 
-def o2o_spatial_forward(x: Var, p: dict, dims, opts: BlockOptions) -> Var:
+def o2o_spatial_forward(x: Var, p: dict, cfg: NetConfig) -> Var:
     """Per-view spatial transformer: attention over W*H pixel tokens at dim C,
     each view processed independently (batched over U*V)."""
-    t = spatial_self_attention(_to(x, "spatial", dims), p, opts)
-    if opts.ffn:
-        t = _ffn(t, p, opts)
-    return _from(t, "spatial", dims)
+    t = spatial_self_attention(_to(x, "spatial"), p, cfg)
+    if cfg.ffn:
+        t = _ffn(t, p, cfg)
+    return _from(t, "spatial", x.shape)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
 def _cmd_init(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
-        cfg = network.NetConfig(**{**cfg.__dict__, "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     net = network.build(cfg)
     network.save_weights(args.out_weights, net)
     print(f"wrote {args.out_weights}: {cfg.arch} net, {_f(net.num_params() / 1e6)}M params")

@@ -49,26 +49,28 @@ def _read_netpbm_header(raw: bytes, magic: bytes):
     return fields[0], fields[1], fields[2], pos + 1  # single whitespace after maxval
 
 
-def _decode_samples(raw, offset, count, maxval, path):
+def _read_netpbm(path, magic: bytes, channels: int) -> tuple[np.ndarray, int]:
+    """Binary Netpbm -> ((H, W) or (H, W, channels) raw samples, maxval)."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        w, h, maxval, offset = _read_netpbm_header(raw, magic)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     if not 0 < maxval < 65536:
         raise ValueError(f"{path}: maxval {maxval} outside [1, 65535]")
     dt = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    need = count * dt.itemsize
-    if len(raw) - offset < need:
+    count = w * h * channels
+    if len(raw) - offset < count * dt.itemsize:
         raise ValueError(f"{path}: truncated pixel data")
-    return np.frombuffer(raw, dtype=dt, count=count, offset=offset)
+    samples = np.frombuffer(raw, dtype=dt, count=count, offset=offset)
+    shape = (h, w, channels) if channels > 1 else (h, w)
+    return samples.reshape(shape).astype(np.int64), maxval
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:
     """Binary PGM -> ((H, W) array of raw samples, maxval)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    try:
-        w, h, maxval, offset = _read_netpbm_header(raw, b"P5")
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
-    samples = _decode_samples(raw, offset, w * h, maxval, path)
-    return samples.reshape(h, w).astype(np.int64), maxval
+    return _read_netpbm(path, b"P5", 1)
 
 
 def write_pgm(path, img01: np.ndarray, maxval: int = 255) -> None:
@@ -87,14 +89,7 @@ def write_pgm(path, img01: np.ndarray, maxval: int = 255) -> None:
 
 def read_ppm(path) -> tuple[np.ndarray, int]:
     """Binary PPM -> ((H, W, 3) array of raw samples, maxval)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    try:
-        w, h, maxval, offset = _read_netpbm_header(raw, b"P6")
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
-    samples = _decode_samples(raw, offset, w * h * 3, maxval, path)
-    return samples.reshape(h, w, 3).astype(np.int64), maxval
+    return _read_netpbm(path, b"P6", 3)
 
 
 _VIEW_RE = re.compile(r"^view_u(\d+)_v(\d+)\.(pgm|ppm)$")

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import blocks, ops
 from .autodiff import Tape, Var
-from .blocks import BlockOptions
 from .lftensor import LfTensor
 
 __all__ = [
@@ -79,16 +78,6 @@ class NetConfig:
         if self.arch not in ("m2m", "o2o"):
             raise ValueError(f"arch must be 'm2m' or 'o2o', got {self.arch!r}")
 
-    @property
-    def options(self) -> BlockOptions:
-        return BlockOptions(
-            norm=self.norm,
-            out_proj=self.out_proj,
-            ffn=self.ffn,
-            angular_ffn=self.angular_ffn,
-            ffn_ratio=self.ffn_ratio,
-        )
-
 
 class _SrNet:
     """Shared head/tail plumbing; subclasses provide the block stack."""
@@ -114,7 +103,7 @@ class _SrNet:
 
     # -- forward ----------------------------------------------------------
 
-    def _blocks_forward(self, x: Var, pv, dims) -> Var:
+    def _blocks_forward(self, x: Var, pv) -> Var:
         raise NotImplementedError
 
     def forward_var(self, x: Var, pv: "OrderedDict[str, Var]") -> Var:
@@ -125,26 +114,25 @@ class _SrNet:
             raise ValueError(f"input grid {uu}x{vv} != configured {cfg.u}x{cfg.v}")
         if cin != 1:
             raise ValueError(f"network expects 1 input channel, got {cin}")
-        dims = (cfg.u, cfg.v, w, h, cfg.c)
+        out_dims = (cfg.u, cfg.v, cfg.r * w, cfg.r * h, 1)
 
-        img = blocks.lf_to_images(x, (cfg.u, cfg.v, w, h, 1))
+        img = blocks.lf_to_images(x)
         for i in range(cfg.n1):
             img = ops.conv2d(img, pv[f"head.{i}.w"], pv[f"head.{i}.b"])
             if i < cfg.n1 - 1:
                 img = ops.leaky_relu(img, 0.1)
-        feat = blocks.images_to_lf(img, dims)
+        feat = blocks.images_to_lf(img, (cfg.u, cfg.v, w, h, cfg.c))
 
-        feat = self._blocks_forward(feat, pv, dims)
+        feat = self._blocks_forward(feat, pv)
 
-        img = blocks.lf_to_images(feat, dims)
+        img = blocks.lf_to_images(feat)
         img = ops.conv2d(img, pv["tail.expand.w"], pv["tail.expand.b"])
         img = ops.pixel_shuffle(img, cfg.r)
         img = ops.conv2d(img, pv["tail.squeeze.w"], pv["tail.squeeze.b"])
-        sr = blocks.images_to_lf(img, (cfg.u, cfg.v, cfg.r * w, cfg.r * h, 1))
+        sr = blocks.images_to_lf(img, out_dims)
 
-        up = ops.resize_bicubic(blocks.lf_to_images(x, (cfg.u, cfg.v, w, h, 1)), float(cfg.r))
-        up = blocks.images_to_lf(up, (cfg.u, cfg.v, cfg.r * w, cfg.r * h, 1))
-        return ops.add(sr, up)
+        up = ops.resize_bicubic(blocks.lf_to_images(x), float(cfg.r))
+        return ops.add(sr, blocks.images_to_lf(up, out_dims))
 
     def forward(self, lf: LfTensor) -> LfTensor:
         """Plain inference; dtype follows the weights."""
@@ -156,22 +144,20 @@ class _SrNet:
 class Network(_SrNet):
     """Many-to-many correlation network."""
 
-    def _blocks_forward(self, x: Var, pv, dims) -> Var:
-        opts = self.cfg.options
+    def _blocks_forward(self, x: Var, pv) -> Var:
         for j in range(self.cfg.n2):
             pm = _subview(pv, f"block{j}.m2mt.")
             pa = _subview(pv, f"block{j}.ang.")
-            x = blocks.correlation_block_forward(x, pm, pa, dims, opts)
+            x = blocks.correlation_block_forward(x, pm, pa, self.cfg)
         return x
 
 
 class O2OBaseline(_SrNet):
     """Per-view baseline: identical head/tail, isolated spatial transformers."""
 
-    def _blocks_forward(self, x: Var, pv, dims) -> Var:
-        opts = self.cfg.options
+    def _blocks_forward(self, x: Var, pv) -> Var:
         for j in range(self.cfg.n2):
-            x = blocks.o2o_spatial_forward(x, _subview(pv, f"block{j}.sp."), dims, opts)
+            x = blocks.o2o_spatial_forward(x, _subview(pv, f"block{j}.sp."), self.cfg)
         return x
 
 
@@ -182,24 +168,19 @@ def _subview(pv, prefix: str) -> dict:
 # ---------------------------------------------------------------------------
 # Construction
 
-def _head_tail_params(rng, cfg: NetConfig, dtype):
+def _head_params(rng, cfg: NetConfig, dtype):
     p: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    cin = 1
     for i in range(cfg.n1):
-        w = blocks.glorot_uniform(rng, (cfg.c, cin, 3, 3), cin * 9, cfg.c * 9, dtype)
-        p[f"head.{i}.w"] = w
-        p[f"head.{i}.b"] = np.zeros(cfg.c, dtype=dtype)
-        cin = cfg.c
+        cin = 1 if i == 0 else cfg.c
+        p[f"head.{i}.w"], p[f"head.{i}.b"] = blocks._conv_params(rng, cfg.c, cin, 3, dtype)
     return p
 
 
 def _tail_params(rng, cfg: NetConfig, dtype):
     p: "OrderedDict[str, np.ndarray]" = OrderedDict()
     r2c = cfg.r * cfg.r * cfg.c
-    p["tail.expand.w"] = blocks.glorot_uniform(rng, (r2c, cfg.c, 1, 1), cfg.c, r2c, dtype)
-    p["tail.expand.b"] = np.zeros(r2c, dtype=dtype)
-    p["tail.squeeze.w"] = blocks.glorot_uniform(rng, (1, cfg.c, 3, 3), cfg.c * 9, 9, dtype)
-    p["tail.squeeze.b"] = np.zeros(1, dtype=dtype)
+    p["tail.expand.w"], p["tail.expand.b"] = blocks._conv_params(rng, r2c, cfg.c, 1, dtype)
+    p["tail.squeeze.w"], p["tail.squeeze.b"] = blocks._conv_params(rng, 1, cfg.c, 3, dtype)
     return p
 
 
@@ -207,16 +188,15 @@ def build(cfg: NetConfig, dtype=np.float32) -> _SrNet:
     """Deterministically initialize the cfg.arch network from cfg.seed."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    params = _head_tail_params(rng, cfg, dtype)
-    opts = cfg.options
+    params = _head_params(rng, cfg, dtype)
     for j in range(cfg.n2):
         if cfg.arch == "m2m":
             subs = {
-                "m2mt": blocks.init_m2mt_params(rng, cfg.u, cfg.v, cfg.c, cfg.c_cor, opts, dtype),
-                "ang": blocks.init_angular_params(rng, cfg.u, cfg.v, cfg.c, opts, dtype),
+                "m2mt": blocks.init_m2mt_params(rng, cfg, dtype),
+                "ang": blocks.init_angular_params(rng, cfg, dtype),
             }
         else:
-            subs = {"sp": blocks.init_o2o_spatial_params(rng, cfg.c, opts, dtype)}
+            subs = {"sp": blocks.init_o2o_spatial_params(rng, cfg, dtype)}
         for sub, ps in subs.items():
             for n, a in ps.items():
                 params[f"block{j}.{sub}.{n}"] = a
@@ -323,19 +303,26 @@ def save_weights(path, net: _SrNet) -> None:
         f.write(payload)
 
 
-def read_manifest(path):
-    """Manifest entries [(name, dtype_str, dims_tuple, offset)] in file order."""
-    with open(path, "rb") as f:
-        magic = f.read(5)
-        if magic != _W_MAGIC:
-            raise ValueError(f"not a weight file: bad magic {magic!r}")
-        (mlen,) = struct.unpack("<I", f.read(4))
-        manifest = f.read(mlen).decode()
+def _read_header(f):
+    """Manifest entries of an open weight file, leaving f at the payload."""
+    magic = f.read(5)
+    if magic != _W_MAGIC:
+        raise ValueError(f"not a weight file: bad magic {magic!r}")
+    head = f.read(4)
+    if len(head) < 4:
+        raise ValueError("weight file truncated inside its header")
+    (mlen,) = struct.unpack("<I", head)
+    manifest = f.read(mlen)
+    if len(manifest) < mlen:
+        raise ValueError("weight file truncated inside its manifest")
     entries = []
-    for line in manifest.splitlines():
+    for line in manifest.decode().splitlines():
         if not line:
             continue
-        name, dts, dims, off = line.split("\t")
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ValueError(f"bad weight manifest line {line!r}: expected 4 tab-separated fields")
+        name, dts, dims, off = fields
         if dts not in _W_DTYPES:
             raise ValueError(f"unknown dtype {dts!r} in weight manifest")
         shape = tuple(int(d) for d in dims.split(",")) if dims else ()
@@ -343,12 +330,15 @@ def read_manifest(path):
     return entries
 
 
-def load_weights(path) -> "OrderedDict[str, np.ndarray]":
-    entries = read_manifest(path)
+def read_manifest(path):
+    """Manifest entries [(name, dtype_str, dims_tuple, offset)] in file order."""
     with open(path, "rb") as f:
-        f.seek(5)
-        (mlen,) = struct.unpack("<I", f.read(4))
-        f.seek(5 + 4 + mlen)
+        return _read_header(f)
+
+
+def load_weights(path) -> "OrderedDict[str, np.ndarray]":
+    with open(path, "rb") as f:
+        entries = _read_header(f)
         payload = f.read()
     out: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for name, dts, shape, off in entries:

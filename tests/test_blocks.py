@@ -11,13 +11,20 @@ import pytest
 
 from m2mtnet import blocks, lftensor, ops
 from m2mtnet.autodiff import Tape, Var
-from m2mtnet.blocks import BlockOptions
+from m2mtnet.network import NetConfig
 
 DIMS = (2, 2, 3, 3, 4)  # (u, v, w, h, c)
+SKEW = (2, 3, 4, 5, 6)  # no two axes alike, so a swap in the derived dims shows
 
 
 def _rand_lf(rng, dims=DIMS):
     return rng.standard_normal(dims)
+
+
+def _cfg(dims=DIMS, c_cor=6, **switches):
+    """A NetConfig whose grid and channel count match a field of dims."""
+    u, v, _, _, c = dims
+    return NetConfig(u=u, v=v, c=c, c_cor=c_cor, **switches)
 
 
 def _zeroed(params):
@@ -34,7 +41,7 @@ class TestInitializers:
     def test_m2mt_param_shapes(self):
         rng = np.random.default_rng(0)
         u, v, c, c_cor = 2, 2, 4, 6
-        p = blocks.init_m2mt_params(rng, u, v, c, c_cor, BlockOptions(), np.float64)
+        p = blocks.init_m2mt_params(rng, NetConfig(u=u, v=v, c=c, c_cor=c_cor), np.float64)
         assert p["pos1.w"].shape == (c, c, 3, 3)
         assert p["encode.w"].shape == (u * v * c, c_cor)
         assert p["q.w"].shape == (c_cor, c_cor)
@@ -44,29 +51,29 @@ class TestInitializers:
 
     def test_switches_control_keys(self):
         rng = np.random.default_rng(1)
-        base = blocks.init_m2mt_params(rng, 2, 2, 4, 6, BlockOptions(), np.float64)
+        base = blocks.init_m2mt_params(rng, _cfg(), np.float64)
         assert {"att_norm.g", "ffn_norm.g", "ffn1.w", "proj.w"} <= set(base)
         bare = blocks.init_m2mt_params(
-            rng, 2, 2, 4, 6, BlockOptions(norm=False, out_proj=False, ffn=False), np.float64
+            rng, _cfg(norm=False, out_proj=False, ffn=False), np.float64
         )
         assert not any(k.startswith(("att_norm", "ffn", "proj")) for k in bare)
 
     def test_angular_ffn_off_by_default(self):
         rng = np.random.default_rng(2)
-        p = blocks.init_angular_params(rng, 2, 2, 4, BlockOptions(), np.float64)
+        p = blocks.init_angular_params(rng, _cfg(), np.float64)
         assert "pos_embed" in p and p["pos_embed"].shape == (4, 4)
         assert not any(k.startswith("ffn") for k in p)
-        p2 = blocks.init_angular_params(rng, 2, 2, 4, BlockOptions(angular_ffn=True), np.float64)
+        p2 = blocks.init_angular_params(rng, _cfg(angular_ffn=True), np.float64)
         assert {"ffn1.w", "ffn2.w", "ffn_norm.g"} <= set(p2)
 
     def test_ffn_ratio_sets_hidden_width(self):
         rng = np.random.default_rng(3)
-        p = blocks.init_m2mt_params(rng, 2, 2, 4, 6, BlockOptions(ffn_ratio=3), np.float64)
+        p = blocks.init_m2mt_params(rng, _cfg(ffn_ratio=3), np.float64)
         assert p["ffn1.w"].shape == (6, 18)
 
     def test_glorot_bounds_and_zero_biases(self):
         rng = np.random.default_rng(4)
-        p = blocks.init_m2mt_params(rng, 2, 2, 4, 8, BlockOptions(), np.float64)
+        p = blocks.init_m2mt_params(rng, _cfg(c_cor=8), np.float64)
         bound = np.sqrt(6.0 / (16 + 8))
         assert np.all(np.abs(p["encode.w"]) <= bound)
         np.testing.assert_array_equal(p["encode.b"], 0.0)
@@ -74,8 +81,8 @@ class TestInitializers:
         np.testing.assert_array_equal(p["att_norm.b"], 0.0)
 
     def test_deterministic_given_seed(self):
-        p1 = blocks.init_m2mt_params(np.random.default_rng(7), 2, 2, 4, 6, BlockOptions(), np.float64)
-        p2 = blocks.init_m2mt_params(np.random.default_rng(7), 2, 2, 4, 6, BlockOptions(), np.float64)
+        p1 = blocks.init_m2mt_params(np.random.default_rng(7), _cfg(), np.float64)
+        p2 = blocks.init_m2mt_params(np.random.default_rng(7), _cfg(), np.float64)
         for k in p1:
             np.testing.assert_array_equal(p1[k], p2[k])
 
@@ -84,21 +91,21 @@ class TestLayoutHelpers:
     def test_merged_matches_container_view(self):
         rng = np.random.default_rng(5)
         x = _rand_lf(rng)
-        m = blocks.lf_to_merged(Var(x), DIMS).value
+        m = blocks.lf_to_merged(Var(x)).value
         ref = lftensor.to_merged(lftensor.LfTensor(x))
         np.testing.assert_array_equal(m, ref[0])
 
     def test_merged_round_trip(self):
         rng = np.random.default_rng(6)
         x = _rand_lf(rng)
-        back = blocks.merged_to_lf(blocks.lf_to_merged(Var(x), DIMS), DIMS).value
+        back = blocks.merged_to_lf(blocks.lf_to_merged(Var(x)), DIMS).value
         np.testing.assert_array_equal(back, x)
 
     def test_images_layout_and_round_trip(self):
         rng = np.random.default_rng(7)
         x = _rand_lf(rng)
         u, v, w, h, c = DIMS
-        img = blocks.lf_to_images(Var(x), DIMS).value
+        img = blocks.lf_to_images(Var(x)).value
         assert img.shape == (u * v, c, h, w)
         # view (u,v), channel ch, row y, col x
         assert img[1 * v + 1, 2, 1, 0] == x[1, 1, 0, 1, 2]
@@ -111,27 +118,30 @@ class TestZeroWeightIdentities:
 
     def test_m2mt_identity(self):
         rng = np.random.default_rng(8)
-        x = _rand_lf(rng)
-        opts = BlockOptions()
-        p = _zeroed(blocks.init_m2mt_params(rng, 2, 2, 4, 6, opts, np.float64))
-        out = blocks.m2mt_forward(Var(x), p, DIMS, opts).value
-        np.testing.assert_array_equal(out, x)
+        for dims in (DIMS, SKEW):
+            x = _rand_lf(rng, dims)
+            cfg = _cfg(dims)
+            p = _zeroed(blocks.init_m2mt_params(rng, cfg, np.float64))
+            out = blocks.m2mt_forward(Var(x), p, cfg).value
+            np.testing.assert_array_equal(out, x)
 
     def test_angular_identity(self):
         rng = np.random.default_rng(9)
-        x = _rand_lf(rng)
-        opts = BlockOptions()
-        p = _zeroed(blocks.init_angular_params(rng, 2, 2, 4, opts, np.float64))
-        out = blocks.angular_forward(Var(x), p, DIMS, opts).value
-        np.testing.assert_array_equal(out, x)
+        for dims in (DIMS, SKEW):
+            x = _rand_lf(rng, dims)
+            cfg = _cfg(dims)
+            p = _zeroed(blocks.init_angular_params(rng, cfg, np.float64))
+            out = blocks.angular_forward(Var(x), p, cfg).value
+            np.testing.assert_array_equal(out, x)
 
     def test_o2o_identity(self):
         rng = np.random.default_rng(10)
-        x = _rand_lf(rng)
-        opts = BlockOptions()
-        p = _zeroed(blocks.init_o2o_spatial_params(rng, 4, opts, np.float64))
-        out = blocks.o2o_spatial_forward(Var(x), p, DIMS, opts).value
-        np.testing.assert_array_equal(out, x)
+        for dims in (DIMS, SKEW):
+            x = _rand_lf(rng, dims)
+            cfg = _cfg(dims)
+            p = _zeroed(blocks.init_o2o_spatial_params(rng, cfg, np.float64))
+            out = blocks.o2o_spatial_forward(Var(x), p, cfg).value
+            np.testing.assert_array_equal(out, x)
 
 
 class TestReceptiveField:
@@ -145,51 +155,54 @@ class TestReceptiveField:
 
     def test_m2mt_reaches_every_view(self):
         rng = np.random.default_rng(11)
-        x = _rand_lf(rng)
-        opts = BlockOptions()
-        p = blocks.init_m2mt_params(rng, 2, 2, 4, 6, opts, np.float64)
-        delta = self._perturb_delta(
-            lambda v: blocks.m2mt_forward(v, p, DIMS, opts), x, (0, 0, 1, 1, 0)
-        )
-        per_view = delta.max(axis=(2, 3, 4))
-        assert np.all(per_view > 1e-9)
+        for dims in (DIMS, SKEW):
+            x = _rand_lf(rng, dims)
+            cfg = _cfg(dims)
+            p = blocks.init_m2mt_params(rng, cfg, np.float64)
+            delta = self._perturb_delta(
+                lambda v: blocks.m2mt_forward(v, p, cfg), x, (0, 0, 1, 1, 0)
+            )
+            per_view = delta.max(axis=(2, 3, 4))
+            assert np.all(per_view > 1e-9)
 
     def test_o2o_confined_to_one_view(self):
         rng = np.random.default_rng(12)
-        x = _rand_lf(rng)
-        opts = BlockOptions()
-        p = blocks.init_o2o_spatial_params(rng, 4, opts, np.float64)
-        delta = self._perturb_delta(
-            lambda v: blocks.o2o_spatial_forward(v, p, DIMS, opts), x, (0, 0, 1, 1, 0)
-        )
-        per_view = delta.max(axis=(2, 3, 4))
-        assert per_view[0, 0] > 1e-9
-        assert np.all(per_view.ravel()[1:] == 0.0)
+        for dims in (DIMS, SKEW):
+            x = _rand_lf(rng, dims)
+            cfg = _cfg(dims)
+            p = blocks.init_o2o_spatial_params(rng, cfg, np.float64)
+            delta = self._perturb_delta(
+                lambda v: blocks.o2o_spatial_forward(v, p, cfg), x, (0, 0, 1, 1, 0)
+            )
+            per_view = delta.max(axis=(2, 3, 4))
+            assert per_view[0, 0] > 1e-9
+            assert np.all(per_view.ravel()[1:] == 0.0)
 
     def test_angular_confined_to_one_pixel(self):
         # angular attention mixes views but never spatial locations
         rng = np.random.default_rng(13)
-        x = _rand_lf(rng)
-        opts = BlockOptions()
-        p = blocks.init_angular_params(rng, 2, 2, 4, opts, np.float64)
-        delta = self._perturb_delta(
-            lambda v: blocks.angular_forward(v, p, DIMS, opts), x, (0, 0, 1, 2, 0)
-        )
-        per_pixel = delta.max(axis=(0, 1, 4))
-        assert per_pixel[1, 2] > 1e-9
-        mask = np.ones((3, 3), dtype=bool)
-        mask[1, 2] = False
-        assert np.all(per_pixel[mask] == 0.0)
+        for dims in (DIMS, SKEW):
+            x = _rand_lf(rng, dims)
+            cfg = _cfg(dims)
+            p = blocks.init_angular_params(rng, cfg, np.float64)
+            delta = self._perturb_delta(
+                lambda v: blocks.angular_forward(v, p, cfg), x, (0, 0, 1, 2, 0)
+            )
+            per_pixel = delta.max(axis=(0, 1, 4))
+            assert per_pixel[1, 2] > 1e-9
+            mask = np.ones(dims[2:4], dtype=bool)
+            mask[1, 2] = False
+            assert np.all(per_pixel[mask] == 0.0)
 
 
 class TestWiring:
     def test_attention_residual_structure(self):
         """out - in == (projected) attention of the normalized stream."""
         rng = np.random.default_rng(14)
-        opts = BlockOptions()
-        p = blocks.init_m2mt_params(rng, 2, 2, 4, 6, opts, np.float64)
+        cfg = _cfg()
+        p = blocks.init_m2mt_params(rng, cfg, np.float64)
         x = rng.standard_normal((9, 6))
-        got = blocks.spatial_self_attention(Var(x), p, opts).value - x
+        got = blocks.spatial_self_attention(Var(x), p, cfg).value - x
         normed = ops.layer_norm(Var(x), Var(p["att_norm.g"]), Var(p["att_norm.b"]))
         att = ops.attention(
             ops.linear(normed, Var(p["q.w"]), Var(p["q.b"])),
@@ -201,36 +214,34 @@ class TestWiring:
 
     def test_correlation_block_composition(self):
         rng = np.random.default_rng(15)
-        opts = BlockOptions()
-        pm = blocks.init_m2mt_params(rng, 2, 2, 4, 6, opts, np.float64)
-        pa = blocks.init_angular_params(rng, 2, 2, 4, opts, np.float64)
+        cfg = _cfg()
+        pm = blocks.init_m2mt_params(rng, cfg, np.float64)
+        pa = blocks.init_angular_params(rng, cfg, np.float64)
         x = _rand_lf(rng)
-        got = blocks.correlation_block_forward(Var(x), pm, pa, DIMS, opts).value
-        inner = blocks.angular_forward(
-            blocks.m2mt_forward(Var(x), pm, DIMS, opts), pa, DIMS, opts
-        ).value
+        got = blocks.correlation_block_forward(Var(x), pm, pa, cfg).value
+        inner = blocks.angular_forward(blocks.m2mt_forward(Var(x), pm, cfg), pa, cfg).value
         np.testing.assert_array_equal(got, inner + x)
 
     def test_norm_switch_changes_output(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((9, 6))
-        with_norm = BlockOptions()
-        without = BlockOptions(norm=False)
-        p = blocks.init_m2mt_params(rng, 2, 2, 4, 6, with_norm, np.float64)
+        with_norm = _cfg()
+        without = _cfg(norm=False)
+        p = blocks.init_m2mt_params(rng, with_norm, np.float64)
         a = blocks.spatial_self_attention(Var(x), p, with_norm).value
         b = blocks.spatial_self_attention(Var(x), p, without).value
         assert np.abs(a - b).max() > 1e-9
 
     def test_gradients_flow_through_block(self):
         rng = np.random.default_rng(17)
-        opts = BlockOptions()
-        pm = blocks.init_m2mt_params(rng, 2, 2, 4, 6, opts, np.float64)
-        pa = blocks.init_angular_params(rng, 2, 2, 4, opts, np.float64)
+        cfg = _cfg()
+        pm = blocks.init_m2mt_params(rng, cfg, np.float64)
+        pa = blocks.init_angular_params(rng, cfg, np.float64)
         t = Tape()
         x = t.var(_rand_lf(rng))
         pmv = {k: t.var(v) for k, v in pm.items()}
         pav = {k: t.var(v) for k, v in pa.items()}
-        out = blocks.correlation_block_forward(x, pmv, pav, DIMS, opts)
+        out = blocks.correlation_block_forward(x, pmv, pav, cfg)
         t.backward(ops.vsum(ops.square(out)), 1.0)
         assert np.abs(x.grad).max() > 0
         for pv in (pmv, pav):
@@ -248,7 +259,7 @@ class TestLayoutTable:
     @pytest.mark.parametrize("name", sorted(lftensor.LAYOUTS))
     def test_var_path_matches_numpy_path(self, name):
         x = np.random.default_rng(8).standard_normal(self.DIMS5)
-        got = blocks._to(Var(x), name, self.DIMS5).value
+        got = blocks._to(Var(x), name).value
         ref = lftensor.to_layout(name, lftensor.LfTensor(x))
         _, groups = lftensor.LAYOUTS[name]
         assert got.shape == tuple(s for s, g in zip(ref.shape, groups) if g)
@@ -257,7 +268,7 @@ class TestLayoutTable:
     @pytest.mark.parametrize("name", sorted(lftensor.LAYOUTS))
     def test_round_trips_are_exact(self, name):
         x = np.random.default_rng(9).standard_normal(self.DIMS5)
-        back = blocks._from(blocks._to(Var(x), name, self.DIMS5), name, self.DIMS5).value
+        back = blocks._from(blocks._to(Var(x), name), name, self.DIMS5).value
         np.testing.assert_array_equal(back, x)
         u, v, w, h, _ = self.DIMS5
         lf = lftensor.LfTensor(x)
@@ -268,7 +279,7 @@ class TestLayoutTable:
     def test_backward_applies_the_inverse_permutation(self, name):
         tape = Tape()
         x = tape.var(np.zeros(self.DIMS5))
-        y = blocks._to(x, name, self.DIMS5)
+        y = blocks._to(x, name)
         seed = np.arange(y.value.size, dtype=np.float64).reshape(y.value.shape)
         tape.backward(y, seed)
         u, v, w, h, _ = self.DIMS5
@@ -283,7 +294,7 @@ class TestLayoutTable:
         monkeypatch.setattr(ops, "transpose", lambda a, axes: calls.append(axes) or transpose(a, axes))
         tape = Tape()
         x = tape.var(np.zeros(self.DIMS5))
-        blocks._from(blocks._to(x, name, self.DIMS5), name, self.DIMS5)
+        blocks._from(blocks._to(x, name), name, self.DIMS5)
         reorders = lftensor.LAYOUTS[name][0] != (0, 1, 2, 3, 4)
         assert len(calls) == (2 if reorders else 0)
         assert len(tape) == (4 if reorders else 2)

@@ -283,6 +283,18 @@ class TestCli:
         assert curve_file.read_text().startswith("iter,loss")
         assert network.net_from_file(weights, 2, 2).cfg.c == 4
 
+    def test_weights_truncated_in_header_exit_one(self, tmp_path, capsys):
+        d, _ = _lf_dir(tmp_path)
+        weights = tmp_path / "w.m2mw"
+        weights.write_bytes(b"M2MW1")
+        rc = cli.main(
+            ["sr", "--weights", str(weights), "--input", str(d), "--output", str(tmp_path / "o")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "truncated" in err
+
     def test_gradcheck_passes(self, capsys):
         assert cli.main(["gradcheck", "--seed", "0"]) == 0
         out = capsys.readouterr().out

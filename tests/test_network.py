@@ -34,11 +34,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg.validate()
 
-    def test_options_mirror_switches(self):
-        cfg = NetConfig(**{**SMALL.__dict__, "norm": False, "ffn_ratio": 3})
-        opts = cfg.options
-        assert opts.norm is False and opts.ffn_ratio == 3
-
 
 class TestBuild:
     def test_deterministic(self):
@@ -103,13 +98,15 @@ class TestForward:
     def test_zero_weights_reduce_to_bicubic(self):
         """With a zeroed net, only the global bicubic skip survives."""
         rng = np.random.default_rng(3)
-        net = network.build(SMALL, np.float64)
-        for k, p in net.params.items():
-            p[...] = 1.0 if k.endswith("norm.g") else 0.0
-        lf = _rand_lf(rng, SMALL)
-        got = net.forward(lf).data
-        expect = ops.resize_bicubic(Var(lf.data.transpose(0, 1, 4, 2, 3)), 2.0).value
-        np.testing.assert_array_equal(got, expect.transpose(0, 1, 3, 4, 2))
+        skew = replace(SMALL, u=3, v=2, c=6)  # 3x2 views of 5x4 pixels: no two axes alike
+        for cfg, w, h in ((SMALL, 4, 4), (skew, 5, 4), (replace(skew, arch="o2o"), 5, 4)):
+            net = network.build(cfg, np.float64)
+            for k, p in net.params.items():
+                p[...] = 1.0 if k.endswith("norm.g") else 0.0
+            lf = _rand_lf(rng, cfg, w, h)
+            got = net.forward(lf).data
+            expect = ops.resize_bicubic(Var(lf.data.transpose(0, 1, 4, 2, 3)), 2.0).value
+            np.testing.assert_array_equal(got, expect.transpose(0, 1, 3, 4, 2))
 
     def test_o2o_views_stay_independent(self):
         rng = np.random.default_rng(4)
@@ -205,6 +202,24 @@ class TestWeightFiles:
         with pytest.raises(ValueError, match="magic"):
             network.read_manifest(p)
 
+    def test_truncated_header_or_manifest(self, tmp_path):
+        p = tmp_path / "w.m2mw"
+        for data, where in (
+            (b"M2MW1", "header"),
+            (b"M2MW1\x01\x00", "header"),
+            (b"M2MW1" + (100).to_bytes(4, "little") + b"head.0.w", "manifest"),
+        ):
+            p.write_bytes(data)
+            with pytest.raises(ValueError, match=f"truncated inside its {where}"):
+                network.load_weights(p)
+
+    def test_bad_manifest_line_is_named(self, tmp_path):
+        p = tmp_path / "w.m2mw"
+        manifest = b"head.0.w\tf32\t4\t0\nhead.0.b\tf32\t4\n"
+        p.write_bytes(b"M2MW1" + len(manifest).to_bytes(4, "little") + manifest)
+        with pytest.raises(ValueError, match=r"manifest line 'head\.0\.b\\tf32\\t4'"):
+            network.read_manifest(p)
+
     def test_truncated_payload(self, tmp_path):
         net = network.build(SMALL)
         p = tmp_path / "w.m2mw"
@@ -255,15 +270,15 @@ TOY = NetConfig(u=2, v=2, c=3, c_cor=5, n1=2, n2=1, r=2)
 def _per_arch_params(cfg, arch, dtype=np.float64):
     """Parameters as the former separate m2m and o2o builders assembled them."""
     rng = np.random.default_rng(cfg.seed)
-    params = network._head_tail_params(rng, cfg, dtype)
+    params = network._head_params(rng, cfg, dtype)
     for j in range(cfg.n2):
         if arch == "m2m":
-            pm = blocks.init_m2mt_params(rng, cfg.u, cfg.v, cfg.c, cfg.c_cor, cfg.options, dtype)
+            pm = blocks.init_m2mt_params(rng, cfg, dtype)
             params.update((f"block{j}.m2mt.{n}", a) for n, a in pm.items())
-            pa = blocks.init_angular_params(rng, cfg.u, cfg.v, cfg.c, cfg.options, dtype)
+            pa = blocks.init_angular_params(rng, cfg, dtype)
             params.update((f"block{j}.ang.{n}", a) for n, a in pa.items())
         else:
-            ps = blocks.init_o2o_spatial_params(rng, cfg.c, cfg.options, dtype)
+            ps = blocks.init_o2o_spatial_params(rng, cfg, dtype)
             params.update((f"block{j}.sp.{n}", a) for n, a in ps.items())
     params.update(network._tail_params(rng, cfg, dtype))
     return params
