@@ -12,8 +12,11 @@ form the token sequence and attention mixes them at channel dim C.
 
 All forwards here operate on a Var holding the raw (U, V, W, H, C) array,
 whose shape gives the light-field dims, and a flat name->Var parameter
-mapping; the network module owns parameter storage and prefixes.  Sizes and
-interior switches come from the network's NetConfig.
+mapping; the network module owns parameter storage and prefixes.  The
+initializers read sizes from the network's NetConfig.  Every transformer
+sub-block has one fixed design: pre-norm q/k/v attention with an output
+projection, plus a pre-norm feed-forward layer of width 2*D in the
+many-to-many and per-view sub-blocks (the angular one has none).
 """
 from __future__ import annotations
 
@@ -63,21 +66,17 @@ def _norm_params(d, dtype):
     return np.ones(d, dtype=dtype), np.zeros(d, dtype=dtype)
 
 
-def _transformer_params(rng, d, cfg: NetConfig, ffn: bool, dtype):
-    """Pre-norm attention (+ feed-forward when ffn) parameters at width d."""
+def _transformer_params(rng, d, ffn: bool, dtype):
+    """Pre-norm attention (+ feed-forward of width 2*d when ffn) parameters at width d."""
     p: dict[str, np.ndarray] = {}
-    if cfg.norm:
-        p["att_norm.g"], p["att_norm.b"] = _norm_params(d, dtype)
+    p["att_norm.g"], p["att_norm.b"] = _norm_params(d, dtype)
     for name in ("q", "k", "v"):
         p[f"{name}.w"], p[f"{name}.b"] = _linear_params(rng, d, d, dtype)
-    if cfg.out_proj:
-        p["proj.w"], p["proj.b"] = _linear_params(rng, d, d, dtype)
+    p["proj.w"], p["proj.b"] = _linear_params(rng, d, d, dtype)
     if ffn:
-        if cfg.norm:
-            p["ffn_norm.g"], p["ffn_norm.b"] = _norm_params(d, dtype)
-        hidden = cfg.ffn_ratio * d
-        p["ffn1.w"], p["ffn1.b"] = _linear_params(rng, d, hidden, dtype)
-        p["ffn2.w"], p["ffn2.b"] = _linear_params(rng, hidden, d, dtype)
+        p["ffn_norm.g"], p["ffn_norm.b"] = _norm_params(d, dtype)
+        p["ffn1.w"], p["ffn1.b"] = _linear_params(rng, d, 2 * d, dtype)
+        p["ffn2.w"], p["ffn2.b"] = _linear_params(rng, 2 * d, d, dtype)
     return p
 
 
@@ -88,7 +87,7 @@ def init_m2mt_params(rng, cfg: NetConfig, dtype=np.float32):
     p["pos1.w"], p["pos1.b"] = _conv_params(rng, c, c, 3, dtype)
     p["pos2.w"], p["pos2.b"] = _conv_params(rng, c, c, 3, dtype)
     p["encode.w"], p["encode.b"] = _linear_params(rng, uvc, cfg.c_cor, dtype)
-    p.update(_transformer_params(rng, cfg.c_cor, cfg, cfg.ffn, dtype))
+    p.update(_transformer_params(rng, cfg.c_cor, ffn=True, dtype=dtype))
     p["decode.w"], p["decode.b"] = _linear_params(rng, cfg.c_cor, uvc, dtype)
     return p
 
@@ -97,13 +96,13 @@ def init_angular_params(rng, cfg: NetConfig, dtype=np.float32):
     """Parameter arrays for one angular sub-block."""
     uv, c = cfg.u * cfg.v, cfg.c
     p = {"pos_embed": glorot_uniform(rng, (uv, c), uv, c, dtype)}
-    p.update(_transformer_params(rng, c, cfg, cfg.angular_ffn, dtype))
+    p.update(_transformer_params(rng, c, ffn=False, dtype=dtype))
     return p
 
 
 def init_o2o_spatial_params(rng, cfg: NetConfig, dtype=np.float32):
     """Parameter arrays for one per-view spatial transformer (baseline)."""
-    return _transformer_params(rng, cfg.c, cfg, cfg.ffn, dtype)
+    return _transformer_params(rng, cfg.c, ffn=True, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -149,78 +148,76 @@ def images_to_lf(x: Var, dims) -> Var:
 
 
 # ---------------------------------------------------------------------------
-# Sub-block pieces
+# Sub-block pieces.  Each step rebinds its name so that the step's input is
+# freed before the next step allocates: nesting these calls keeps inputs
+# alive and adds ~40 MB to the peak RSS of a 4x forward on 5x5x32x32 views.
 
-def spatial_self_attention(t: Var, p: dict, cfg: NetConfig) -> Var:
-    """Self-attention over the tokens of t (..., T, D), residual added.
+def spatial_self_attention(t: Var, p: dict) -> Var:
+    """Pre-norm self-attention over the tokens of t (..., T, D), residual added.
 
-    Pre-norm when configured: attention reads the normalized stream, the
+    Attention reads the normalized stream and its output is projected; the
     residual adds to the raw stream.  The one attention body of all three
     sub-block types; the leading axes batch independent sequences.
     """
-    a_in = ops.layer_norm(t, p["att_norm.g"], p["att_norm.b"]) if cfg.norm else t
+    a_in = ops.layer_norm(t, p["att_norm.g"], p["att_norm.b"])
     att = ops.attention(
         ops.linear(a_in, p["q.w"], p["q.b"]),
         ops.linear(a_in, p["k.w"], p["k.b"]),
         ops.linear(a_in, p["v.w"], p["v.b"]),
     )
-    if cfg.out_proj:
-        att = ops.linear(att, p["proj.w"], p["proj.b"])
+    att = ops.linear(att, p["proj.w"], p["proj.b"])
     return ops.add(t, att)
 
 
-def _ffn(x: Var, p: dict, cfg: NetConfig) -> Var:
-    f_in = ops.layer_norm(x, p["ffn_norm.g"], p["ffn_norm.b"]) if cfg.norm else x
+def _ffn(x: Var, p: dict) -> Var:
+    f_in = ops.layer_norm(x, p["ffn_norm.g"], p["ffn_norm.b"])
     f = ops.linear(f_in, p["ffn1.w"], p["ffn1.b"])
     f = ops.gelu(f)
     f = ops.linear(f, p["ffn2.w"], p["ffn2.b"])
     return ops.add(x, f)
 
 
-def m2mt_forward(x: Var, p: dict, cfg: NetConfig) -> Var:
+def m2mt_forward(x: Var, p: dict) -> Var:
     """One many-to-many sub-block over a light field Var.
 
     Two per-view 3x3 convs inject spatial position; then the views of each
     pixel are merged into one channel vector and encoded to correlation space
-    (W*H tokens of dim C_Cor), attention(+residual) and feed-forward(+residual,
-    per config) run there, and the decoded field is added back to the
-    conv-enriched input.  With zero weights the whole sub-block is the identity.
+    (W*H tokens of dim C_Cor), attention(+residual) and feed-forward(+residual)
+    run there, and the decoded field is added back to the conv-enriched
+    input.  With zero weights the whole sub-block is the identity.
     """
     pos = ops.conv2d(lf_to_images(x), p["pos1.w"], p["pos1.b"])
     pos = ops.conv2d(pos, p["pos2.w"], p["pos2.b"])
     base = ops.add(x, images_to_lf(pos, x.shape))
     i_cor = ops.linear(lf_to_merged(base), p["encode.w"], p["encode.b"])
-    i_cor = spatial_self_attention(i_cor, p, cfg)
-    if cfg.ffn:
-        i_cor = _ffn(i_cor, p, cfg)
+    i_cor = spatial_self_attention(i_cor, p)
+    i_cor = _ffn(i_cor, p)
     dec = ops.linear(i_cor, p["decode.w"], p["decode.b"])
     return ops.add(base, merged_to_lf(dec, x.shape))
 
 
-def angular_forward(x: Var, p: dict, cfg: NetConfig) -> Var:
+def angular_forward(x: Var, p: dict) -> Var:
     """One angular sub-block: per-pixel attention across the U*V views.
 
     Tokens are the views of one spatial location (dim C), batched over all
     W*H locations; a learned per-view embedding marks angular position.
+    There is no feed-forward layer here.
     """
     t = ops.add(_to(x, "angular"), p["pos_embed"])
-    t = spatial_self_attention(t, p, cfg)
-    if cfg.angular_ffn:
-        t = _ffn(t, p, cfg)
+    t = spatial_self_attention(t, p)
     return _from(t, "angular", x.shape)
 
 
-def correlation_block_forward(x: Var, pm: dict, pa: dict, cfg: NetConfig) -> Var:
+def correlation_block_forward(x: Var, pm: dict, pa: dict) -> Var:
     """Many-to-many sub-block, then angular sub-block, plus an outer skip."""
-    y = m2mt_forward(x, pm, cfg)
-    y = angular_forward(y, pa, cfg)
+    y = m2mt_forward(x, pm)
+    y = angular_forward(y, pa)
     return ops.add(y, x)
 
 
-def o2o_spatial_forward(x: Var, p: dict, cfg: NetConfig) -> Var:
+def o2o_spatial_forward(x: Var, p: dict) -> Var:
     """Per-view spatial transformer: attention over W*H pixel tokens at dim C,
     each view processed independently (batched over U*V)."""
-    t = spatial_self_attention(_to(x, "spatial"), p, cfg)
-    if cfg.ffn:
-        t = _ffn(t, p, cfg)
+    t = spatial_self_attention(_to(x, "spatial"), p)
+    t = _ffn(t, p)
     return _from(t, "spatial", x.shape)

@@ -76,6 +76,7 @@ def _cmd_flops(args) -> int:
 
 
 def _cmd_sr(args) -> int:
+    lfio.check_maxval(args.maxval)
     lf = lfio.load_lf_dir(args.input, central=args.central)
     net = network.net_from_file(args.weights, lf.u, lf.v)
     if args.scale is not None and args.scale != net.cfg.r:

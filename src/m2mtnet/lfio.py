@@ -19,6 +19,7 @@ from .metrics import rgb_to_y
 __all__ = [
     "read_pgm",
     "write_pgm",
+    "check_maxval",
     "read_ppm",
     "load_lf_dir",
     "save_lf_dir",
@@ -73,10 +74,15 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     return _read_netpbm(path, b"P5", 1)
 
 
-def write_pgm(path, img01: np.ndarray, maxval: int = 255) -> None:
-    """Quantize a [0, 1] (H, W) image to a binary PGM."""
+def check_maxval(maxval: int) -> None:
+    """Raise unless maxval is a sample range a binary PGM can store."""
     if not 0 < maxval < 65536:
         raise ValueError(f"maxval {maxval} outside [1, 65535]")
+
+
+def write_pgm(path, img01: np.ndarray, maxval: int = 255) -> None:
+    """Quantize a [0, 1] (H, W) image to a binary PGM."""
+    check_maxval(maxval)
     img = np.asarray(img01, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"write_pgm needs a 2-D image, got ndim {img.ndim}")
@@ -197,24 +203,14 @@ def _parse_kv_lines(path):
 def parse_config_file(path, known: dict) -> dict:
     """key=value file -> typed dict; keys outside `known` are errors.
 
-    `known` maps key -> converter (int, float, str, or bool via parse).
+    `known` maps key -> converter, a callable such as int, float or str.
     """
     out = {}
     for key, val in _parse_kv_lines(path):
         if key not in known:
             raise ValueError(f"{path}: unknown config key {key!r}")
-        conv = known[key]
-        if conv is bool:
-            low = val.lower()
-            if low in ("1", "true", "yes", "on"):
-                out[key] = True
-            elif low in ("0", "false", "no", "off"):
-                out[key] = False
-            else:
-                raise ValueError(f"{path}: bad boolean {val!r} for {key!r}")
-        else:
-            try:
-                out[key] = conv(val)
-            except ValueError:
-                raise ValueError(f"{path}: bad value {val!r} for {key!r}") from None
+        try:
+            out[key] = known[key](val)
+        except ValueError:
+            raise ValueError(f"{path}: bad value {val!r} for {key!r}") from None
     return out

@@ -53,11 +53,6 @@ class NetConfig:
     n1: int = 4
     n2: int = 8
     r: int = 4
-    norm: bool = True
-    out_proj: bool = True
-    ffn: bool = True
-    angular_ffn: bool = False
-    ffn_ratio: int = 2
     seed: int = 0
     flops_per_mac: int = 2
     arch: str = "m2m"
@@ -71,8 +66,6 @@ class NetConfig:
             raise ValueError(f"n2 must be >= 1, got {self.n2}")
         if self.r not in (2, 4):
             raise ValueError(f"upscale factor must be 2 or 4, got {self.r}")
-        if self.ffn_ratio < 1:
-            raise ValueError(f"ffn_ratio must be >= 1, got {self.ffn_ratio}")
         if self.flops_per_mac not in (1, 2):
             raise ValueError(f"flops_per_mac must be 1 or 2, got {self.flops_per_mac}")
         if self.arch not in ("m2m", "o2o"):
@@ -148,7 +141,7 @@ class Network(_SrNet):
         for j in range(self.cfg.n2):
             pm = _subview(pv, f"block{j}.m2mt.")
             pa = _subview(pv, f"block{j}.ang.")
-            x = blocks.correlation_block_forward(x, pm, pa, self.cfg)
+            x = blocks.correlation_block_forward(x, pm, pa)
         return x
 
 
@@ -157,7 +150,7 @@ class O2OBaseline(_SrNet):
 
     def _blocks_forward(self, x: Var, pv) -> Var:
         for j in range(self.cfg.n2):
-            x = blocks.o2o_spatial_forward(x, _subview(pv, f"block{j}.sp."), self.cfg)
+            x = blocks.o2o_spatial_forward(x, _subview(pv, f"block{j}.sp."))
         return x
 
 
@@ -205,7 +198,7 @@ def build(cfg: NetConfig, dtype=np.float32) -> _SrNet:
 
 
 def build_o2o(cfg: NetConfig, dtype=np.float32) -> O2OBaseline:
-    """Per-view baseline with the same head/tail and interior switches."""
+    """Per-view baseline with the same head/tail and sizes."""
     return build(replace(cfg, arch="o2o"), dtype)
 
 
@@ -249,11 +242,9 @@ def count_flops(cfg: NetConfig, patch: int = 32):
         rows.append((f"{pre}.qkv", 3 * lin(d, d, n)))
         att = fpm * tokens * tokens * d * 2 + 5 * tokens * tokens
         rows.append((f"{pre}.attention", att * instances))
-        if cfg.out_proj:
-            rows.append((f"{pre}.proj", lin(d, d, n)))
+        rows.append((f"{pre}.proj", lin(d, d, n)))
         if ffn:
-            hidden = cfg.ffn_ratio * d
-            rows.append((f"{pre}.ffn", lin(d, hidden, n) + lin(hidden, d, n)))
+            rows.append((f"{pre}.ffn", lin(d, 2 * d, n) + lin(2 * d, d, n)))
 
     rows.append(("head.0", conv(c, 1, 3, t)))
     for i in range(1, cfg.n1):
@@ -264,11 +255,11 @@ def count_flops(cfg: NetConfig, patch: int = 32):
             pre = f"block{j}.m2mt"
             rows.append((f"{pre}.pos", 2 * conv(c, c, 3, t)))
             rows.append((f"{pre}.encode", lin(uv * c, cc, t)))
-            transformer(pre, cc, t, 1, cfg.ffn)
+            transformer(pre, cc, t, 1, ffn=True)
             rows.append((f"{pre}.decode", lin(cc, uv * c, t)))
-            transformer(f"block{j}.ang", c, uv, t, cfg.angular_ffn)
+            transformer(f"block{j}.ang", c, uv, t, ffn=False)
         else:
-            transformer(f"block{j}.sp", c, t, uv, cfg.ffn)
+            transformer(f"block{j}.sp", c, t, uv, ffn=True)
 
     rows.append(("tail.expand", conv(r * r * c, c, 1, t)))
     rows.append(("tail.squeeze", conv(1, c, 3, r * r * t)))
@@ -352,8 +343,12 @@ def load_weights(path) -> "OrderedDict[str, np.ndarray]":
 
 
 def load_into(net: _SrNet, path) -> None:
-    """Load weights by name; every registry tensor must match in dims."""
+    """Load weights by name; the file must hold exactly the registry's
+    tensors, each with matching dims."""
     loaded = load_weights(path)
+    for name in loaded:
+        if name not in net.params:
+            raise ValueError(f"weight file has tensor {name!r}, which this network does not")
     for name, arr in net.params.items():
         if name not in loaded:
             raise ValueError(f"weight file is missing tensor {name!r}")
@@ -370,34 +365,35 @@ def config_from_manifest(entries, u: int, v: int) -> NetConfig:
     The weight file stores tensors only, so the angular grid (u, v) must come
     from the input; everything else is implied by layer dims.
     """
-    names = {n for n, _, _, _ in entries}
     shapes = {n: shp for n, _, shp, _ in entries}
-    if "head.0.w" not in names:
+    if "head.0.w" not in shapes:
         raise ValueError("weight file has no head.0.w; not a network weight file")
-    c = shapes["head.0.w"][0]
-    n1 = sum(1 for n in names if n.startswith("head.") and n.endswith(".w"))
-    block_ids = {int(n.split(".")[0][5:]) for n in names if n.startswith("block")}
+
+    def dims(name, ndim):
+        if name not in shapes:
+            raise ValueError(f"weight file is missing tensor {name!r}")
+        if len(shapes[name]) != ndim:
+            raise ValueError(f"tensor {name!r} has dims {shapes[name]}, expected {ndim} axes")
+        return shapes[name]
+
+    c = dims("head.0.w", 4)[0]
+    n1 = sum(1 for n in shapes if n.startswith("head.") and n.endswith(".w"))
+    block_ids = {int(n.split(".")[0][5:]) for n in shapes if n.startswith("block")}
     if not block_ids:
         raise ValueError("weight file has no blocks")
     n2 = max(block_ids) + 1
-    arch = "m2m" if any(n.startswith("block0.m2mt.") for n in names) else "o2o"
+    arch = "m2m" if any(n.startswith("block0.m2mt.") for n in shapes) else "o2o"
     pre = "block0.m2mt." if arch == "m2m" else "block0.sp."
-    c_cor = shapes[pre + "q.w"][0]
-    if arch == "m2m" and (din := shapes[pre + "encode.w"][0]) != u * v * c:
+    c_cor = dims(pre + "q.w", 2)[0]
+    if arch == "m2m" and (din := dims(pre + "encode.w", 2)[0]) != u * v * c:
         raise ValueError(
             f"encode input dim {din} != U*V*C = {u}*{v}*{c}; wrong --central or grid?"
         )
-    ffn = pre + "ffn1.w" in names
-    ffn_ratio = shapes[pre + "ffn1.w"][1] // c_cor if ffn else 2
-    r2c = shapes["tail.expand.w"][0]
+    r2c = dims("tail.expand.w", 4)[0]
     r = int(round(np.sqrt(r2c // c)))
     if r * r * c != r2c:
         raise ValueError(f"tail expand dim {r2c} is not r*r*C for C={c}")
-    return NetConfig(
-        u=u, v=v, c=c, c_cor=c_cor, n1=n1, n2=n2, r=r, norm=pre + "att_norm.g" in names,
-        out_proj=pre + "proj.w" in names, ffn=ffn,
-        angular_ffn="block0.ang.ffn1.w" in names, ffn_ratio=ffn_ratio, arch=arch,
-    )
+    return NetConfig(u=u, v=v, c=c, c_cor=c_cor, n1=n1, n2=n2, r=r, arch=arch)
 
 
 def net_from_file(path, u: int, v: int, dtype=np.float32):

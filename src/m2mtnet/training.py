@@ -15,7 +15,6 @@ __all__ = [
     "AdamState",
     "make_pair",
     "l1_loss",
-    "l2_loss",
     "adam_step",
     "train_toy",
     "write_loss_csv",
@@ -29,7 +28,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     iters: int = 300
-    loss: str = "l1"
 
     def validate(self) -> None:
         if self.lr <= 0:
@@ -38,8 +36,6 @@ class TrainConfig:
             raise ValueError("betas must sit in [0, 1)")
         if self.iters < 1:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
-        if self.loss not in ("l1", "l2"):
-            raise ValueError(f"loss must be 'l1' or 'l2', got {self.loss!r}")
 
 
 def make_pair(hr: LfTensor, r: int) -> tuple[LfTensor, LfTensor]:
@@ -55,10 +51,6 @@ def make_pair(hr: LfTensor, r: int) -> tuple[LfTensor, LfTensor]:
 def l1_loss(pred: Var, target: np.ndarray) -> Var:
     """Mean absolute error, differentiable w.r.t. pred."""
     return ops.vmean(ops.vabs(ops.sub(pred, Var(np.asarray(target)))))
-
-
-def l2_loss(pred: Var, target: np.ndarray) -> Var:
-    return ops.vmean(ops.square(ops.sub(pred, Var(np.asarray(target)))))
 
 
 @dataclass
@@ -97,7 +89,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> 
 
 
 def train_toy(net, pair: tuple[LfTensor, LfTensor], cfg: TrainConfig) -> list[float]:
-    """Overfit net on one (lr, hr) pair; returns the per-iteration loss curve.
+    """Overfit net on one (lr, hr) pair under the L1 loss; returns the
+    per-iteration loss curve.
 
     Runs in float64 for numerically clean gradients; net.params are updated
     in place (cast up first if needed).  Non-finite loss aborts with a
@@ -109,14 +102,13 @@ def train_toy(net, pair: tuple[LfTensor, LfTensor], cfg: TrainConfig) -> list[fl
         net.params[name] = net.params[name].astype(np.float64)
     x_const = lr_lf.data.astype(np.float64)
     target = hr_lf.data.astype(np.float64)
-    loss_fn = l1_loss if cfg.loss == "l1" else l2_loss
     state = AdamState()
     curve: list[float] = []
     for it in range(cfg.iters):
         tape = Tape()
         pv = net.param_vars(tape)
         out = net.forward_var(Var(x_const), pv)
-        loss = loss_fn(out, target)
+        loss = l1_loss(out, target)
         val = float(loss.value)
         if not np.isfinite(val):
             raise FloatingPointError(f"loss diverged to {val} at iteration {it}")

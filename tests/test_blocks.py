@@ -21,10 +21,10 @@ def _rand_lf(rng, dims=DIMS):
     return rng.standard_normal(dims)
 
 
-def _cfg(dims=DIMS, c_cor=6, **switches):
+def _cfg(dims=DIMS, c_cor=6):
     """A NetConfig whose grid and channel count match a field of dims."""
     u, v, _, _, c = dims
-    return NetConfig(u=u, v=v, c=c, c_cor=c_cor, **switches)
+    return NetConfig(u=u, v=v, c=c, c_cor=c_cor)
 
 
 def _zeroed(params):
@@ -49,27 +49,25 @@ class TestInitializers:
         assert p["decode.w"].shape == (c_cor, u * v * c)
         assert all(p[f"{n}.b"].shape == (c_cor,) for n in ("q", "k", "v", "proj"))
 
-    def test_switches_control_keys(self):
-        rng = np.random.default_rng(1)
-        base = blocks.init_m2mt_params(rng, _cfg(), np.float64)
-        assert {"att_norm.g", "ffn_norm.g", "ffn1.w", "proj.w"} <= set(base)
-        bare = blocks.init_m2mt_params(
-            rng, _cfg(norm=False, out_proj=False, ffn=False), np.float64
-        )
-        assert not any(k.startswith(("att_norm", "ffn", "proj")) for k in bare)
-
     def test_angular_ffn_off_by_default(self):
         rng = np.random.default_rng(2)
         p = blocks.init_angular_params(rng, _cfg(), np.float64)
         assert "pos_embed" in p and p["pos_embed"].shape == (4, 4)
         assert not any(k.startswith("ffn") for k in p)
-        p2 = blocks.init_angular_params(rng, _cfg(angular_ffn=True), np.float64)
-        assert {"ffn1.w", "ffn2.w", "ffn_norm.g"} <= set(p2)
 
-    def test_ffn_ratio_sets_hidden_width(self):
-        rng = np.random.default_rng(3)
-        p = blocks.init_m2mt_params(rng, _cfg(ffn_ratio=3), np.float64)
-        assert p["ffn1.w"].shape == (6, 18)
+    def test_fixed_transformer_keys(self):
+        # one design: pre-norm q/k/v + projection, FFN of width 2*d except angular
+        rng = np.random.default_rng(1)
+        attn = ["att_norm.g", "att_norm.b", "q.w", "q.b", "k.w", "k.b", "v.w", "v.b", "proj.w", "proj.b"]
+        ffn = ["ffn_norm.g", "ffn_norm.b", "ffn1.w", "ffn1.b", "ffn2.w", "ffn2.b"]
+        cfg = _cfg()
+        m2mt = blocks.init_m2mt_params(rng, cfg, np.float64)
+        assert list(m2mt) == ["pos1.w", "pos1.b", "pos2.w", "pos2.b", "encode.w", "encode.b",
+                              *attn, *ffn, "decode.w", "decode.b"]
+        assert list(blocks.init_angular_params(rng, cfg, np.float64)) == ["pos_embed", *attn]
+        o2o = blocks.init_o2o_spatial_params(rng, cfg, np.float64)
+        assert list(o2o) == [*attn, *ffn]
+        assert o2o["ffn1.w"].shape == (4, 8) and o2o["ffn2.w"].shape == (8, 4)
 
     def test_glorot_bounds_and_zero_biases(self):
         rng = np.random.default_rng(4)
@@ -122,7 +120,7 @@ class TestZeroWeightIdentities:
             x = _rand_lf(rng, dims)
             cfg = _cfg(dims)
             p = _zeroed(blocks.init_m2mt_params(rng, cfg, np.float64))
-            out = blocks.m2mt_forward(Var(x), p, cfg).value
+            out = blocks.m2mt_forward(Var(x), p).value
             np.testing.assert_array_equal(out, x)
 
     def test_angular_identity(self):
@@ -131,7 +129,7 @@ class TestZeroWeightIdentities:
             x = _rand_lf(rng, dims)
             cfg = _cfg(dims)
             p = _zeroed(blocks.init_angular_params(rng, cfg, np.float64))
-            out = blocks.angular_forward(Var(x), p, cfg).value
+            out = blocks.angular_forward(Var(x), p).value
             np.testing.assert_array_equal(out, x)
 
     def test_o2o_identity(self):
@@ -140,7 +138,7 @@ class TestZeroWeightIdentities:
             x = _rand_lf(rng, dims)
             cfg = _cfg(dims)
             p = _zeroed(blocks.init_o2o_spatial_params(rng, cfg, np.float64))
-            out = blocks.o2o_spatial_forward(Var(x), p, cfg).value
+            out = blocks.o2o_spatial_forward(Var(x), p).value
             np.testing.assert_array_equal(out, x)
 
 
@@ -160,7 +158,7 @@ class TestReceptiveField:
             cfg = _cfg(dims)
             p = blocks.init_m2mt_params(rng, cfg, np.float64)
             delta = self._perturb_delta(
-                lambda v: blocks.m2mt_forward(v, p, cfg), x, (0, 0, 1, 1, 0)
+                lambda v: blocks.m2mt_forward(v, p), x, (0, 0, 1, 1, 0)
             )
             per_view = delta.max(axis=(2, 3, 4))
             assert np.all(per_view > 1e-9)
@@ -172,7 +170,7 @@ class TestReceptiveField:
             cfg = _cfg(dims)
             p = blocks.init_o2o_spatial_params(rng, cfg, np.float64)
             delta = self._perturb_delta(
-                lambda v: blocks.o2o_spatial_forward(v, p, cfg), x, (0, 0, 1, 1, 0)
+                lambda v: blocks.o2o_spatial_forward(v, p), x, (0, 0, 1, 1, 0)
             )
             per_view = delta.max(axis=(2, 3, 4))
             assert per_view[0, 0] > 1e-9
@@ -186,7 +184,7 @@ class TestReceptiveField:
             cfg = _cfg(dims)
             p = blocks.init_angular_params(rng, cfg, np.float64)
             delta = self._perturb_delta(
-                lambda v: blocks.angular_forward(v, p, cfg), x, (0, 0, 1, 2, 0)
+                lambda v: blocks.angular_forward(v, p), x, (0, 0, 1, 2, 0)
             )
             per_pixel = delta.max(axis=(0, 1, 4))
             assert per_pixel[1, 2] > 1e-9
@@ -202,7 +200,7 @@ class TestWiring:
         cfg = _cfg()
         p = blocks.init_m2mt_params(rng, cfg, np.float64)
         x = rng.standard_normal((9, 6))
-        got = blocks.spatial_self_attention(Var(x), p, cfg).value - x
+        got = blocks.spatial_self_attention(Var(x), p).value - x
         normed = ops.layer_norm(Var(x), Var(p["att_norm.g"]), Var(p["att_norm.b"]))
         att = ops.attention(
             ops.linear(normed, Var(p["q.w"]), Var(p["q.b"])),
@@ -218,19 +216,9 @@ class TestWiring:
         pm = blocks.init_m2mt_params(rng, cfg, np.float64)
         pa = blocks.init_angular_params(rng, cfg, np.float64)
         x = _rand_lf(rng)
-        got = blocks.correlation_block_forward(Var(x), pm, pa, cfg).value
-        inner = blocks.angular_forward(blocks.m2mt_forward(Var(x), pm, cfg), pa, cfg).value
+        got = blocks.correlation_block_forward(Var(x), pm, pa).value
+        inner = blocks.angular_forward(blocks.m2mt_forward(Var(x), pm), pa).value
         np.testing.assert_array_equal(got, inner + x)
-
-    def test_norm_switch_changes_output(self):
-        rng = np.random.default_rng(16)
-        x = rng.standard_normal((9, 6))
-        with_norm = _cfg()
-        without = _cfg(norm=False)
-        p = blocks.init_m2mt_params(rng, with_norm, np.float64)
-        a = blocks.spatial_self_attention(Var(x), p, with_norm).value
-        b = blocks.spatial_self_attention(Var(x), p, without).value
-        assert np.abs(a - b).max() > 1e-9
 
     def test_gradients_flow_through_block(self):
         rng = np.random.default_rng(17)
@@ -241,7 +229,7 @@ class TestWiring:
         x = t.var(_rand_lf(rng))
         pmv = {k: t.var(v) for k, v in pm.items()}
         pav = {k: t.var(v) for k, v in pa.items()}
-        out = blocks.correlation_block_forward(x, pmv, pav, cfg)
+        out = blocks.correlation_block_forward(x, pmv, pav)
         t.backward(ops.vsum(ops.square(out)), 1.0)
         assert np.abs(x.grad).max() > 0
         for pv in (pmv, pav):

@@ -140,9 +140,9 @@ class TestLfDir:
 class TestConfigFile:
     def test_typed_parsing(self, tmp_path):
         p = tmp_path / "net.cfg"
-        p.write_text("# comment\nu=5\nv=5\nnorm=true\nffn=off\narch=m2m\n\n")
+        p.write_text("# comment\nu=5\nv=5\nc_cor=7\narch=m2m\n\n")
         got = lfio.parse_config_file(p, cli._CONFIG_KEYS)
-        assert got == {"u": 5, "v": 5, "norm": True, "ffn": False, "arch": "m2m"}
+        assert got == {"u": 5, "v": 5, "c_cor": 7, "arch": "m2m"}
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "net.cfg"
@@ -150,10 +150,10 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown config key"):
             lfio.parse_config_file(p, cli._CONFIG_KEYS)
 
-    def test_bad_bool_and_missing_equals(self, tmp_path):
+    def test_bad_value_and_missing_equals(self, tmp_path):
         p = tmp_path / "net.cfg"
-        p.write_text("norm=maybe\n")
-        with pytest.raises(ValueError, match="boolean"):
+        p.write_text("arch=o2o\nc=wide\n")
+        with pytest.raises(ValueError, match="bad value 'wide' for 'c'"):
             lfio.parse_config_file(p, cli._CONFIG_KEYS)
         p.write_text("just a line\n")
         with pytest.raises(ValueError, match="key=value"):
@@ -161,14 +161,13 @@ class TestConfigFile:
 
     def test_every_netconfig_field_round_trips(self, tmp_path):
         want = network.NetConfig(
-            u=3, v=4, c=5, c_cor=7, n1=2, n2=3, r=2, norm=False, out_proj=False,
-            ffn=False, angular_ffn=True, ffn_ratio=3, seed=9, flops_per_mac=1, arch="o2o",
+            u=3, v=4, c=5, c_cor=7, n1=2, n2=3, r=2, seed=9, flops_per_mac=1, arch="o2o",
         )
         defaults = network.NetConfig()
         for f in fields(network.NetConfig):
             assert getattr(want, f.name) != getattr(defaults, f.name), f.name
         p = tmp_path / "net.cfg"
-        p.write_text("".join(f"{k}={str(v).lower()}\n" for k, v in want.__dict__.items()))
+        p.write_text("".join(f"{k}={v}\n" for k, v in want.__dict__.items()))
         assert cli._load_config(p) == want
 
 
@@ -307,6 +306,90 @@ class TestCli:
         assert cli.main(["params", "--config", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["norm", "out_proj", "ffn", "angular_ffn", "ffn_ratio"])
+    def test_removed_config_key_exits_one(self, tmp_path, capsys, key):
+        # the transformer sub-block design is fixed; its old switches are unknown keys
+        p = _write_cfg(tmp_path, **{key: 2 if key == "ffn_ratio" else "true"})
+        assert cli.main(["params", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"unknown config key {key!r}" in err
+
+    @pytest.mark.parametrize(
+        "missing", ["tail.expand.w", "block0.m2mt.q.w", "block0.m2mt.encode.w", "block0.sp.q.w"]
+    )
+    def test_sr_weights_missing_tensor_exit_one(self, tmp_path, capsys, missing):
+        arch = "o2o" if ".sp." in missing else "m2m"
+        net = network.build(network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2, arch=arch))
+        del net.params[missing]
+        weights = tmp_path / "w.m2mw"
+        network.save_weights(weights, net)
+        d, _ = _lf_dir(tmp_path)
+        rc = cli.main(
+            ["sr", "--weights", str(weights), "--input", str(d), "--output", str(tmp_path / "o")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"missing tensor {missing!r}" in err
+
+    @pytest.mark.parametrize("legacy", ["norm", "out_proj", "ffn", "angular_ffn", "ffn_ratio"])
+    def test_sr_rejects_switched_legacy_weights(self, tmp_path, capsys, legacy):
+        """Files laid out as nets with one of the removed switches flipped."""
+        net = network.build(network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2))
+        p = net.params
+        for sub, d in (("m2mt", 6), ("ang", 4)):
+            pre = f"block0.{sub}."
+            if legacy == "norm":
+                for k in ("att_norm.g", "att_norm.b", "ffn_norm.g", "ffn_norm.b"):
+                    p.pop(pre + k, None)
+            elif legacy == "out_proj":
+                del p[pre + "proj.w"], p[pre + "proj.b"]
+            elif legacy == "ffn" and sub == "m2mt":
+                for k in ("ffn_norm.g", "ffn_norm.b", "ffn1.w", "ffn1.b", "ffn2.w", "ffn2.b"):
+                    del p[pre + k]
+            elif legacy == "angular_ffn" and sub == "ang":
+                shapes = {"ffn_norm.g": d, "ffn_norm.b": d, "ffn1.w": (d, 2 * d),
+                          "ffn1.b": 2 * d, "ffn2.w": (2 * d, d), "ffn2.b": d}
+                for k, shape in shapes.items():
+                    p[pre + k] = np.zeros(shape, np.float32)
+            elif legacy == "ffn_ratio" and sub == "m2mt":
+                p[pre + "ffn1.w"] = np.zeros((d, 3 * d), np.float32)
+                p[pre + "ffn1.b"] = np.zeros(3 * d, np.float32)
+                p[pre + "ffn2.w"] = np.zeros((3 * d, d), np.float32)
+        weights = tmp_path / "w.m2mw"
+        network.save_weights(weights, net)
+        d, _ = _lf_dir(tmp_path)
+        rc = cli.main(
+            ["sr", "--weights", str(weights), "--input", str(d), "--output", str(tmp_path / "o")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_sr_bad_maxval_fails_up_front(self, tmp_path, capsys, monkeypatch):
+        cfg = _write_cfg(tmp_path)
+        weights = tmp_path / "w.m2mw"
+        cli.main(["init", "--config", str(cfg), "--out-weights", str(weights)])
+        d, _ = _lf_dir(tmp_path)
+        capsys.readouterr()
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("the input was loaded before --maxval was checked")
+
+        monkeypatch.setattr(lfio, "load_lf_dir", no_load)
+        for maxval in ("0", "65536"):
+            out_dir = tmp_path / f"o{maxval}"
+            rc = cli.main(
+                ["sr", "--weights", str(weights), "--input", str(d), "--output", str(out_dir),
+                 "--maxval", maxval]
+            )
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err == f"error: maxval {maxval} outside [1, 65535]\n"
+            assert not out_dir.exists()
 
     def test_missing_input_dir_exits_one(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path)

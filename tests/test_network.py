@@ -231,10 +231,9 @@ class TestWeightFiles:
     def test_config_reconstructed_from_manifest(self, tmp_path):
         for cfg in (
             SMALL,
-            NetConfig(**{**SMALL.__dict__, "norm": False, "out_proj": False}),
-            NetConfig(**{**SMALL.__dict__, "ffn": False, "r": 4}),
+            NetConfig(**{**SMALL.__dict__, "r": 4}),
             NetConfig(**{**SMALL.__dict__, "arch": "o2o"}),
-            NetConfig(**{**SMALL.__dict__, "angular_ffn": True, "ffn_ratio": 3}),
+            NetConfig(**{**SMALL.__dict__, "arch": "o2o", "r": 4, "n1": 3}),
         ):
             net = network.build(cfg) if cfg.arch == "m2m" else network.build_o2o(cfg)
             p = tmp_path / "w.m2mw"
@@ -255,6 +254,29 @@ class TestWeightFiles:
         again = network.net_from_file(p, SMALL.u, SMALL.v, np.float64)
         lf = _rand_lf(rng, SMALL)
         np.testing.assert_array_equal(again.forward(lf).data, net.forward(lf).data)
+
+    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
+    def test_extra_tensor_rejected(self, tmp_path, arch):
+        # e.g. an angular feed-forward layer the fixed design does not have
+        cfg = replace(SMALL, arch=arch)
+        net = network.build(cfg)
+        extra = "block0.ang.ffn1.w" if arch == "m2m" else "block0.sp.extra.w"
+        net.params[extra] = np.zeros((4, 8), np.float32)
+        p = tmp_path / "w.m2mw"
+        network.save_weights(p, net)
+        with pytest.raises(ValueError, match=f"has tensor '{extra}'"):
+            network.net_from_file(p, cfg.u, cfg.v)
+        with pytest.raises(ValueError, match=f"has tensor '{extra}'"):
+            network.load_into(network.build(cfg), p)
+
+    @pytest.mark.parametrize("name", ["head.0.w", "block0.m2mt.q.w", "block0.m2mt.encode.w", "tail.expand.w"])
+    def test_config_tensor_rank_checked(self, tmp_path, name):
+        net = network.build(SMALL)
+        net.params[name] = np.zeros((), np.float32)
+        p = tmp_path / "w.m2mw"
+        network.save_weights(p, net)
+        with pytest.raises(ValueError, match=f"tensor '{name}' has dims"):
+            network.config_from_manifest(network.read_manifest(p), SMALL.u, SMALL.v)
 
     def test_wrong_grid_fails_loudly(self, tmp_path):
         net = network.build(SMALL)
@@ -361,12 +383,7 @@ class TestCostModelMatchesForward:
     @pytest.mark.parametrize("arch", ["m2m", "o2o"])
     @pytest.mark.parametrize(
         "switches",
-        [
-            {},
-            {"norm": False, "out_proj": False, "ffn": False},
-            {"angular_ffn": True, "ffn_ratio": 3, "flops_per_mac": 1},
-            {"out_proj": False, "angular_ffn": True, "r": 4},
-        ],
+        [{}, {"flops_per_mac": 1}, {"r": 4}, {"flops_per_mac": 1, "r": 4}],
     )
     def test_per_layer_and_total(self, arch, switches, monkeypatch):
         cfg = replace(NetConfig(u=2, v=3, c=4, c_cor=6, n1=2, n2=2, r=2), arch=arch, **switches)

@@ -28,7 +28,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("lr", 0.0), ("beta1", 1.0), ("iters", 0), ("loss", "huber")],
+        [("lr", 0.0), ("beta1", 1.0), ("beta2", 1.0), ("iters", 0)],
     )
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError):
@@ -61,17 +61,12 @@ class TestLosses:
         got = training.l1_loss(pred, np.array([1.0, 4.0, 1.0]))
         assert float(got.value) == pytest.approx(2.0)
 
-    def test_l2_value(self):
-        pred = Var(np.array([1.0, 3.0]))
-        got = training.l2_loss(pred, np.array([0.0, 0.0]))
-        assert float(got.value) == pytest.approx(5.0)
-
-    def test_l2_gradient(self):
+    def test_l1_gradient(self):
         t = Tape()
-        x = t.var(np.array([2.0, -1.0]))
-        loss = training.l2_loss(x, np.zeros(2))
+        x = t.var(np.array([2.0, -1.0, 0.5, -3.0]))
+        loss = training.l1_loss(x, np.ones(4))
         t.backward(loss, 1.0)
-        np.testing.assert_allclose(x.grad, [2.0, -1.0])  # 2x/n
+        np.testing.assert_allclose(x.grad, [0.25, -0.25, -0.25, -0.25])  # sign(x - y)/n
 
 
 class TestAdam:
@@ -143,13 +138,6 @@ class TestTrainToy:
         _, c1 = self._setup(iters=10)
         _, c2 = self._setup(iters=10)
         assert c1 == c2
-
-    def test_l2_option_also_trains(self):
-        cfg = network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2, seed=1)
-        net = network.build(cfg, np.float64)
-        pair = training.make_pair(_plaid_hr(), 2)
-        curve = training.train_toy(net, pair, TrainConfig(iters=30, loss="l2"))
-        assert curve[-1] < curve[0]
 
     def test_nonfinite_input_raises(self):
         cfg = network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2)
