@@ -15,6 +15,7 @@ degrades exactly to bicubic.
 """
 from __future__ import annotations
 
+import re
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -378,7 +379,12 @@ def config_from_manifest(entries, u: int, v: int) -> NetConfig:
 
     c = dims("head.0.w", 4)[0]
     n1 = sum(1 for n in shapes if n.startswith("head.") and n.endswith(".w"))
-    block_ids = {int(n.split(".")[0][5:]) for n in shapes if n.startswith("block")}
+    block_ids = set()
+    for n in shapes:
+        if n.startswith("block"):
+            if (m := re.match(r"block(\d+)\.", n)) is None:
+                raise ValueError(f"weight file has tensor {n!r}, not named block<i>.<layer>")
+            block_ids.add(int(m.group(1)))
     if not block_ids:
         raise ValueError("weight file has no blocks")
     n2 = max(block_ids) + 1

@@ -7,6 +7,8 @@ float32, float64 stays float64.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
@@ -395,14 +397,53 @@ def softmax(x, axis: int = -1) -> Var:
     return out
 
 
+# Score bytes one attention block holds: half of a 4 MiB per-core L2, so a
+# block stays in cache from q kT to P v in the forward and from P to dS in
+# the vjp.
+_ATTENTION_BLOCK_BYTES = 1 << 20
+
+
+def _score_blocks(n: int, tq: int, tk: int, itemsize: int):
+    """Tile the (n, Tq, Tk) scores into blocks of at most _ATTENTION_BLOCK_BYTES.
+
+    Returns the (instances, rows) slice pairs in order, plus the dims of the
+    largest block.  Whole instances go together when one instance's scores
+    fit in a block; otherwise each block is a row slice of one instance (at
+    least one row).
+    """
+    row_bytes = max(1, tk * itemsize)
+    per = _ATTENTION_BLOCK_BYTES // max(1, tq * row_bytes)
+    if per >= 1:
+        blocks = [(slice(i, min(i + per, n)), slice(0, tq)) for i in range(0, n, per)]
+        return blocks, (min(per, n), tq, tk)
+    rows = max(1, _ATTENTION_BLOCK_BYTES // row_bytes)
+    blocks = [(slice(i, i + 1), slice(r, min(r + rows, tq))) for i in range(n) for r in range(0, tq, rows)]
+    return blocks, (1, min(rows, tq), tk)
+
+
+def _block(buf: np.ndarray, b: slice, r: slice) -> np.ndarray:
+    """The leading part of a block-sized buffer that block (b, r) fills."""
+    return buf[: b.stop - b.start, : r.stop - r.start]
+
+
 def attention(q, k, v) -> Var:
     """Scaled dot-product attention softmax(q kT / sqrt(D)) v, one tape record.
 
-    q: (..., Tq, D), k: (..., Tk, D), v: (..., Tk, Dv); leading axes batch.
-    The scores q kT are scaled, max-subtracted, exponentiated and normalized
-    in one (..., Tq, Tk) buffer.  The backward keeps that probability array P
-    (one B·Tq·Tk array) and references to q, k, v and the output; the vjp adds
-    one temporary of the same size, dS = scale * P * (g vT - rowsum(g * out)).
+    q: (..., Tq, D), k: (..., Tk, D), v: (..., Tk, Dv); leading axes batch
+    and broadcast, and flatten to n instances.  The (n, Tq, Tk) scores are
+    walked in blocks of at most _ATTENTION_BLOCK_BYTES (1 MiB): whole
+    instances when one instance's scores fit, else row slices of one
+    instance.  Each block is scaled, max-subtracted, exponentiated,
+    normalized and multiplied by v while it is still in cache.
+
+    Without a tape no full score array exists: one block-sized buffer is
+    reused, so the peak is one block plus the output.  With a tape each
+    block of the probabilities P is written once into the full (n, Tq, Tk)
+    array that the backward keeps, with references to q, k, v and the
+    output.  The vjp walks the same blocks, reading each P block once: dS =
+    scale * P * (g vT - rowsum(g * out)) lives in one block-sized buffer, dq
+    is written per block, and dk and dv accumulate across a row-sliced
+    instance's blocks.
     """
     q, k, v = as_var(q), as_var(k), as_var(v)
     if q.value.shape[-1] != k.value.shape[-1]:
@@ -413,26 +454,59 @@ def attention(q, k, v) -> Var:
         raise ValueError(
             f"attention: k rows {k.value.shape[-2]} != v rows {v.value.shape[-2]}"
         )
-    c = 1.0 / float(np.sqrt(q.value.shape[-1]))
-    p = q.value @ np.swapaxes(k.value, -1, -2)
-    p *= c
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    qv, kv, vv = q.value, k.value, v.value
+    batch = np.broadcast_shapes(qv.shape[:-2], kv.shape[:-2], vv.shape[:-2])
+    n, tq, tk = math.prod(batch), qv.shape[-2], kv.shape[-2]
+    # (n, T, D) views; an operand broadcast over the batch is copied n times
+    q3, k3, v3 = (
+        (a if a.shape[:-2] == batch else np.broadcast_to(a, batch + a.shape[-2:])).reshape((n,) + a.shape[-2:])
+        for a in (qv, kv, vv)
+    )
+    c = 1.0 / float(np.sqrt(qv.shape[-1]))
+    sdt = np.result_type(q3, k3)
+    blocks, block_dims = _score_blocks(n, tq, tk, sdt.itemsize)
     t = _tape_of(q, k, v)
-    out = Var(p @ v.value, t)
+    o3 = np.empty((n, tq, v3.shape[-1]), np.result_type(sdt, v3))
+    p = np.empty((n, tq, tk), sdt) if t is not None else None
+    buf = np.empty(block_dims, sdt) if p is None else None
+    kt3 = np.swapaxes(k3, -1, -2)
+    for b, r in blocks:
+        s = p[b, r] if p is not None else _block(buf, b, r)
+        np.matmul(q3[b, r], kt3[b], out=s)
+        s *= c
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        np.matmul(s, v3[b], out=o3[b, r])
+    out = Var(o3.reshape(batch + o3.shape[1:]), t)
     if t is not None:
-        qv, kv, vv, ov = q.value, k.value, v.value, out.value
 
         def vjp(g):
-            gv = _unbroadcast(np.swapaxes(p, -1, -2) @ g, vv.shape)
-            gs = g * c
-            ds = gs @ np.swapaxes(vv, -1, -2)
-            ds -= (gs * ov).sum(axis=-1, keepdims=True)
-            ds *= p
-            gq = _unbroadcast(ds @ kv, qv.shape)
-            gk = _unbroadcast(np.swapaxes(ds, -1, -2) @ qv, kv.shape)
-            return (gq, gk, gv)
+            g3 = g.reshape(o3.shape)
+            gdt = np.result_type(g3, sdt, v3)
+            gq, gk, gv = np.empty(q3.shape, gdt), np.empty(k3.shape, gdt), np.empty(v3.shape, gdt)
+            ds_buf = np.empty(block_dims, gdt)
+            vt3 = np.swapaxes(v3, -1, -2)
+            for b, r in blocks:
+                pb, gb = p[b, r], g3[b, r]
+                pt = np.swapaxes(pb, -1, -2)
+                gs = gb * c
+                ds = np.matmul(gs, vt3[b], out=_block(ds_buf, b, r))
+                ds -= (gs * o3[b, r]).sum(axis=-1, keepdims=True)
+                ds *= pb
+                np.matmul(ds, k3[b], out=gq[b, r])
+                dst = np.swapaxes(ds, -1, -2)
+                # an instance's first block writes its dk and dv; later row blocks add
+                if r.start == 0:
+                    np.matmul(pt, gb, out=gv[b])
+                    np.matmul(dst, q3[b, r], out=gk[b])
+                else:
+                    gv[b] += pt @ gb
+                    gk[b] += dst @ q3[b, r]
+            return tuple(
+                _unbroadcast(d.reshape(batch + d.shape[1:]), a.shape)
+                for d, a in ((gq, qv), (gk, kv), (gv, vv))
+            )
 
         t.record(out, (q, k, v), vjp)
     return out
@@ -480,8 +554,10 @@ def leaky_relu(x, slope: float = 0.1) -> Var:
     return out
 
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not NumPy scalars: under NEP 50 promotion a float64 scalar
+# would run every float32 gelu in float64.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x) -> Var:
@@ -489,14 +565,10 @@ def gelu(x) -> Var:
     x = as_var(x)
     t = _tape_of(x)
     cdf = 0.5 * (1.0 + erf(x.value * _INV_SQRT2))
-    out = Var((x.value * cdf).astype(x.value.dtype, copy=False), t)
+    out = Var(x.value * cdf, t)
     if t is not None:
         xv = x.value
-        t.record(
-            out,
-            (x,),
-            lambda g: ((g * (cdf + xv * _INV_SQRT2PI * np.exp(-0.5 * xv * xv))).astype(xv.dtype, copy=False),),
-        )
+        t.record(out, (x,), lambda g: (g * (cdf + xv * _INV_SQRT2PI * np.exp(-0.5 * xv * xv)),))
     return out
 
 

@@ -4,6 +4,7 @@ Small configurations are used throughout; the full-size parameter and flop
 totals are pinned separately in the acceptance tests.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -268,6 +269,15 @@ class TestWeightFiles:
             network.net_from_file(p, cfg.u, cfg.v)
         with pytest.raises(ValueError, match=f"has tensor '{extra}'"):
             network.load_into(network.build(cfg), p)
+
+    @pytest.mark.parametrize("name", ["blocks_extra", "blockX.m2mt.q.w", "block.0.sp.q.w"])
+    def test_bad_block_name_is_named(self, tmp_path, name):
+        net = network.build(SMALL)
+        net.params[name] = np.zeros((4, 8), np.float32)
+        p = tmp_path / "w.m2mw"
+        network.save_weights(p, net)
+        with pytest.raises(ValueError, match=f"has tensor '{re.escape(name)}', not named block<i>"):
+            network.net_from_file(p, SMALL.u, SMALL.v)
 
     @pytest.mark.parametrize("name", ["head.0.w", "block0.m2mt.q.w", "block0.m2mt.encode.w", "tail.expand.w"])
     def test_config_tensor_rank_checked(self, tmp_path, name):

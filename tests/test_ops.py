@@ -298,12 +298,24 @@ def _attention_composed(q, k, v):
 class TestFusedAttention:
     """ops.attention against the composition of the ops it fuses."""
 
+    # Row and instance counts that split the scores into several blocks of
+    # ops._ATTENTION_BLOCK_BYTES in float64 and in float32 alike.
+    _TK = 64
+    _ROWS64 = ops._ATTENTION_BLOCK_BYTES // (_TK * 8)  # rows per f64 row block
+    _PER64 = ops._ATTENTION_BLOCK_BYTES // (32 * 16 * 8)  # (32, 16) f64 instances per block
+
     # (q dims, k dims, v dims): 2-D, batched with Tq != Tk and Dv != D, and
-    # a k/v batch broadcast against q's.
+    # a k/v batch broadcast against q's, each one block; then several blocks:
+    # row blocks of one instance whose last block is ragged (3 rows in f64
+    # and in f32), whole-instance blocks whose last block is ragged (5
+    # instances in f64 and in f32), and a k/v batch broadcast against q's.
     SHAPES = [
         ((5, 4), (7, 4), (7, 3)),
         ((3, 7, 5, 4), (3, 7, 6, 4), (3, 7, 6, 2)),
         ((2, 3, 5, 4), (3, 6, 4), (3, 6, 5)),
+        ((2, 2 * _ROWS64 + 3, 4), (2, _TK, 4), (2, _TK, 3)),
+        ((2 * _PER64 + 5, 32, 4), (2 * _PER64 + 5, 16, 4), (2 * _PER64 + 5, 16, 3)),
+        ((3, _PER64 + 1, 32, 4), (_PER64 + 1, 16, 4), (_PER64 + 1, 16, 5)),
     ]
 
     @staticmethod
@@ -379,6 +391,36 @@ class TestFusedAttention:
             tracemalloc.stop()
         assert peak < 3 * score_bytes, f"peak {peak / score_bytes:.2f}x one score array"
 
+    @staticmethod
+    def _peak_over_score_bytes(shape, dtype, taped):
+        """tracemalloc peak of one self-attention call on (n, T, D) inputs,
+        plus its backward when taped, over the bytes of one score array."""
+        rng = np.random.default_rng(65)
+        q, k, v = (rng.standard_normal(shape).astype(dtype) for _ in range(3))
+        n, tokens, _ = shape
+        tracemalloc.start()
+        try:
+            if taped:
+                t = Tape()
+                out = ops.attention(t.var(q), t.var(k), t.var(v))
+                t.backward(out, np.ones_like(out.value))
+            else:
+                ops.attention(Var(q), Var(k), Var(v))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (n * tokens * tokens * np.dtype(dtype).itemsize)
+
+    def test_peak_memory_forward_backward_under_one_and_a_half_score_arrays(self):
+        """Taped forward plus backward keeps P, and dS is one block."""
+        ratio = self._peak_over_score_bytes((25, 256, 12), np.float64, taped=True)
+        assert ratio < 1.5, f"peak {ratio:.2f}x one score array"
+
+    def test_peak_memory_forward_without_tape_under_a_quarter_score_array(self):
+        """Without a tape no full score array exists; the peak is one block."""
+        ratio = self._peak_over_score_bytes((1, 2048, 8), np.float32, taped=False)
+        assert ratio < 0.25, f"peak {ratio:.2f}x one score array"
+
 
 class TestNormalizationsActivations:
     def test_layer_norm_standardizes(self):
@@ -418,6 +460,23 @@ class TestNormalizationsActivations:
         np.testing.assert_allclose(
             ops.gelu(Var(x)).value, x * scipy.special.ndtr(x), rtol=1e-10, atol=1e-15
         )
+
+    def test_gelu_float32_stays_float32(self, monkeypatch):
+        """erf, the value and the gradient all run in float32 for a float32 input."""
+        seen = []
+
+        def recording_erf(a):
+            seen.append(a.dtype)
+            return scipy.special.erf(a)
+
+        monkeypatch.setattr(ops, "erf", recording_erf)
+        x = np.linspace(-3, 3, 7, dtype=np.float32)
+        t = Tape()
+        xv = t.var(x)
+        out = ops.gelu(xv)
+        t.backward(out, np.ones_like(x))
+        assert seen == [np.float32]
+        assert out.value.dtype == np.float32 and xv.grad.dtype == np.float32
 
     def test_gelu_fixed_points_and_gradcheck(self):
         assert ops.gelu(Var(np.array(0.0))).value == 0.0
