@@ -29,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ops
 from .autodiff import Tape, Var
 from .lftensor import LfTensor, to_macpi
+from .metrics import _gaussian_taps
 
 __all__ = [
     "LamConfig",
@@ -100,20 +101,19 @@ def gaussian_kernel1d(width: float) -> np.ndarray:
         raise ValueError(f"width must be >= 0, got {width}")
     if width == 0.0:
         return np.ones(1, dtype=np.float64)
-    radius = int(np.ceil(3.0 * width))
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(x * x) / (2.0 * width * width))
-    return k / k.sum()
+    return _gaussian_taps(2 * int(np.ceil(3.0 * width)) + 1, width)
 
 
 def _blur_lf(data: np.ndarray, width: float) -> np.ndarray:
-    """Per-view separable Gaussian blur on the spatial axes, edge-replicate."""
+    """Per-view separable Gaussian blur on the spatial axes, edge-replicate
+    (the kernel radius may exceed the view)."""
     k = gaussian_kernel1d(width)
-    if k.size == 1:
-        return data.astype(np.float64, copy=True)
+    radius = k.size // 2
     out = data.astype(np.float64, copy=False)
-    out = correlate1d(out, k, axis=2, mode="nearest")
-    out = correlate1d(out, k, axis=3, mode="nearest")
+    for axis in (2, 3):
+        pad = [(0, 0)] * out.ndim
+        pad[axis] = (radius, radius)
+        out = sliding_window_view(np.pad(out, pad, mode="edge"), k.size, axis=axis) @ k
     return out
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Var", "Tape", "backward", "gradcheck", "rel_error"]
+__all__ = ["Var", "Tape", "gradcheck", "rel_error"]
 
 
 class Var:
@@ -121,10 +121,6 @@ class Tape:
                         f"vjp produced dims {g.shape} for parent of dims {p.value.shape}"
                     )
                 p.grad = g if p._grad is None else p._grad + g
-
-
-def backward(tape: Tape, output: Var, seed) -> None:
-    tape.backward(output, seed)
 
 
 def rel_error(a: float, n: float) -> float:

@@ -317,8 +317,11 @@ def _read_header(f):
         name, dts, dims, off = fields
         if dts not in _W_DTYPES:
             raise ValueError(f"unknown dtype {dts!r} in weight manifest")
-        shape = tuple(int(d) for d in dims.split(",")) if dims else ()
-        entries.append((name, dts, shape, int(off)))
+        nums = (dims.split(",") if dims else []) + [off]
+        if not all(x.isascii() and x.isdigit() for x in nums):
+            raise ValueError(f"bad weight manifest line {line!r}: dims and offset must be non-negative integers")
+        *shape, offset = map(int, nums)
+        entries.append((name, dts, tuple(shape), offset))
     return entries
 
 

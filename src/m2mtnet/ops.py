@@ -412,72 +412,64 @@ def _score_blocks(n: int, tq: int, tk: int, itemsize: int):
     least one row).
     """
     row_bytes = max(1, tk * itemsize)
-    per = _ATTENTION_BLOCK_BYTES // max(1, tq * row_bytes)
-    if per >= 1:
-        blocks = [(slice(i, min(i + per, n)), slice(0, tq)) for i in range(0, n, per)]
-        return blocks, (min(per, n), tq, tk)
-    rows = max(1, _ATTENTION_BLOCK_BYTES // row_bytes)
-    blocks = [(slice(i, i + 1), slice(r, min(r + rows, tq))) for i in range(n) for r in range(0, tq, rows)]
-    return blocks, (1, min(rows, tq), tk)
+    rows = max(1, min(tq, _ATTENTION_BLOCK_BYTES // row_bytes))
+    per = max(1, _ATTENTION_BLOCK_BYTES // (rows * row_bytes))
+    blocks = [(slice(i, min(i + per, n)), slice(r, min(r + rows, tq))) for i in range(0, n, per) for r in range(0, tq, rows)]
+    return blocks, (min(per, n), rows, tk)
 
 
-def _block(buf: np.ndarray, b: slice, r: slice) -> np.ndarray:
-    """The leading part of a block-sized buffer that block (b, r) fills."""
-    return buf[: b.stop - b.start, : r.stop - r.start]
+def _scores(buf: np.ndarray, a: np.ndarray, bt: np.ndarray, b: slice, r: slice) -> np.ndarray:
+    """a[b, r] @ bt[b] into the leading part of a block-sized buffer: a
+    block's scores q kT, or its g vT in the vjp."""
+    return np.matmul(a[b, r], bt[b], out=buf[: b.stop - b.start, : r.stop - r.start])
 
 
 def attention(q, k, v) -> Var:
     """Scaled dot-product attention softmax(q kT / sqrt(D)) v, one tape record.
 
-    q: (..., Tq, D), k: (..., Tk, D), v: (..., Tk, Dv); leading axes batch
-    and broadcast, and flatten to n instances.  The (n, Tq, Tk) scores are
-    walked in blocks of at most _ATTENTION_BLOCK_BYTES (1 MiB): whole
-    instances when one instance's scores fit, else row slices of one
-    instance.  Each block is scaled, max-subtracted, exponentiated,
-    normalized and multiplied by v while it is still in cache.
+    q: (..., Tq, D), k: (..., Tk, D), v: (..., Tk, Dv); the leading axes
+    must be equal and flatten to n instances.  q is scaled by 1/sqrt(D) once.
+    The (n, Tq, Tk) scores are walked in blocks of at most
+    _ATTENTION_BLOCK_BYTES (1 MiB), see _score_blocks.  Each block is
+    max-subtracted, exponentiated, normalized and multiplied by v while it
+    is still in cache, and each row's log-sum-exp (lse) is stored.
 
-    Without a tape no full score array exists: one block-sized buffer is
-    reused, so the peak is one block plus the output.  With a tape each
-    block of the probabilities P is written once into the full (n, Tq, Tk)
-    array that the backward keeps, with references to q, k, v and the
-    output.  The vjp walks the same blocks, reading each P block once: dS =
-    scale * P * (g vT - rowsum(g * out)) lives in one block-sized buffer, dq
-    is written per block, and dk and dv accumulate across a row-sliced
-    instance's blocks.
+    No call, taped or not, holds a full score array: the forward reuses one
+    block-sized buffer.  The vjp keeps the scaled q, k, v, the output and
+    the lse, O(n*T*D) state, and walks the same blocks: P = exp(q kT - lse)
+    is recomputed into one block buffer and dS = P * (g vT - rowsum(g * out))
+    lives in another; dq is written per block, and an instance's first block
+    writes its dk and dv, later row blocks add to them.
     """
     q, k, v = as_var(q), as_var(k), as_var(v)
-    if q.value.shape[-1] != k.value.shape[-1]:
-        raise ValueError(
-            f"attention: q dim {q.value.shape[-1]} != k dim {k.value.shape[-1]}"
-        )
-    if k.value.shape[-2] != v.value.shape[-2]:
-        raise ValueError(
-            f"attention: k rows {k.value.shape[-2]} != v rows {v.value.shape[-2]}"
-        )
     qv, kv, vv = q.value, k.value, v.value
-    batch = np.broadcast_shapes(qv.shape[:-2], kv.shape[:-2], vv.shape[:-2])
+    if qv.shape[-1] != kv.shape[-1]:
+        raise ValueError(f"attention: q dim {qv.shape[-1]} != k dim {kv.shape[-1]}")
+    if kv.shape[-2] != vv.shape[-2]:
+        raise ValueError(f"attention: k rows {kv.shape[-2]} != v rows {vv.shape[-2]}")
+    batch = qv.shape[:-2]
+    if kv.shape[:-2] != batch or vv.shape[:-2] != batch:
+        raise ValueError(f"attention: q, k, v leading axes {batch}, {kv.shape[:-2]}, {vv.shape[:-2]} differ")
     n, tq, tk = math.prod(batch), qv.shape[-2], kv.shape[-2]
-    # (n, T, D) views; an operand broadcast over the batch is copied n times
-    q3, k3, v3 = (
-        (a if a.shape[:-2] == batch else np.broadcast_to(a, batch + a.shape[-2:])).reshape((n,) + a.shape[-2:])
-        for a in (qv, kv, vv)
-    )
-    c = 1.0 / float(np.sqrt(qv.shape[-1]))
+    c = 1.0 / math.sqrt(qv.shape[-1])
+    q3 = qv.reshape((n,) + qv.shape[-2:]) * c
+    k3, v3 = kv.reshape((n,) + kv.shape[-2:]), vv.reshape((n,) + vv.shape[-2:])
     sdt = np.result_type(q3, k3)
     blocks, block_dims = _score_blocks(n, tq, tk, sdt.itemsize)
-    t = _tape_of(q, k, v)
     o3 = np.empty((n, tq, v3.shape[-1]), np.result_type(sdt, v3))
-    p = np.empty((n, tq, tk), sdt) if t is not None else None
-    buf = np.empty(block_dims, sdt) if p is None else None
+    lse = np.empty((n, tq, 1), sdt)
+    buf = np.empty(block_dims, sdt)
     kt3 = np.swapaxes(k3, -1, -2)
     for b, r in blocks:
-        s = p[b, r] if p is not None else _block(buf, b, r)
-        np.matmul(q3[b, r], kt3[b], out=s)
-        s *= c
-        s -= s.max(axis=-1, keepdims=True)
+        s = _scores(buf, q3, kt3, b, r)
+        m = s.max(axis=-1, keepdims=True)
+        s -= m
         np.exp(s, out=s)
-        s /= s.sum(axis=-1, keepdims=True)
+        total = s.sum(axis=-1, keepdims=True)
+        s /= total
         np.matmul(s, v3[b], out=o3[b, r])
+        np.add(m, np.log(total), out=lse[b, r])
+    t = _tape_of(q, k, v)
     out = Var(o3.reshape(batch + o3.shape[1:]), t)
     if t is not None:
 
@@ -485,17 +477,18 @@ def attention(q, k, v) -> Var:
             g3 = g.reshape(o3.shape)
             gdt = np.result_type(g3, sdt, v3)
             gq, gk, gv = np.empty(q3.shape, gdt), np.empty(k3.shape, gdt), np.empty(v3.shape, gdt)
-            ds_buf = np.empty(block_dims, gdt)
+            p_buf, ds_buf = np.empty(block_dims, sdt), np.empty(block_dims, gdt)
             vt3 = np.swapaxes(v3, -1, -2)
             for b, r in blocks:
-                pb, gb = p[b, r], g3[b, r]
-                pt = np.swapaxes(pb, -1, -2)
-                gs = gb * c
-                ds = np.matmul(gs, vt3[b], out=_block(ds_buf, b, r))
-                ds -= (gs * o3[b, r]).sum(axis=-1, keepdims=True)
-                ds *= pb
+                p = _scores(p_buf, q3, kt3, b, r)
+                p -= lse[b, r]
+                np.exp(p, out=p)
+                gb = g3[b, r]
+                ds = _scores(ds_buf, g3, vt3, b, r)
+                ds -= (gb * o3[b, r]).sum(axis=-1, keepdims=True)
+                ds *= p
                 np.matmul(ds, k3[b], out=gq[b, r])
-                dst = np.swapaxes(ds, -1, -2)
+                pt, dst = np.swapaxes(p, -1, -2), np.swapaxes(ds, -1, -2)
                 # an instance's first block writes its dk and dv; later row blocks add
                 if r.start == 0:
                     np.matmul(pt, gb, out=gv[b])
@@ -503,10 +496,8 @@ def attention(q, k, v) -> Var:
                 else:
                     gv[b] += pt @ gb
                     gk[b] += dst @ q3[b, r]
-            return tuple(
-                _unbroadcast(d.reshape(batch + d.shape[1:]), a.shape)
-                for d, a in ((gq, qv), (gk, kv), (gv, vv))
-            )
+            gq *= c
+            return gq.reshape(qv.shape), gk.reshape(kv.shape), gv.reshape(vv.shape)
 
         t.record(out, (q, k, v), vjp)
     return out

@@ -21,19 +21,19 @@ __all__ = [
 ]
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     iters: int = 300
 
     def validate(self) -> None:
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must sit in [0, 1)")
         if self.iters < 1:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
 
@@ -79,13 +79,13 @@ def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> 
             state.m[name] = m
             state.v[name] = np.zeros_like(p)
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1 - cfg.beta2) * g * g
-        mhat = m / (1 - cfg.beta1**t)
-        vhat = v / (1 - cfg.beta2**t)
-        p -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        mhat = m / (1 - ADAM_BETA1**t)
+        vhat = v / (1 - ADAM_BETA2**t)
+        p -= cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def train_toy(net, pair: tuple[LfTensor, LfTensor], cfg: TrainConfig) -> list[float]:

@@ -6,6 +6,11 @@ the standard rule telescopes to g*(input - blurriest), the literal rule to
 g*(path[1] - input)/steps.  Those identities pin the wiring.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,8 @@ from m2mtnet import attribution, lfio, network
 from m2mtnet.attribution import LamConfig
 from m2mtnet.autodiff import Tape, Var
 from m2mtnet.lftensor import LfTensor
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class _IdentityNet:
@@ -90,6 +97,26 @@ class TestBlurPath:
         delta = np.abs(b - a).max(axis=(2, 3, 4))
         assert delta[0, 1] > 0
         assert delta[0, 0] == delta[1, 0] == delta[1, 1] == 0.0
+
+    @pytest.mark.parametrize(
+        "shape, width", [((2, 3, 9, 7, 1), 1.5), ((2, 2, 6, 6, 2), 3.0), ((1, 1, 5, 12, 1), 0.5)]
+    )
+    def test_blur_matches_scipy_nearest_correlation(self, shape, width):
+        """Edge-replicated correlation, also where the kernel radius (9 at
+        width 3) is larger than the 6-pixel view."""
+        from scipy.ndimage import correlate1d
+
+        data = np.random.default_rng(3).standard_normal(shape)
+        k = attribution.gaussian_kernel1d(width)
+        ref = correlate1d(correlate1d(data, k, axis=2, mode="nearest"), k, axis=3, mode="nearest")
+        got = attribution._blur_lf(data, width)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    def test_cli_import_leaves_scipy_ndimage_out(self):
+        code = "import sys, m2mtnet.cli; sys.exit('scipy.ndimage' in sys.modules)"
+        path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0
 
     def test_path_index_bounds(self):
         lf = _ramp_lf()

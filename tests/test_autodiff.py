@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from m2mtnet import ops
-from m2mtnet.autodiff import Tape, Var, backward, gradcheck, rel_error
+from m2mtnet.autodiff import Tape, Var, gradcheck, rel_error
 
 
 class TestVar:
@@ -113,13 +113,6 @@ class TestTape:
         assert len(t) == 0
         with pytest.raises(ValueError, match="released"):
             t.backward(y, 1.0)
-
-    def test_free_function_wrapper(self):
-        t = Tape()
-        x = t.var(np.array([4.0]))
-        y = ops.vsum(ops.square(x))
-        backward(t, y, 1.0)
-        np.testing.assert_allclose(x.grad, [8.0])
 
 
 class TestRelError:

@@ -221,6 +221,16 @@ class TestWeightFiles:
         with pytest.raises(ValueError, match=r"manifest line 'head\.0\.b\\tf32\\t4'"):
             network.read_manifest(p)
 
+    @pytest.mark.parametrize(
+        "line", [b"head.0.w\tf32\t3,x\t0", b"head.0.w\tf32\t3,4\t1.5", b"head.0.w\tf32\t3,4\t-8"]
+    )
+    def test_non_integer_or_negative_manifest_field_is_named(self, tmp_path, line):
+        p = tmp_path / "w.m2mw"
+        manifest = line + b"\n"
+        p.write_bytes(b"M2MW1" + len(manifest).to_bytes(4, "little") + manifest)
+        with pytest.raises(ValueError, match=re.escape(f"bad weight manifest line {line.decode()!r}: dims and offset")):
+            network.read_manifest(p)
+
     def test_truncated_payload(self, tmp_path):
         net = network.build(SMALL)
         p = tmp_path / "w.m2mw"

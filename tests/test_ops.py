@@ -304,18 +304,20 @@ class TestFusedAttention:
     _ROWS64 = ops._ATTENTION_BLOCK_BYTES // (_TK * 8)  # rows per f64 row block
     _PER64 = ops._ATTENTION_BLOCK_BYTES // (32 * 16 * 8)  # (32, 16) f64 instances per block
 
-    # (q dims, k dims, v dims): 2-D, batched with Tq != Tk and Dv != D, and
-    # a k/v batch broadcast against q's, each one block; then several blocks:
-    # row blocks of one instance whose last block is ragged (3 rows in f64
-    # and in f32), whole-instance blocks whose last block is ragged (5
-    # instances in f64 and in f32), and a k/v batch broadcast against q's.
+    # (q dims, k dims, v dims): 2-D, and batched with Tq != Tk and Dv != D
+    # over one and over two leading axes, each one block; then several
+    # blocks: row blocks of one instance whose last block is ragged (3 rows
+    # in f64 and in f32), whole-instance blocks whose last block is ragged
+    # (5 instances in f64 and in f32), and whole-instance blocks over two
+    # leading axes whose last block is ragged (3 instances in f64, _PER64 + 3
+    # in f32).
     SHAPES = [
         ((5, 4), (7, 4), (7, 3)),
         ((3, 7, 5, 4), (3, 7, 6, 4), (3, 7, 6, 2)),
-        ((2, 3, 5, 4), (3, 6, 4), (3, 6, 5)),
+        ((2, 3, 5, 4), (2, 3, 6, 4), (2, 3, 6, 5)),
         ((2, 2 * _ROWS64 + 3, 4), (2, _TK, 4), (2, _TK, 3)),
         ((2 * _PER64 + 5, 32, 4), (2 * _PER64 + 5, 16, 4), (2 * _PER64 + 5, 16, 3)),
-        ((3, _PER64 + 1, 32, 4), (_PER64 + 1, 16, 4), (_PER64 + 1, 16, 5)),
+        ((3, _PER64 + 1, 32, 4), (3, _PER64 + 1, 16, 4), (3, _PER64 + 1, 16, 5)),
     ]
 
     @staticmethod
@@ -374,10 +376,30 @@ class TestFusedAttention:
             ops.attention(np.ones((2, 4)), np.ones((2, 3)), np.ones((2, 3)))
         with pytest.raises(ValueError, match="k rows 2 != v rows 3"):
             ops.attention(np.ones((2, 4)), np.ones((2, 4)), np.ones((3, 4)))
+        # leading axes must be equal; nothing broadcasts
+        for shapes in (((2, 5, 4), (1, 6, 4), (1, 6, 3)), ((2, 5, 4), (2, 6, 4), (6, 3)), ((5, 4), (3, 6, 4), (3, 6, 3))):
+            with pytest.raises(ValueError, match="q, k, v leading axes .* differ"):
+                ops.attention(*(np.ones(s) for s in shapes))
+
+    @pytest.mark.parametrize(
+        "n, tq, tk, itemsize", [(1, 5, 7, 8), (700, 32, 16, 8), (3, 2048, 64, 4), (2, 10, 200000, 8), (0, 4, 4, 8)]
+    )
+    def test_score_blocks_tile_each_row_once(self, n, tq, tk, itemsize):
+        """Blocks cover every (instance, row) once, in order, and hold whole
+        instances or row slices of one instance, within the byte budget
+        unless a single row exceeds it."""
+        blocks, (bn, brows, btk) = ops._score_blocks(n, tq, tk, itemsize)
+        assert btk == tk
+        seen = [(i, row) for b, r in blocks for i in range(b.start, b.stop) for row in range(r.start, r.stop)]
+        assert seen == [(i, row) for i in range(n) for row in range(tq)]
+        for b, r in blocks:
+            assert b.stop - b.start <= bn and r.stop - r.start <= brows
+            assert b.stop - b.start == 1 or (r.start, r.stop) == (0, tq)
+        assert bn * brows * tk * itemsize <= max(ops._ATTENTION_BLOCK_BYTES, tk * itemsize)
 
     def test_peak_memory_forward_backward_under_three_score_arrays(self):
-        """Taped forward plus backward keeps P and one temporary, not the
-        five-op route's per-record copies of the (B, Tq, Tk) scores."""
+        """Taped forward plus backward stays well under the five-op route's
+        per-record copies of the (B, Tq, Tk) scores."""
         rng = np.random.default_rng(64)
         q, k, v = (rng.standard_normal((25, 256, 12)) for _ in range(3))
         score_bytes = 25 * 256 * 256 * 8
@@ -412,9 +434,15 @@ class TestFusedAttention:
         return peak / (n * tokens * tokens * np.dtype(dtype).itemsize)
 
     def test_peak_memory_forward_backward_under_one_and_a_half_score_arrays(self):
-        """Taped forward plus backward keeps P, and dS is one block."""
+        """Taped forward plus backward: P and dS are one block each."""
         ratio = self._peak_over_score_bytes((25, 256, 12), np.float64, taped=True)
         assert ratio < 1.5, f"peak {ratio:.2f}x one score array"
+
+    def test_peak_memory_forward_backward_under_a_quarter_score_array(self):
+        """With a tape no full score array exists either: the vjp recomputes
+        P block by block from the row log-sum-exp."""
+        ratio = self._peak_over_score_bytes((1, 2048, 8), np.float64, taped=True)
+        assert ratio < 0.25, f"peak {ratio:.2f}x one score array"
 
     def test_peak_memory_forward_without_tape_under_a_quarter_score_array(self):
         """Without a tape no full score array exists; the peak is one block."""
