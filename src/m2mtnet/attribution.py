@@ -69,8 +69,8 @@ class LamConfig:
     def validate(self) -> None:
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         x, y, l = self.window
         if l < 1 or x < 0 or y < 0:
             raise ValueError(f"bad window {self.window}")
@@ -97,8 +97,8 @@ def gaussian_kernel1d(width: float) -> np.ndarray:
 
     width == 0 degenerates to the identity kernel [1].
     """
-    if width < 0:
-        raise ValueError(f"width must be >= 0, got {width}")
+    if not 0 <= width < np.inf:
+        raise ValueError(f"width must be finite and >= 0, got {width}")
     if width == 0.0:
         return np.ones(1, dtype=np.float64)
     return _gaussian_taps(2 * int(np.ceil(3.0 * width)) + 1, width)

@@ -31,10 +31,13 @@ def _load_config(path) -> NetConfig:
 
 
 def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
-    parts = text.split(",")
-    if len(parts) != n:
+    try:
+        vals = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        vals = ()
+    if len(vals) != n:
         raise ValueError(f"{what} needs {n} comma-separated integers, got {text!r}")
-    return tuple(int(p) for p in parts)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +108,6 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_lam(args) -> int:
-    lf = lfio.load_lf_dir(args.input, central=args.central)
-    net = network.net_from_file(args.weights, lf.u, lf.v)
     cfg = attribution.LamConfig(
         window=_parse_ints(args.window, 3, "--window"),
         steps=args.steps,
@@ -114,6 +115,9 @@ def _cmd_lam(args) -> int:
         sai=_parse_ints(args.sai, 2, "--sai") if args.sai else None,
         literal=(args.mode == "literal"),
     )
+    cfg.validate()
+    lf = lfio.load_lf_dir(args.input, central=args.central)
+    net = network.net_from_file(args.weights, lf.u, lf.v)
     res = attribution.lam(net, lf, cfg)
     print(f"di={_f(res.di)}")
     print(f"gini={_f(res.gini_coeff)}")
@@ -314,3 +318,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

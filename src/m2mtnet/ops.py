@@ -71,6 +71,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _live(g: np.ndarray) -> np.ndarray | None:
+    """Indices i where g[i] has a nonzero entry (NaN and inf count), or None
+    when every g[i] has one."""
+    live = np.flatnonzero(g.any(axis=tuple(range(1, g.ndim))))
+    return None if len(live) == len(g) else live
+
+
+def _scatter(part: np.ndarray, live: np.ndarray | None, n: int) -> np.ndarray:
+    """part's rows placed at `live` among n zero rows; part itself when
+    live is None."""
+    if live is None:
+        return part
+    full = np.zeros((n,) + part.shape[1:], part.dtype)
+    full[live] = part
+    return full
+
+
 # ---------------------------------------------------------------------------
 # Elementwise and reduction ops
 
@@ -344,6 +361,13 @@ def conv2d(x, kernel, bias) -> Var:
     padded input (B*Cin*P, plus B*Cout*H*(W+2) for the gradient on the
     padded row width); the input gradient is the flipped-kernel
     convolution, which picks its own branch.
+
+    The vjp works on the live images only, those whose output gradient has
+    a nonzero entry (a NaN or inf in g counts as one): their input gradient
+    is scattered into zeros and the kernel gradient sums over them alone;
+    the bias gradient sums the full g.  A skipped image gets +0 where the
+    dense path could give -0, or NaN when the forward held inf or NaN there
+    (0 * NaN is NaN).  Every parent still gets a full-shape gradient.
     """
     x, kernel, bias = as_var(x), as_var(kernel), as_var(bias)
     squeeze = x.value.ndim == 3
@@ -366,11 +390,17 @@ def conv2d(x, kernel, bias) -> Var:
 
         def vjp(g):
             gv = g[None] if squeeze else g
-            gk = _conv_kernel_grad(xv, gv, kh, pad)
             gb = gv.sum(axis=(0, 2, 3))
-            # input grad = correlation with the spatially flipped, channel-swapped kernel
-            kt = kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx = _conv_value(gv, kt, None, pad)
+            live = _live(gv)
+            xs, gs = (xv, gv) if live is None else (xv[live], gv[live])
+            if len(gs):
+                gk = _conv_kernel_grad(xs, gs, kh, pad)
+                # input grad = correlation with the spatially flipped, channel-swapped kernel
+                kt = kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+                gx = _scatter(_conv_value(gs, kt, None, pad), live, len(gv))
+            else:
+                gk = np.zeros(kv.shape, np.result_type(xv, gv))
+                gx = np.zeros(xv.shape, np.result_type(gv, kv))
             return (gx[0] if squeeze else gx, gk, gb)
 
         t.record(out, (x, kernel, bias), vjp)
@@ -440,6 +470,13 @@ def attention(q, k, v) -> Var:
     is recomputed into one block buffer and dS = P * (g vT - rowsum(g * out))
     lives in another; dq is written per block, and an instance's first block
     writes its dk and dv, later row blocks add to them.
+
+    The vjp walks the live instances only, those whose output gradient has
+    a nonzero entry (a NaN or inf in g counts as one), gathered and tiled
+    afresh; the others get zero dq, dk and dv.  A skipped instance gets +0
+    where the dense path could give -0, or NaN when the forward held inf or
+    NaN there (0 * NaN is NaN).  Every parent still gets a full-shape
+    gradient.
     """
     q, k, v = as_var(q), as_var(k), as_var(v)
     qv, kv, vv = q.value, k.value, v.value
@@ -476,28 +513,34 @@ def attention(q, k, v) -> Var:
         def vjp(g):
             g3 = g.reshape(o3.shape)
             gdt = np.result_type(g3, sdt, v3)
-            gq, gk, gv = np.empty(q3.shape, gdt), np.empty(k3.shape, gdt), np.empty(v3.shape, gdt)
-            p_buf, ds_buf = np.empty(block_dims, sdt), np.empty(block_dims, gdt)
-            vt3 = np.swapaxes(v3, -1, -2)
-            for b, r in blocks:
-                p = _scores(p_buf, q3, kt3, b, r)
-                p -= lse[b, r]
+            live = _live(g3)
+            qs, ks, vs, outs, lses, gs = q3, k3, v3, o3, lse, g3
+            vblocks, vdims = blocks, block_dims
+            if live is not None:
+                qs, ks, vs, outs, lses, gs = (a[live] for a in (q3, k3, v3, o3, lse, g3))
+                vblocks, vdims = _score_blocks(len(live), tq, tk, sdt.itemsize)
+            gq, gk, gv = np.empty(qs.shape, gdt), np.empty(ks.shape, gdt), np.empty(vs.shape, gdt)
+            p_buf, ds_buf = np.empty(vdims, sdt), np.empty(vdims, gdt)
+            kts, vts = np.swapaxes(ks, -1, -2), np.swapaxes(vs, -1, -2)
+            for b, r in vblocks:
+                p = _scores(p_buf, qs, kts, b, r)
+                p -= lses[b, r]
                 np.exp(p, out=p)
-                gb = g3[b, r]
-                ds = _scores(ds_buf, g3, vt3, b, r)
-                ds -= (gb * o3[b, r]).sum(axis=-1, keepdims=True)
+                gb = gs[b, r]
+                ds = _scores(ds_buf, gs, vts, b, r)
+                ds -= (gb * outs[b, r]).sum(axis=-1, keepdims=True)
                 ds *= p
-                np.matmul(ds, k3[b], out=gq[b, r])
+                np.matmul(ds, ks[b], out=gq[b, r])
                 pt, dst = np.swapaxes(p, -1, -2), np.swapaxes(ds, -1, -2)
                 # an instance's first block writes its dk and dv; later row blocks add
                 if r.start == 0:
                     np.matmul(pt, gb, out=gv[b])
-                    np.matmul(dst, q3[b, r], out=gk[b])
+                    np.matmul(dst, qs[b, r], out=gk[b])
                 else:
                     gv[b] += pt @ gb
-                    gk[b] += dst @ q3[b, r]
+                    gk[b] += dst @ qs[b, r]
             gq *= c
-            return gq.reshape(qv.shape), gk.reshape(kv.shape), gv.reshape(vv.shape)
+            return tuple(_scatter(a, live, n).reshape(x.shape) for a, x in ((gq, qv), (gk, kv), (gv, vv)))
 
         t.record(out, (q, k, v), vjp)
     return out

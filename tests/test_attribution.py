@@ -64,6 +64,11 @@ class TestGaussianKernel:
         with pytest.raises(ValueError):
             attribution.gaussian_kernel1d(-1.0)
 
+    @pytest.mark.parametrize("width", [np.inf, np.nan])
+    def test_non_finite_width_rejected(self, width):
+        with pytest.raises(ValueError, match="width must be finite and >= 0"):
+            attribution.gaussian_kernel1d(width)
+
 
 class TestBlurPath:
     def test_endpoint_is_the_input(self):
@@ -273,3 +278,8 @@ class TestLamOnNetwork:
             LamConfig(window=(0, 0, 0)).validate()
         with pytest.raises(ValueError):
             LamConfig(window=(0, 0, 2), sigma=-1.0).validate()
+
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            LamConfig(window=(0, 0, 2), sigma=sigma).validate()

@@ -4,13 +4,19 @@ CLI subcommands run in-process through main(argv); error paths must print
 one line to stderr and return exit code 1.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from m2mtnet import cli, lfio, network, training
 from m2mtnet.lftensor import LfTensor, read_lft1
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _lf_dir(tmp_path, name="lf", u=2, v=2, w=8, h=8, maxval=255):
@@ -258,6 +264,38 @@ class TestCli:
         assert read_lft1(map_file).shape == (2, 2, 8, 8)
         img, _ = lfio.read_pgm(heat)
         assert img.shape == (8 * 2, 8 * 2)
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--sigma", "inf", "sigma must be finite and >= 0, got inf"),
+            ("--sigma", "nan", "sigma must be finite and >= 0, got nan"),
+            ("--window", "1,2,x", "--window needs 3 comma-separated integers, got '1,2,x'"),
+            ("--sai", "1,z", "--sai needs 2 comma-separated integers, got '1,z'"),
+        ],
+        ids=["sigma-inf", "sigma-nan", "window", "sai"],
+    )
+    def test_lam_bad_option_one_line(self, tmp_path, capsys, flag, value, message):
+        cfg = _write_cfg(tmp_path)
+        weights = tmp_path / "w.m2mw"
+        cli.main(["init", "--config", str(cfg), "--out-weights", str(weights)])
+        d, _ = _lf_dir(tmp_path)
+        capsys.readouterr()
+        args = {"--window": "8,8,4", "--sigma": "2.0", flag: value}
+        argv = ["lam", "--weights", str(weights), "--input", str(d), "--steps", "2"]
+        rc = cli.main(argv + [a for kv in args.items() for a in kv])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        cfg = _write_cfg(tmp_path)
+        path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "m2mtnet", "flops", "--config", str(cfg), "--patch", "8"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "total flops @ 8x8" in proc.stdout
 
     def test_train_toy_end_to_end(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path)

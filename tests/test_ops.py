@@ -248,6 +248,94 @@ class TestConv2dBranches:
         assert peak < 2 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input bytes"
 
 
+def _conv_grads(x, k, b, g):
+    """conv2d's x, kernel and bias gradients for the output gradient g."""
+    t = Tape()
+    xv, kv, bv = t.var(x), t.var(k), t.var(b)
+    t.backward(ops.conv2d(xv, kv, bv), g)
+    return xv.grad, kv.grad, bv.grad
+
+
+def _conv_grads_dense(x, k, g):
+    """Second route for the x and kernel gradients, in float64: scipy
+    correlation with the flipped, channel-swapped kernel, and the kernel
+    gradient as an einsum over shifted windows of the padded input."""
+    x, k, g = (a.astype(np.float64) for a in (x, k, g))
+    kt = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    gx = np.stack([_scipy_conv(gi, kt, np.zeros(kt.shape[0])) for gi in g])
+    kh, (h, w) = k.shape[-1], x.shape[-2:]
+    pad = (kh - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gk = np.empty(k.shape)
+    for dy in range(kh):
+        for dx in range(kh):
+            gk[:, :, dy, dx] = np.einsum("bohw,bihw->oi", g, xp[:, :, dy:dy + h, dx:dx + w])
+    return gx, gk
+
+
+class TestConv2dSkipsZeroGradientImages:
+    """The vjp works on images whose output gradient is nonzero only."""
+
+    # 3x3 with Cout >= Cin, 3x3 with Cout < Cin, and 1x1
+    BRANCHES = ["in_wide", "out_mid", "1x1"]
+    DEAD = [0, 2, 4]  # first, a middle and the last of 5 images
+
+    @pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 1e-10, 1e-12), (np.float32, 0, 1e-5)])
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_dead_images_get_zero_and_live_ones_match(self, branch, dtype, rtol, atol):
+        rng = np.random.default_rng(45)
+        x, k, b = _conv_case(rng, branch, (5, 6, 7), dtype)
+        g = rng.standard_normal((5, k.shape[0], 6, 7)).astype(dtype)
+        g[self.DEAD] = 0
+        gx, gk, gb = _conv_grads(x, k, b, g)
+        assert gx.dtype == gk.dtype == gb.dtype == dtype
+        rx, rk = _conv_grads_dense(x, k, g)
+        for name, got, ref in (("gx", gx, rx), ("gk", gk, rk)):
+            np.testing.assert_allclose(got, ref, rtol=rtol, atol=atol * np.abs(ref).max(), err_msg=name)
+        np.testing.assert_array_equal(gx[self.DEAD], 0)
+        assert not np.signbit(gx[self.DEAD]).any()
+        live = [1, 3]
+        lx, lk, _ = _conv_grads(x[live], k, b, g[live])
+        np.testing.assert_array_equal(gx[live], lx)
+        np.testing.assert_array_equal(gk, lk)
+        np.testing.assert_array_equal(gb, g.sum(axis=(0, 2, 3)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_single_image_input(self, branch, dtype):
+        rng = np.random.default_rng(46)
+        x, k, b = _conv_case(rng, branch, (6, 7), dtype)
+        g = rng.standard_normal((k.shape[0], 6, 7)).astype(dtype)
+        gx, gk, gb = _conv_grads(x, k, b, g)
+        bx, bk, bb = _conv_grads(x[None], k, b, g[None])
+        for got, ref in ((gx, bx[0]), (gk, bk), (gb, bb)):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("spatial", [(6, 7), (3, 6, 7)])
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_all_zero_gradient(self, branch, spatial, dtype):
+        x, k, b = _conv_case(np.random.default_rng(47), branch, spatial, dtype)
+        g = np.zeros(x.shape[:-3] + (k.shape[0],) + x.shape[-2:], dtype)
+        for got, like in zip(_conv_grads(x, k, b, g), (x, k, b)):
+            assert got.dtype == dtype and got.shape == like.shape
+            np.testing.assert_array_equal(got, 0)
+
+    def test_dead_image_holding_nan_gets_plus_zero(self):
+        """0 * NaN would be NaN on the dense path; a skipped image is +0."""
+        rng = np.random.default_rng(48)
+        x, k, b = _conv_case(rng, "in_square", (3, 4, 5))
+        x[0, 0, 1, 1] = np.nan
+        g = rng.standard_normal((3, 3, 4, 5))
+        g[0] = 0
+        gx, gk, _ = _conv_grads(x, k, b, g)
+        assert np.isfinite(gk).all() and np.isfinite(gx).all()
+        g[0, 0, 0, 0] = np.nan  # a NaN in g makes its image live
+        gx, gk, _ = _conv_grads(x, k, b, g)
+        assert np.isnan(gk).any() and np.isnan(gx[0]).any()
+
+
 class TestSoftmaxAttention:
     def test_matches_scipy(self):
         rng = np.random.default_rng(15)
@@ -336,6 +424,68 @@ class TestFusedAttention:
             t.backward(out, g)
             results.append([out.value, q.grad, k.grad, v.grad])
         return results
+
+    @staticmethod
+    def _fused_grads(arrays, g):
+        """ops.attention's q, k, v gradients for the output gradient g, each
+        flattened to (instances, T, D)."""
+        t = Tape()
+        vs = [t.var(a) for a in arrays]
+        t.backward(ops.attention(*vs), g)
+        return [v.grad.reshape((-1,) + v.grad.shape[-2:]) for v in vs]
+
+    # a multi-instance block, a row-split instance and a 4-D batch
+    @pytest.mark.parametrize("shapes", [SHAPES[4], SHAPES[3], SHAPES[5]])
+    @pytest.mark.parametrize("dtype, seed", [(np.float64, 66), (np.float32, 67)])
+    def test_dead_instances_get_zero_and_live_ones_match(self, shapes, dtype, seed):
+        """Instances whose output gradient is all zero are skipped: their
+        gradients are +0, the rest equal a call on the live ones alone, and
+        all agree with the composed route."""
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        g = rng.standard_normal(shapes[0][:-1] + shapes[2][-1:]).astype(dtype)
+        n = int(np.prod(shapes[0][:-2]))
+        dead = [0, n // 2, n - 1]
+        live = [i for i in range(n) if i not in dead]
+        g3 = g.reshape((n,) + g.shape[-2:])
+        g3[dead] = 0
+        fused = self._fused_grads(arrays, g)
+        t = Tape()
+        vs = [t.var(a) for a in arrays]
+        t.backward(_attention_composed(*vs), g)
+        atol = 1e-12 if dtype == np.float64 else 1e-5
+        rtol = 1e-12 if dtype == np.float64 else 0
+        for name, a, v in zip(("dq", "dk", "dv"), fused, vs):
+            assert a.dtype == dtype, name
+            b = v.grad.reshape(a.shape)
+            np.testing.assert_allclose(a, b, rtol=rtol, atol=atol * np.abs(b).max(), err_msg=name)
+            np.testing.assert_array_equal(a[dead], 0, err_msg=name)
+            assert not np.signbit(a[dead]).any(), name
+        sub = [a.reshape((n,) + a.shape[-2:])[live] for a in arrays]
+        for name, a, b in zip(("dq", "dk", "dv"), fused, self._fused_grads(sub, g3[live])):
+            np.testing.assert_array_equal(a[live], b, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_all_zero_gradient(self, dtype):
+        shapes = self.SHAPES[5]
+        arrays = [np.random.default_rng(68).standard_normal(s).astype(dtype) for s in shapes]
+        g = np.zeros(shapes[0][:-1] + shapes[2][-1:], dtype)
+        for a, got in zip(arrays, self._fused_grads(arrays, g)):
+            assert got.dtype == dtype and got.size == a.size
+            np.testing.assert_array_equal(got, 0)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_dead_instance_holding_inf_gets_plus_zero(self):
+        """The dense path would give NaN (0 * NaN) where the forward held inf;
+        a skipped instance is +0, and a NaN in g keeps its instance live."""
+        rng = np.random.default_rng(69)
+        arrays = [rng.standard_normal((3, 5, 4)) for _ in range(3)]
+        arrays[1][0, 2, 1] = np.inf
+        g = rng.standard_normal((3, 5, 4))
+        g[0] = 0
+        assert all(np.isfinite(a).all() for a in self._fused_grads(arrays, g))
+        g[0, 0, 0] = np.nan
+        assert np.isnan(self._fused_grads(arrays, g)[0][0]).any()
 
     @pytest.mark.parametrize("shapes", SHAPES)
     def test_matches_composition_f64(self, shapes):
