@@ -47,6 +47,7 @@ def _cmd_init(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+        cfg.validate()
     net = network.build(cfg)
     network.save_weights(args.out_weights, net)
     print(f"wrote {args.out_weights}: {cfg.arch} net, {_f(net.num_params() / 1e6)}M params")
@@ -207,6 +208,8 @@ def _gradcheck_battery(seed: int):
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     failed = False
     for name, err in _gradcheck_battery(args.seed):
         tol = 1e-5 if name == "network+l1" else 1e-6
@@ -218,12 +221,13 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_train_toy(args) -> int:
     cfg = _load_config(args.config)
+    tcfg = training.TrainConfig(iters=args.iters, lr=args.lr)
+    tcfg.validate()
     hr = lfio.load_lf_dir(args.input, central=args.central)
     if (hr.u, hr.v) != (cfg.u, cfg.v):
         raise ValueError(f"input grid {hr.u}x{hr.v} != config {cfg.u}x{cfg.v}")
     pair = training.make_pair(hr, cfg.r)
     net = network.build(cfg, np.float64)
-    tcfg = training.TrainConfig(iters=args.iters, lr=args.lr)
     curve = training.train_toy(net, pair, tcfg)
     print("iter,loss")
     for i, val in enumerate(curve):

@@ -28,6 +28,13 @@ __all__ = [
 ]
 
 
+def _positive_int(text: str, what: str) -> int:
+    """text as an int >= 1; unlike int(), no sign, underscore or non-ASCII digit."""
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+        raise ValueError(f"{what} must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _read_netpbm_header(raw: bytes, magic: bytes):
     if raw[:2] != magic:
         raise ValueError(f"bad magic {raw[:2]!r}, expected {magic!r}")
@@ -46,7 +53,8 @@ def _read_netpbm_header(raw: bytes, magic: bytes):
             start = pos
             while pos < len(raw) and not raw[pos : pos + 1].isspace():
                 pos += 1
-            fields.append(int(raw[start:pos]))
+            name = ("width", "height", "maxval")[len(fields)]
+            fields.append(_positive_int(raw[start:pos].decode("latin-1"), f"header {name}"))
     return fields[0], fields[1], fields[2], pos + 1  # single whitespace after maxval
 
 
@@ -56,10 +64,9 @@ def _read_netpbm(path, magic: bytes, channels: int) -> tuple[np.ndarray, int]:
         raw = f.read()
     try:
         w, h, maxval, offset = _read_netpbm_header(raw, magic)
+        check_maxval(maxval)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    if not 0 < maxval < 65536:
-        raise ValueError(f"{path}: maxval {maxval} outside [1, 65535]")
     dt = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = w * h * channels
     if len(raw) - offset < count * dt.itemsize:
@@ -123,9 +130,10 @@ def load_lf_dir(path, central: int | None = None) -> LfTensor:
         m = _VIEW_RE.match(name)
         if m:
             found[(int(m.group(1)), int(m.group(2)))] = name
-    meta = _read_meta(os.path.join(path, "meta.txt"))
+    meta_path = os.path.join(path, "meta.txt")
+    meta = _read_meta(meta_path)
     if "u" in meta and "v" in meta:
-        nu, nv = int(meta["u"]), int(meta["v"])
+        nu, nv = (_positive_int(meta[key], f"{meta_path}: {key}") for key in ("u", "v"))
     elif found:
         nu = max(k[0] for k in found) + 1
         nv = max(k[1] for k in found) + 1

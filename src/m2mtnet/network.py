@@ -71,6 +71,8 @@ class NetConfig:
             raise ValueError(f"flops_per_mac must be 1 or 2, got {self.flops_per_mac}")
         if self.arch not in ("m2m", "o2o"):
             raise ValueError(f"arch must be 'm2m' or 'o2o', got {self.arch!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class _SrNet:

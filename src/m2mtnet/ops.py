@@ -1,13 +1,18 @@
 """Differentiable numpy kernels recorded on the autodiff tape.
 
 Every op takes Vars (or raw arrays, lifted to constant Vars), computes its
-value eagerly, and registers a vjp closure when any input sits on a tape.
-Ops never mutate input arrays.  Dtype follows the inputs: float32 stays
-float32, float64 stays float64.
+value eagerly, defines its vjp and returns _op(value, parents, vjp).  _op is
+the one place an op joins the tape: the output lives on the parents' tape,
+or is a constant when no parent has one, and the vjp is recorded only in
+the first case.  A vjp maps the output gradient to one gradient per parent,
+in the order of `parents`; it may read the parents' values, which the
+record keeps alive anyway.  Ops never mutate input arrays.  Dtype follows
+the inputs: float32 stays float32, float64 stays float64.
 """
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 from scipy.special import erf
@@ -46,16 +51,19 @@ def as_var(x, tape: Tape | None = None) -> Var:
     return x if isinstance(x, Var) else Var(np.asarray(x), tape)
 
 
-def _tape_of(*vs: Var) -> Tape | None:
+def _op(value, parents: tuple[Var, ...], vjp: Callable) -> Var:
+    """An op's output Var; records (out, parents, vjp) when a parent is taped."""
     tape = None
-    for v in vs:
-        if v.tape is None:
+    for p in parents:
+        if p.tape is None or p.tape is tape:
             continue
-        if tape is None:
-            tape = v.tape
-        elif tape is not v.tape:
+        if tape is not None:
             raise ValueError("op mixes Vars from two different tapes")
-    return tape
+        tape = p.tape
+    out = Var(value, tape)
+    if tape is not None:
+        tape.record(out, parents, vjp)
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -93,92 +101,54 @@ def _scatter(part: np.ndarray, live: np.ndarray | None, n: int) -> np.ndarray:
 
 def add(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    t = _tape_of(a, b)
-    out = Var(a.value + b.value, t)
-    if t is not None:
-        sa, sb = a.value.shape, b.value.shape
-        t.record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
-    return out
+    return _op(a.value + b.value, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    t = _tape_of(a, b)
-    out = Var(a.value - b.value, t)
-    if t is not None:
-        sa, sb = a.value.shape, b.value.shape
-        t.record(out, (a, b), lambda g: (_unbroadcast(g, sa), -_unbroadcast(g, sb)))
-    return out
+    return _op(a.value - b.value, (a, b), lambda g: (_unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)))
 
 
 def mul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    t = _tape_of(a, b)
-    out = Var(a.value * b.value, t)
-    if t is not None:
-        sa, sb = a.value.shape, b.value.shape
-        t.record(
-            out,
-            (a, b),
-            lambda g: (_unbroadcast(g * b.value, sa), _unbroadcast(g * a.value, sb)),
-        )
-    return out
+    return _op(
+        a.value * b.value,
+        (a, b),
+        lambda g: (_unbroadcast(g * b.value, a.shape), _unbroadcast(g * a.value, b.shape)),
+    )
 
 
 def neg(a) -> Var:
     a = as_var(a)
-    t = _tape_of(a)
-    out = Var(-a.value, t)
-    if t is not None:
-        t.record(out, (a,), lambda g: (-g,))
-    return out
+    return _op(-a.value, (a,), lambda g: (-g,))
 
 
 def scale(a, c: float) -> Var:
     """Multiply by a python scalar (not differentiated w.r.t. c)."""
     a = as_var(a)
-    t = _tape_of(a)
-    out = Var(a.value * c, t)
-    if t is not None:
-        t.record(out, (a,), lambda g: (g * c,))
-    return out
+    return _op(a.value * c, (a,), lambda g: (g * c,))
 
 
 def vabs(a) -> Var:
     a = as_var(a)
-    t = _tape_of(a)
-    out = Var(np.abs(a.value), t)
-    if t is not None:
-        sgn = np.sign(a.value)
-        t.record(out, (a,), lambda g: (g * sgn,))
-    return out
+    return _op(np.abs(a.value), (a,), lambda g: (g * np.sign(a.value),))
 
 
 def square(a) -> Var:
     a = as_var(a)
-    t = _tape_of(a)
-    out = Var(a.value * a.value, t)
-    if t is not None:
-        t.record(out, (a,), lambda g: (g * (2.0 * a.value),))
-    return out
+    return _op(a.value * a.value, (a,), lambda g: (g * (2.0 * a.value),))
 
 
 def vsum(a, axis=None, keepdims: bool = False) -> Var:
     a = as_var(a)
-    t = _tape_of(a)
-    out = Var(a.value.sum(axis=axis, keepdims=keepdims), t)
-    if t is not None:
-        shape = a.value.shape
 
-        def vjp(g):
-            if axis is not None and not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                for ax in sorted(a % len(shape) for a in axes):
-                    g = np.expand_dims(g, ax)
-            return (np.ascontiguousarray(np.broadcast_to(g, shape)),)
+    def vjp(g):
+        if axis is not None and not keepdims:
+            axes = axis if isinstance(axis, tuple) else (axis,)
+            g = np.expand_dims(g, tuple(ax % len(a.shape) for ax in axes))
+        return (np.ascontiguousarray(np.broadcast_to(g, a.shape)),)
 
-        t.record(out, (a,), vjp)
-    return out
+    return _op(a.value.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def vmean(a, axis=None, keepdims: bool = False) -> Var:
@@ -194,39 +164,28 @@ def vmean(a, axis=None, keepdims: bool = False) -> Var:
 
 def reshape(a, shape) -> Var:
     a = as_var(a)
-    t = _tape_of(a)
-    out = Var(a.value.reshape(shape), t)
-    if t is not None:
-        orig = a.value.shape
-        t.record(out, (a,), lambda g: (g.reshape(orig),))
-    return out
+    return _op(a.value.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a, axes) -> Var:
     a = as_var(a)
-    t = _tape_of(a)
-    out = Var(np.ascontiguousarray(np.transpose(a.value, axes)), t)
-    if t is not None:
-        inv = np.argsort(axes)
-        t.record(out, (a,), lambda g: (np.ascontiguousarray(np.transpose(g, inv)),))
-    return out
+    return _op(
+        np.ascontiguousarray(np.transpose(a.value, axes)),
+        (a,),
+        lambda g: (np.ascontiguousarray(np.transpose(g, np.argsort(axes))),),
+    )
 
 
 def getitem(a, idx) -> Var:
     """Basic slicing; gradient scatters back into the sliced region."""
     a = as_var(a)
-    t = _tape_of(a)
-    out = Var(np.ascontiguousarray(a.value[idx]), t)
-    if t is not None:
-        shape = a.value.shape
 
-        def vjp(g):
-            gz = np.zeros(shape, dtype=g.dtype)
-            gz[idx] = g
-            return (gz,)
+    def vjp(g):
+        gz = np.zeros(a.shape, dtype=g.dtype)
+        gz[idx] = g
+        return (gz,)
 
-        t.record(out, (a,), vjp)
-    return out
+    return _op(np.ascontiguousarray(a.value[idx]), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +194,14 @@ def getitem(a, idx) -> Var:
 def matmul(a, b) -> Var:
     """Matrix product with numpy batch broadcasting on leading axes."""
     a, b = as_var(a), as_var(b)
-    t = _tape_of(a, b)
-    out = Var(a.value @ b.value, t)
-    if t is not None:
-        av, bv = a.value, b.value
-
-        def vjp(g):
-            ga = _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)
-            gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)
-            return (ga, gb)
-
-        t.record(out, (a, b), vjp)
-    return out
+    return _op(
+        a.value @ b.value,
+        (a, b),
+        lambda g: (
+            _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.shape),
+            _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.shape),
+        ),
+    )
 
 
 def linear(x, w, b) -> Var:
@@ -257,20 +212,12 @@ def linear(x, w, b) -> Var:
         raise ValueError(f"linear: input dim {x.value.shape[-1]} != weight Din {din}")
     if b.value.shape != (dout,):
         raise ValueError(f"linear: bias dims {b.value.shape} != ({dout},)")
-    t = _tape_of(x, w, b)
-    out = Var(x.value @ w.value + b.value, t)
-    if t is not None:
-        xv, wv = x.value, w.value
 
-        def vjp(g):
-            g2 = g.reshape(-1, dout)
-            gx = (g @ wv.T).reshape(xv.shape)
-            gw = xv.reshape(-1, din).T @ g2
-            gb = g2.sum(axis=0)
-            return (gx, gw, gb)
+    def vjp(g):
+        g2 = g.reshape(-1, dout)
+        return ((g @ w.value.T).reshape(x.shape), x.value.reshape(-1, din).T @ g2, g2.sum(axis=0))
 
-        t.record(out, (x, w, b), vjp)
-    return out
+    return _op(x.value @ w.value + b.value, (x, w, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -382,29 +329,25 @@ def conv2d(x, kernel, bias) -> Var:
     if bias.value.shape != (cout,):
         raise ValueError(f"conv2d: bias dims {bias.value.shape} != ({cout},)")
     pad = (kh - 1) // 2
-    t = _tape_of(x, kernel, bias)
-    y = _conv_value(xv, kernel.value, bias.value, pad)
-    out = Var(y[0] if squeeze else y, t)
-    if t is not None:
+
+    def vjp(g):
         kv = kernel.value
+        gv = g[None] if squeeze else g
+        gb = gv.sum(axis=(0, 2, 3))
+        live = _live(gv)
+        xs, gs = (xv, gv) if live is None else (xv[live], gv[live])
+        if len(gs):
+            gk = _conv_kernel_grad(xs, gs, kh, pad)
+            # input grad = correlation with the spatially flipped, channel-swapped kernel
+            kt = kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gx = _scatter(_conv_value(gs, kt, None, pad), live, len(gv))
+        else:
+            gk = np.zeros(kv.shape, np.result_type(xv, gv))
+            gx = np.zeros(xv.shape, np.result_type(gv, kv))
+        return (gx[0] if squeeze else gx, gk, gb)
 
-        def vjp(g):
-            gv = g[None] if squeeze else g
-            gb = gv.sum(axis=(0, 2, 3))
-            live = _live(gv)
-            xs, gs = (xv, gv) if live is None else (xv[live], gv[live])
-            if len(gs):
-                gk = _conv_kernel_grad(xs, gs, kh, pad)
-                # input grad = correlation with the spatially flipped, channel-swapped kernel
-                kt = kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                gx = _scatter(_conv_value(gs, kt, None, pad), live, len(gv))
-            else:
-                gk = np.zeros(kv.shape, np.result_type(xv, gv))
-                gx = np.zeros(xv.shape, np.result_type(gv, kv))
-            return (gx[0] if squeeze else gx, gk, gb)
-
-        t.record(out, (x, kernel, bias), vjp)
-    return out
+    y = _conv_value(xv, kernel.value, bias.value, pad)
+    return _op(y[0] if squeeze else y, (x, kernel, bias), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -413,18 +356,10 @@ def conv2d(x, kernel, bias) -> Var:
 def softmax(x, axis: int = -1) -> Var:
     """Numerically stable softmax along one axis (max-subtracted)."""
     x = as_var(x)
-    t = _tape_of(x)
     shifted = x.value - x.value.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Var(y, t)
-    if t is not None:
-        t.record(
-            out,
-            (x,),
-            lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),),
-        )
-    return out
+    return _op(y, (x,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
 # Score bytes one attention block holds: half of a 4 MiB per-core L2, so a
@@ -506,44 +441,40 @@ def attention(q, k, v) -> Var:
         s /= total
         np.matmul(s, v3[b], out=o3[b, r])
         np.add(m, np.log(total), out=lse[b, r])
-    t = _tape_of(q, k, v)
-    out = Var(o3.reshape(batch + o3.shape[1:]), t)
-    if t is not None:
 
-        def vjp(g):
-            g3 = g.reshape(o3.shape)
-            gdt = np.result_type(g3, sdt, v3)
-            live = _live(g3)
-            qs, ks, vs, outs, lses, gs = q3, k3, v3, o3, lse, g3
-            vblocks, vdims = blocks, block_dims
-            if live is not None:
-                qs, ks, vs, outs, lses, gs = (a[live] for a in (q3, k3, v3, o3, lse, g3))
-                vblocks, vdims = _score_blocks(len(live), tq, tk, sdt.itemsize)
-            gq, gk, gv = np.empty(qs.shape, gdt), np.empty(ks.shape, gdt), np.empty(vs.shape, gdt)
-            p_buf, ds_buf = np.empty(vdims, sdt), np.empty(vdims, gdt)
-            kts, vts = np.swapaxes(ks, -1, -2), np.swapaxes(vs, -1, -2)
-            for b, r in vblocks:
-                p = _scores(p_buf, qs, kts, b, r)
-                p -= lses[b, r]
-                np.exp(p, out=p)
-                gb = gs[b, r]
-                ds = _scores(ds_buf, gs, vts, b, r)
-                ds -= (gb * outs[b, r]).sum(axis=-1, keepdims=True)
-                ds *= p
-                np.matmul(ds, ks[b], out=gq[b, r])
-                pt, dst = np.swapaxes(p, -1, -2), np.swapaxes(ds, -1, -2)
-                # an instance's first block writes its dk and dv; later row blocks add
-                if r.start == 0:
-                    np.matmul(pt, gb, out=gv[b])
-                    np.matmul(dst, qs[b, r], out=gk[b])
-                else:
-                    gv[b] += pt @ gb
-                    gk[b] += dst @ qs[b, r]
-            gq *= c
-            return tuple(_scatter(a, live, n).reshape(x.shape) for a, x in ((gq, qv), (gk, kv), (gv, vv)))
+    def vjp(g):
+        g3 = g.reshape(o3.shape)
+        gdt = np.result_type(g3, sdt, v3)
+        live = _live(g3)
+        qs, ks, vs, outs, lses, gs = q3, k3, v3, o3, lse, g3
+        vblocks, vdims = blocks, block_dims
+        if live is not None:
+            qs, ks, vs, outs, lses, gs = (a[live] for a in (q3, k3, v3, o3, lse, g3))
+            vblocks, vdims = _score_blocks(len(live), tq, tk, sdt.itemsize)
+        gq, gk, gv = np.empty(qs.shape, gdt), np.empty(ks.shape, gdt), np.empty(vs.shape, gdt)
+        p_buf, ds_buf = np.empty(vdims, sdt), np.empty(vdims, gdt)
+        kts, vts = np.swapaxes(ks, -1, -2), np.swapaxes(vs, -1, -2)
+        for b, r in vblocks:
+            p = _scores(p_buf, qs, kts, b, r)
+            p -= lses[b, r]
+            np.exp(p, out=p)
+            gb = gs[b, r]
+            ds = _scores(ds_buf, gs, vts, b, r)
+            ds -= (gb * outs[b, r]).sum(axis=-1, keepdims=True)
+            ds *= p
+            np.matmul(ds, ks[b], out=gq[b, r])
+            pt, dst = np.swapaxes(p, -1, -2), np.swapaxes(ds, -1, -2)
+            # an instance's first block writes its dk and dv; later row blocks add
+            if r.start == 0:
+                np.matmul(pt, gb, out=gv[b])
+                np.matmul(dst, qs[b, r], out=gk[b])
+            else:
+                gv[b] += pt @ gb
+                gk[b] += dst @ qs[b, r]
+        gq *= c
+        return tuple(_scatter(a, live, n).reshape(x.shape) for a, x in ((gq, q), (gk, k), (gv, v)))
 
-        t.record(out, (q, k, v), vjp)
-    return out
+    return _op(o3.reshape(batch + o3.shape[1:]), (q, k, v), vjp)
 
 
 def layer_norm(x, gain, offset, eps: float = 1e-5) -> Var:
@@ -552,27 +483,22 @@ def layer_norm(x, gain, offset, eps: float = 1e-5) -> Var:
     d = x.value.shape[-1]
     if gain.value.shape != (d,) or offset.value.shape != (d,):
         raise ValueError(f"layer_norm: gain/offset must have dims ({d},)")
-    t = _tape_of(x, gain, offset)
     mean = x.value.mean(axis=-1, keepdims=True)
     xc = x.value - mean
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Var(xhat * gain.value + offset.value, t)
-    if t is not None:
-        gv = gain.value
 
-        def vjp(g):
-            dxhat = g * gv
-            dg = (g * xhat).reshape(-1, d).sum(axis=0)
-            db = g.reshape(-1, d).sum(axis=0)
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            dx = inv * (dxhat - m1 - xhat * m2)
-            return (dx, dg, db)
+    def vjp(g):
+        dxhat = g * gain.value
+        dg = (g * xhat).reshape(-1, d).sum(axis=0)
+        db = g.reshape(-1, d).sum(axis=0)
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        dx = inv * (dxhat - m1 - xhat * m2)
+        return (dx, dg, db)
 
-        t.record(out, (x, gain, offset), vjp)
-    return out
+    return _op(xhat * gain.value + offset.value, (x, gain, offset), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +506,8 @@ def layer_norm(x, gain, offset, eps: float = 1e-5) -> Var:
 
 def leaky_relu(x, slope: float = 0.1) -> Var:
     x = as_var(x)
-    t = _tape_of(x)
     mask = np.where(x.value > 0, 1.0, slope).astype(x.value.dtype)
-    out = Var(x.value * mask, t)
-    if t is not None:
-        t.record(out, (x,), lambda g: (g * mask,))
-    return out
+    return _op(x.value * mask, (x,), lambda g: (g * mask,))
 
 
 # Python floats, not NumPy scalars: under NEP 50 promotion a float64 scalar
@@ -597,13 +519,9 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(x) -> Var:
     """Exact Gaussian-error-linear unit 0.5*x*(1 + erf(x/sqrt(2)))."""
     x = as_var(x)
-    t = _tape_of(x)
-    cdf = 0.5 * (1.0 + erf(x.value * _INV_SQRT2))
-    out = Var(x.value * cdf, t)
-    if t is not None:
-        xv = x.value
-        t.record(out, (x,), lambda g: (g * (cdf + xv * _INV_SQRT2PI * np.exp(-0.5 * xv * xv)),))
-    return out
+    xv = x.value
+    cdf = 0.5 * (1.0 + erf(xv * _INV_SQRT2))
+    return _op(xv * cdf, (x,), lambda g: (g * (cdf + xv * _INV_SQRT2PI * np.exp(-0.5 * xv * xv)),))
 
 
 # ---------------------------------------------------------------------------
@@ -732,12 +650,10 @@ def resize_bicubic(x, scale: float) -> Var:
     hout, wout = int(round(scale * h)), int(round(scale * w))
     if hout < 1 or wout < 1:
         raise ValueError(f"resize_bicubic: scale {scale} collapses {h}x{w} to zero dims")
-    val = _resize_value(x.value, hout, wout)
-    t = _tape_of(x)
-    out = Var(val, t)
-    if t is not None:
-        dt = x.value.dtype
-        mh = resample_matrix(h, hout).astype(dt)
-        mw = resample_matrix(w, wout).astype(dt)
-        t.record(out, (x,), lambda g: (mh.T @ g @ mw,))
-    return out
+
+    def vjp(g):
+        mh = resample_matrix(h, hout).astype(x.dtype)
+        mw = resample_matrix(w, wout).astype(x.dtype)
+        return (mh.T @ g @ mw,)
+
+    return _op(_resize_value(x.value, hout, wout), (x,), vjp)

@@ -32,8 +32,8 @@ class TrainConfig:
     iters: int = 300
 
     def validate(self) -> None:
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.iters < 1:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
 

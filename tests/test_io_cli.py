@@ -73,6 +73,26 @@ class TestPgm:
         with pytest.raises(ValueError, match="truncated"):
             lfio.read_pgm(p)
 
+    @pytest.mark.parametrize(
+        "header, field, token",
+        [
+            (b"-2 1 255", "width", "-2"),
+            (b"+2 1 255", "width", "+2"),
+            (b"4_0 1 255", "width", "4_0"),
+            (b"ab 1 255", "width", "ab"),
+            (b"0 1 255", "width", "0"),
+            (b"2 -1 255", "height", "-1"),
+            (b"2 0 255", "height", "0"),
+            (b"2 1 +255", "maxval", "+255"),
+        ],
+    )
+    def test_header_needs_positive_ascii_integers(self, tmp_path, header, field, token):
+        p = tmp_path / "img.pgm"
+        p.write_bytes(b"P5\n" + header + b"\n" + bytes(64))
+        with pytest.raises(ValueError) as e:
+            lfio.read_pgm(p)
+        assert str(e.value) == f"{p}: header {field} must be a positive integer, got {token!r}"
+
     def test_ppm_reads_three_channels(self, tmp_path):
         p = tmp_path / "img.ppm"
         p.write_bytes(b"P6\n1 1\n255\n" + bytes([255, 0, 0]))
@@ -110,6 +130,15 @@ class TestLfDir:
         lfio.write_pgm(d / "view_u0_v0.pgm", np.zeros((3, 3)), 255)
         with pytest.raises(ValueError, match="differ"):
             lfio.load_lf_dir(d)
+
+    @pytest.mark.parametrize("line", ["u=abc", "u=0", "u=-2", "u=+2", "v=1.5", "v=2_0"])
+    def test_bad_meta_grid_names_file_and_key(self, tmp_path, line):
+        d, _ = _lf_dir(tmp_path)
+        key, val = line.split("=")
+        (d / "meta.txt").write_text(f"u=2\nv=2\n{line}\n")
+        with pytest.raises(ValueError) as e:
+            lfio.load_lf_dir(d)
+        assert str(e.value) == f"{d / 'meta.txt'}: {key} must be a positive integer, got {val!r}"
 
     def test_central_crop(self, tmp_path):
         d, lf = _lf_dir(tmp_path, u=4, v=4)
@@ -286,6 +315,49 @@ class TestCli:
         rc = cli.main(argv + [a for kv in args.items() for a in kv])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_view_with_negative_header_width_exits_one(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path)
+        weights = tmp_path / "w.m2mw"
+        cli.main(["init", "--config", str(cfg), "--out-weights", str(weights)])
+        d, _ = _lf_dir(tmp_path, w=4, h=4)
+        view = d / "view_u0_v0.pgm"
+        view.write_bytes(b"P5\n-4 4\n255\n" + bytes(16))
+        capsys.readouterr()
+        rc = cli.main(["sr", "--weights", str(weights), "--input", str(d), "--output", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {view}: header width must be a positive integer, got '-4'\n"
+
+    def test_bad_meta_grid_exits_one(self, tmp_path, capsys):
+        d, _ = _lf_dir(tmp_path)
+        (d / "meta.txt").write_text("u=abc\nv=2\n")
+        assert cli.main(["metrics", "--a", str(d), "--b", str(d)]) == 1
+        assert capsys.readouterr().err == f"error: {d / 'meta.txt'}: u must be a positive integer, got 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train-toy", "--lr", "nan"], "lr must be finite and > 0, got nan"),
+            (["train-toy", "--lr", "inf"], "lr must be finite and > 0, got inf"),
+            (["init", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["params"], "seed must be >= 0, got -1"),
+            (["gradcheck", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        ],
+        ids=["train-lr-nan", "train-lr-inf", "init-seed", "params-config-seed", "gradcheck-seed"],
+    )
+    def test_bad_lr_or_seed_one_line(self, tmp_path, capsys, argv, message):
+        cfg = _write_cfg(tmp_path, seed=-1 if argv == ["params"] else 0)
+        d, _ = _lf_dir(tmp_path)
+        extra = {
+            "train-toy": ["--config", str(cfg), "--input", str(d), "--iters", "2", "--out-weights", str(tmp_path / "t.m2mw")],
+            "init": ["--config", str(cfg), "--out-weights", str(tmp_path / "i.m2mw")],
+            "params": ["--config", str(cfg)],
+            "gradcheck": [],
+        }[argv[0]]
+        assert cli.main(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         cfg = _write_cfg(tmp_path)

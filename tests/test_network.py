@@ -28,7 +28,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("n1", 0), ("n2", 0), ("r", 3), ("flops_per_mac", 3), ("arch", "both")],
+        [("n1", 0), ("n2", 0), ("r", 3), ("flops_per_mac", 3), ("arch", "both"), ("seed", -1)],
     )
     def test_rejects_bad_values(self, field, value):
         cfg = NetConfig(**{**SMALL.__dict__, field: value})

@@ -785,3 +785,84 @@ class TestResizeBicubic:
             ops.resize_bicubic(Var(np.zeros(4)), 2.0)
         with pytest.raises(ValueError):
             ops.resize_bicubic(Var(np.zeros((4, 4))), 0.01)
+
+
+def _protocol_cases():
+    """name -> (call, input arrays) for every op that records itself."""
+    rng = np.random.default_rng(70)
+    a = lambda *shape: rng.standard_normal(shape)
+    return {
+        "add": (ops.add, [a(3, 4), a(4)]),
+        "sub": (ops.sub, [a(3, 4), a(3, 1)]),
+        "mul": (ops.mul, [a(3, 4), a(3, 4)]),
+        "neg": (ops.neg, [a(3, 4)]),
+        "scale": (lambda x: ops.scale(x, -1.5), [a(3, 4)]),
+        "vabs": (ops.vabs, [a(3, 4)]),
+        "square": (ops.square, [a(3, 4)]),
+        "vsum": (lambda x: ops.vsum(x, axis=(0, -1)), [a(2, 3, 4)]),
+        "matmul": (ops.matmul, [a(2, 3, 4), a(4, 5)]),
+        "reshape": (lambda x: ops.reshape(x, (4, 3)), [a(3, 4)]),
+        "transpose": (lambda x: ops.transpose(x, (1, 0)), [a(3, 4)]),
+        "getitem": (lambda x: ops.getitem(x, (slice(1, 3), 2)), [a(3, 4)]),
+        "linear": (ops.linear, [a(2, 3, 4), a(4, 5), a(5)]),
+        "conv2d": (ops.conv2d, [a(2, 3, 4, 4), a(2, 3, 3, 3), a(2)]),
+        "softmax": (ops.softmax, [a(3, 4)]),
+        "attention": (ops.attention, [a(2, 3, 4), a(2, 5, 4), a(2, 5, 3)]),
+        "layer_norm": (ops.layer_norm, [a(3, 4), a(4), a(4)]),
+        "leaky_relu": (ops.leaky_relu, [a(3, 4)]),
+        "gelu": (ops.gelu, [a(3, 4)]),
+        "resize_bicubic": (lambda x: ops.resize_bicubic(x, 2.0), [a(1, 4, 4)]),
+    }
+
+
+_PROTOCOL = _protocol_cases()
+# built from other ops, so they record once per inner op; and two helpers
+# that take no Vars
+_NOT_SELF_RECORDING = {"vmean", "pixel_shuffle", "as_var", "resample_matrix"}
+
+
+class TestOpProtocol:
+    """Every op joins the tape through ops._op: a taped input gives one
+    record, constants give none, and two tapes never mix."""
+
+    def test_every_op_has_a_case(self):
+        assert set(_PROTOCOL) == set(ops.__all__) - _NOT_SELF_RECORDING
+
+    @pytest.mark.parametrize("name", sorted(_PROTOCOL))
+    def test_one_taped_input_gives_one_record(self, name, monkeypatch):
+        call, inputs = _PROTOCOL[name]
+        helper, calls = ops._op, []
+
+        def counted(*a):
+            calls.append(a)
+            return helper(*a)
+
+        monkeypatch.setattr(ops, "_op", counted)
+        for i in range(len(inputs)):
+            t = Tape()
+            args = [Var(x, t if j == i else None) for j, x in enumerate(inputs)]
+            out = call(*args)
+            assert len(t) == 1 and out.tape is t, (name, i)
+            t.backward(out, np.ones_like(out.value))
+            assert args[i].grad.shape == inputs[i].shape
+        assert len(calls) == len(inputs)
+
+    @pytest.mark.parametrize("name", sorted(_PROTOCOL))
+    def test_constant_inputs_record_nothing(self, name, monkeypatch):
+        call, inputs = _PROTOCOL[name]
+
+        def fail(*_):
+            raise AssertionError("constant inputs recorded")
+
+        monkeypatch.setattr(Tape, "record", fail)
+        assert call(*[Var(x) for x in inputs]).tape is None
+        assert call(*inputs).tape is None
+
+    @pytest.mark.parametrize("name", sorted(n for n, (_, inputs) in _PROTOCOL.items() if len(inputs) > 1))
+    def test_inputs_from_two_tapes_raise(self, name):
+        call, inputs = _PROTOCOL[name]
+        t1, t2 = Tape(), Tape()
+        args = [Var(x, t1 if j == 0 else t2) for j, x in enumerate(inputs)]
+        with pytest.raises(ValueError, match="op mixes Vars from two different tapes"):
+            call(*args)
+        assert len(t1) == len(t2) == 0

@@ -28,7 +28,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("lr", 0.0), ("iters", 0)],
+        [("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")), ("iters", 0)],
     )
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError):
