@@ -203,7 +203,7 @@ def lam(net, lr: LfTensor, cfg: LamConfig) -> LamResult:
     """Attribution of net's output window w.r.t. every input pixel.
 
     Runs in float64 whatever the stored weight dtype.  net may be either
-    architecture; it only needs forward_var and param_vars.
+    architecture; it only needs astype, forward_var and param_vars.
     """
     cfg.validate()
     s = cfg.steps
@@ -216,7 +216,6 @@ def lam(net, lr: LfTensor, cfg: LamConfig) -> LamResult:
         out = net64.forward_var(x, net64.param_vars(None))
         d = _detector_var(out, cfg.window, cfg.sai)
         tape.backward(d, np.float64(1.0))
-        tape.release()  # free this step's graph before blurring on
         if cfg.literal:
             nxt = min(k + 1, s)
             acc += x.grad * (path[k] - path[nxt]) / s

@@ -6,6 +6,11 @@ replays the records once in reverse, pushing vector-Jacobian products from
 each output's accumulated gradient into its parents.  Fan-out is handled by
 addition: a Var consumed twice receives both contributions.
 
+A tape records one forward and is spent by one backward: replay pops each
+record, so an op's saved arrays and the gradients only it referenced are
+freed as soon as they have been used.  A spent tape refuses a second
+backward and any further record.
+
 A Var may belong to at most one tape; ops refuse to mix Vars from different
 tapes.  Vars created without a tape act as constants — they flow through ops
 but record nothing on their own.
@@ -62,56 +67,53 @@ class Var:
 
 
 class Tape:
-    """Ordered record of ops for one forward pass.
+    """Ordered record of ops for one forward pass, spent by one backward.
 
     Records are appended in execution order, so every parent Var was created
     before the record that consumes it; replaying in reverse is a valid
-    topological order for backpropagation.
+    topological order for backpropagation.  len(tape) counts the records
+    not yet replayed: 0 once backward has run.
     """
 
     def __init__(self):
-        self._released = False
-        # (output Var, tuple of parent Vars, vjp: g_out -> per-parent grads)
-        self._records: list[tuple[Var, tuple, Callable]] = []
+        # (output Var, tuple of parent Vars, vjp: g_out -> per-parent grads);
+        # None once backward has spent the tape
+        self._records: list[tuple[Var, tuple, Callable]] | None = []
 
     def var(self, value) -> Var:
         """Create a leaf Var on this tape."""
         return Var(value, self)
 
     def record(self, out: Var, parents: Sequence[Var], vjp: Callable) -> None:
+        if self._records is None:
+            raise ValueError("tape is spent: its backward has run, so it records nothing more")
         self._records.append((out, tuple(parents), vjp))
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    def release(self) -> None:
-        """Drop all records, breaking the record<->Var reference cycles.
-
-        Call after the last backward() on this tape so per-step graphs free
-        by refcount instead of waiting for a full gc pass; the tape cannot
-        be replayed afterwards.
-        """
-        self._records.clear()
-        self._released = True
+        return 0 if self._records is None else len(self._records)
 
     def backward(self, output: Var, seed) -> None:
         """Accumulate d(seed . output)/d(leaf) into .grad of every reachable Var.
 
         seed must match output's dims.  Each record's vjp runs exactly once,
-        in reverse execution order.
+        in reverse execution order, and the record is dropped before the next
+        one runs.  The output and seed are checked before anything is
+        consumed; from then on the tape is spent, even if a vjp raises.
         """
         if output.tape is not self:
             raise ValueError("output does not belong to this tape")
-        if self._released:
-            raise ValueError("tape was released; records are gone")
+        if self._records is None:
+            raise ValueError("tape is spent: backward already ran on it")
         seed = np.asarray(seed, dtype=output.value.dtype)
         if seed.shape != output.value.shape:
             raise ValueError(f"seed dims {seed.shape} != output dims {output.value.shape}")
+        records, self._records = self._records, None
         # A first contribution is stored as is, though it may be an array that
         # another Var holds too (add hands g to both parents); later ones add
         # out of place, so no shared array is ever written.
         output.grad = seed if output._grad is None else output._grad + seed
-        for out, parents, vjp in reversed(self._records):
+        while records:
+            out, parents, vjp = records.pop()
             grads = vjp(out.grad)
             for p, g in zip(parents, grads):
                 if p is None or g is None:

@@ -119,9 +119,10 @@ def _read_meta(path) -> dict:
 def load_lf_dir(path, central: int | None = None) -> LfTensor:
     """Load a view directory into a (U, V, W, H, 1) float32 light field.
 
-    The grid is taken from meta.txt when present, else inferred from the
-    filenames; every view must exist with identical dims.  central=k keeps
-    only the central k x k views.  A .ppm view is reduced to BT.601 luma.
+    The grid is inferred from the filenames; a u or v in meta.txt must
+    agree with it.  Every view must exist with identical dims.  central=k
+    keeps only the central k x k views.  A .ppm view is reduced to BT.601
+    luma.
     """
     if not os.path.isdir(path):
         raise ValueError(f"not a directory: {path}")
@@ -130,15 +131,14 @@ def load_lf_dir(path, central: int | None = None) -> LfTensor:
         m = _VIEW_RE.match(name)
         if m:
             found[(int(m.group(1)), int(m.group(2)))] = name
-    meta_path = os.path.join(path, "meta.txt")
-    meta = _read_meta(meta_path)
-    if "u" in meta and "v" in meta:
-        nu, nv = (_positive_int(meta[key], f"{meta_path}: {key}") for key in ("u", "v"))
-    elif found:
-        nu = max(k[0] for k in found) + 1
-        nv = max(k[1] for k in found) + 1
-    else:
+    if not found:
         raise ValueError(f"no view_u*_v*.pgm images in {path}")
+    grid = {"u": max(k[0] for k in found) + 1, "v": max(k[1] for k in found) + 1}
+    meta_path = os.path.join(path, "meta.txt")
+    for key, text in _read_meta(meta_path).items():
+        if key in grid and _positive_int(text, f"{meta_path}: {key}") != grid[key]:
+            raise ValueError(f"{meta_path}: {key}={text}, but the view files give {key}={grid[key]}")
+    nu, nv = grid["u"], grid["v"]
 
     views = []
     dims = None

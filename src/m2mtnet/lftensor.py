@@ -198,6 +198,8 @@ def read_lft1(path) -> np.ndarray:
         raw = f.read()
     if raw[:4] != _LFT1_MAGIC:
         raise ValueError(f"not an LFT1 file: bad magic {raw[:4]!r}")
+    if len(raw) < 8 or len(raw) < 8 + 8 * raw[5]:
+        raise ValueError(f"truncated LFT1 header: file has {len(raw)} bytes")
     code, ndim, z0, z1 = raw[4:8]
     if code not in _LFT1_CODES:
         raise ValueError(f"unknown LFT1 dtype code {code}")
@@ -206,7 +208,7 @@ def read_lft1(path) -> np.ndarray:
     dims = struct.unpack_from(f"<{ndim}Q", raw, 8)
     dt = _LFT1_CODES[code]
     start = 8 + 8 * ndim
-    count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
+    count = math.prod(dims)
     expected = start + count * dt.itemsize
     if len(raw) != expected:
         raise ValueError(

@@ -362,9 +362,10 @@ def softmax(x, axis: int = -1) -> Var:
     return _op(y, (x,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
-# Score bytes one attention block holds: half of a 4 MiB per-core L2, so a
-# block stays in cache from q kT to P v in the forward and from P to dS in
-# the vjp.
+# Score bytes one attention block holds: half of the 2 MiB per-core L2
+# measured on the 2-core Xeon the benchmark runs on, so a block stays in
+# cache from q kT to P v in the forward, and the vjp's two block buffers,
+# P and dS, together fill that L2.
 _ATTENTION_BLOCK_BYTES = 1 << 20
 
 
@@ -533,19 +534,16 @@ def pixel_shuffle(x, r: int) -> Var:
     gradient is the inverse rearrangement automatically.
     """
     x = as_var(x)
-    squeeze = x.value.ndim == 3
-    if squeeze:
-        x = reshape(x, (1,) + x.value.shape)
-    b, c2, h, w = x.value.shape
+    if x.value.ndim < 3:
+        raise ValueError(f"pixel_shuffle: needs (..., r*r*C, H, W), got dims {x.value.shape}")
+    *lead, c2, h, w = x.value.shape
     c, rem = divmod(c2, r * r)
     if rem != 0:
         raise ValueError(f"pixel_shuffle: channels {c2} not divisible by r*r={r * r}")
-    y = reshape(x, (b, c, r, r, h, w))
-    y = transpose(y, (0, 1, 4, 2, 5, 3))  # (B, C, H, ry, W, rx)
-    y = reshape(y, (b, c, h * r, w * r))
-    if squeeze:
-        y = reshape(y, y.value.shape[1:])
-    return y
+    n = len(lead)
+    y = reshape(x, (*lead, c, r, r, h, w))
+    y = transpose(y, (*range(n), n, n + 3, n + 1, n + 4, n + 2))  # (..., C, H, ry, W, rx)
+    return reshape(y, (*lead, c, h * r, w * r))
 
 
 def _keys_kernel(t: np.ndarray, a: float = -0.5) -> np.ndarray:
@@ -560,9 +558,6 @@ def _keys_kernel(t: np.ndarray, a: float = -0.5) -> np.ndarray:
     return np.where(t < 2.0, w, 0.0)
 
 
-_TAP_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _tap_tables(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-output-sample tap indices (n_out, 4) and weights (n_out, 4).
 
@@ -571,26 +566,17 @@ def _tap_tables(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
     padding).  The second half of the table is the mirrored first half, so
     the map is mirror-symmetric bit-for-bit.
     """
-    key = (n_in, n_out)
-    cached = _TAP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    idx = np.zeros((n_out, 4), dtype=np.intp)
-    wts = np.zeros((n_out, 4), dtype=np.float64)
-    ratio = n_in / n_out
-    for i in range((n_out + 1) // 2):
-        src = (i + 0.5) * ratio - 0.5
-        base = int(np.floor(src))
-        frac = src - base
-        for tap in range(-1, 3):
-            idx[i, tap + 1] = min(max(base + tap, 0), n_in - 1)
-            wts[i, tap + 1] = float(_keys_kernel(np.float64(frac - tap)))
-        idx[n_out - 1 - i] = (n_in - 1) - idx[i, ::-1]
-        wts[n_out - 1 - i] = wts[i, ::-1]
-    idx.flags.writeable = False
-    wts.flags.writeable = False
-    _TAP_CACHE[key] = (idx, wts)
-    return idx, wts
+    src = (np.arange((n_out + 1) // 2) + 0.5) * (n_in / n_out) - 0.5
+    base = np.floor(src)
+    taps = np.arange(-1, 3)
+    idx = np.clip(base.astype(np.intp)[:, None] + taps, 0, n_in - 1)
+    wts = _keys_kernel((src - base)[:, None] - taps)
+    # rows from n_out // 2 on (the middle one too) mirror the first half
+    half = n_out // 2
+    return (
+        np.concatenate([idx[:half], (n_in - 1) - idx[::-1, ::-1]]),
+        np.concatenate([wts[:half], wts[::-1, ::-1]]),
+    )
 
 
 def resample_matrix(n_in: int, n_out: int) -> np.ndarray:
@@ -605,9 +591,7 @@ def resample_matrix(n_in: int, n_out: int) -> np.ndarray:
         raise ValueError("resample_matrix: dims must be >= 1")
     idx, wts = _tap_tables(n_in, n_out)
     m = np.zeros((n_out, n_in), dtype=np.float64)
-    for i in range(n_out):
-        for t in range(4):
-            m[i, idx[i, t]] += wts[i, t]
+    np.add.at(m, (np.arange(n_out)[:, None], idx), wts)
     return m
 
 

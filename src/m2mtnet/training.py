@@ -115,7 +115,6 @@ def train_toy(net, pair: tuple[LfTensor, LfTensor], cfg: TrainConfig) -> list[fl
         curve.append(val)
         tape.backward(loss, np.float64(1.0))
         grads = {n: pv[n].grad for n in net.params}
-        tape.release()
         adam_step(net.params, grads, state, cfg)
     return curve
 

@@ -4,6 +4,8 @@ The tape replays vjps in reverse execution order and accumulates into
 .grad, so shared subexpressions sum their contributions (product rule).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,10 +90,15 @@ class TestTape:
 
     def test_backward_rejects_foreign_output(self):
         t1, t2 = Tape(), Tape()
-        x = t1.var(np.ones(2))
-        y = ops.vsum(x)
+        x = t2.var(np.ones(2))
+        y = ops.vsum(ops.square(t1.var(np.ones(2))))
+        z = ops.vsum(ops.square(x))
         with pytest.raises(ValueError, match="belong"):
             t2.backward(y, 1.0)
+        # rejected before anything is consumed: the tape still replays
+        assert len(t2) == 2
+        t2.backward(z, 1.0)
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
     def test_backward_rejects_bad_seed_dims(self):
         t = Tape()
@@ -99,20 +106,70 @@ class TestTape:
         y = ops.add(x, x)
         with pytest.raises(ValueError, match="seed dims"):
             t.backward(y, np.ones(3))
+        assert len(t) == 1
+        t.backward(y, np.ones((2, 2)))
+        np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
 
     def test_mixing_tapes_is_an_error(self):
         t1, t2 = Tape(), Tape()
         with pytest.raises(ValueError):
             ops.add(t1.var(np.ones(2)), t2.var(np.ones(2)))
 
-    def test_released_tape_refuses_backward(self):
+    def test_backward_spends_the_tape(self):
+        t = Tape()
+        x = t.var(np.ones(2))
+        y = ops.vsum(ops.square(x))
+        assert len(t) == 2
+        t.backward(y, 1.0)
+        assert len(t) == 0
+        with pytest.raises(ValueError, match="spent"):
+            t.backward(y, 1.0)
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+    def test_spent_tape_refuses_records(self):
+        t = Tape()
+        x = t.var(np.ones(2))
+        t.backward(ops.vsum(x), 1.0)
+        with pytest.raises(ValueError, match="spent"):
+            ops.add(x, 1.0)
+        with pytest.raises(ValueError, match="spent"):
+            t.record(Var(np.ones(2), t), (x,), lambda g: (g,))
+        assert len(t) == 0
+
+    def test_raising_vjp_leaves_the_tape_spent(self):
         t = Tape()
         x = t.var(np.ones(2))
         y = ops.vsum(x)
-        t.release()
+        out = Var(y.value, t)
+
+        def vjp(g):
+            raise RuntimeError("vjp failed")
+
+        t.record(out, (y,), vjp)
+        with pytest.raises(RuntimeError, match="vjp failed"):
+            t.backward(out, 1.0)
         assert len(t) == 0
-        with pytest.raises(ValueError, match="released"):
-            t.backward(y, 1.0)
+        with pytest.raises(ValueError, match="spent"):
+            t.backward(out, 1.0)
+
+    def test_backward_peak_is_a_few_arrays(self):
+        """Each record is dropped once replayed, so a chain's backward holds
+        a couple of gradients at a time; keeping every record to the end
+        would hold one per step."""
+        n, depth = 250_000, 12
+        t = Tape()
+        y = t.var(np.linspace(-1.0, 1.0, n))
+        for _ in range(depth):
+            y = ops.leaky_relu(ops.add(y, 1.0))
+        seed = np.ones(n)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            t.backward(y, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 3 * seed.nbytes
 
 
 class TestRelError:

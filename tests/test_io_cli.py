@@ -140,6 +140,18 @@ class TestLfDir:
             lfio.load_lf_dir(d)
         assert str(e.value) == f"{d / 'meta.txt'}: {key} must be a positive integer, got {val!r}"
 
+    @pytest.mark.parametrize(
+        "text, key, said",
+        [("u=1\nv=1\n", "u", 1), ("u=2\nv=1\n", "v", 1), ("u=3\n", "u", 3)],
+        ids=["both-small", "v-small", "u-alone"],
+    )
+    def test_meta_grid_must_match_the_files(self, tmp_path, text, key, said):
+        d, _ = _lf_dir(tmp_path)
+        (d / "meta.txt").write_text(text)
+        with pytest.raises(ValueError) as e:
+            lfio.load_lf_dir(d)
+        assert str(e.value) == f"{d / 'meta.txt'}: {key}={said}, but the view files give {key}=2"
+
     def test_central_crop(self, tmp_path):
         d, lf = _lf_dir(tmp_path, u=4, v=4)
         back = lfio.load_lf_dir(d, central=2)

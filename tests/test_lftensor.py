@@ -4,6 +4,8 @@ Every view must be a bijection (round-trip bit-exact) and must place each
 element exactly where the flattened index formulas say it goes.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,22 @@ class TestTensorFile:
         p = tmp_path / "bad.lft"
         p.write_bytes(b"LFT1" + bytes([0, 0, 1, 0]))
         with pytest.raises(ValueError, match="reserved"):
+            lft.read_lft1(p)
+
+    @pytest.mark.parametrize("keep", [5, 8, 19])
+    def test_truncated_header(self, tmp_path, keep):
+        """Cut inside the flag bytes, before the dims, or inside them."""
+        p = tmp_path / "t.lft"
+        lft.write_lft1(p, np.zeros((4, 4), dtype=np.float32))
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="truncated LFT1 header"):
+            lft.read_lft1(p)
+
+    def test_dims_past_int64_are_a_truncated_payload(self, tmp_path):
+        """2**32 * 2**32 elements wrap to 0 in int64; the size check must not."""
+        p = tmp_path / "t.lft"
+        p.write_bytes(b"LFT1" + bytes([0, 2, 0, 0]) + struct.pack("<2Q", 2**32, 2**32))
+        with pytest.raises(ValueError, match="truncated LFT1 payload"):
             lft.read_lft1(p)
 
     def test_truncated_payload(self, tmp_path):

@@ -686,9 +686,20 @@ class TestPixelShuffle:
         assert out.shape == (2, 2, 4, 4)
         assert gradcheck(lambda v: _head(ops.pixel_shuffle(v, 2)), x[0]) < TOL
 
+    def test_any_leading_axes(self):
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal((2, 3, 8, 2, 2))
+        out = ops.pixel_shuffle(Var(x), 2).value
+        np.testing.assert_array_equal(out, np.stack([ops.pixel_shuffle(Var(xi), 2).value for xi in x]))
+        assert gradcheck(lambda v: _head(ops.pixel_shuffle(v, 2)), x) < TOL
+
     def test_rejects_indivisible_channels(self):
         with pytest.raises(ValueError):
             ops.pixel_shuffle(Var(np.zeros((3, 2, 2))), 2)
+
+    def test_rejects_fewer_than_three_axes(self):
+        with pytest.raises(ValueError, match=r"pixel_shuffle: .*got dims \(4, 4\)"):
+            ops.pixel_shuffle(Var(np.zeros((4, 4))), 2)
 
 
 class TestBicubicKernel:
