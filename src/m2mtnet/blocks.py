@@ -12,15 +12,12 @@ form the token sequence and attention mixes them at channel dim C.
 
 All forwards here operate on a Var holding the raw (U, V, W, H, C) array,
 whose shape gives the light-field dims, and a flat name->Var parameter
-mapping; the network module owns parameter storage and prefixes.  The
-initializers read sizes from the network's NetConfig.  Every transformer
-sub-block has one fixed design: pre-norm q/k/v attention with an output
-projection, plus a pre-norm feed-forward layer of width 2*D in the
+mapping; the network module owns parameter storage and prefixes.  Every
+transformer sub-block has one fixed design: pre-norm q/k/v attention with an
+output projection, plus a pre-norm feed-forward layer of width 2*D in the
 many-to-many and per-view sub-blocks (the angular one has none).
 """
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,81 +25,13 @@ from . import ops
 from .autodiff import Var
 from .lftensor import LAYOUTS, layout_shape
 
-if TYPE_CHECKING:
-    from .network import NetConfig
-
 __all__ = [
-    "glorot_uniform",
-    "init_m2mt_params",
-    "init_angular_params",
-    "init_o2o_spatial_params",
     "spatial_self_attention",
     "m2mt_forward",
     "angular_forward",
     "correlation_block_forward",
     "o2o_spatial_forward",
 ]
-
-
-def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype):
-    """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
-    a = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-a, a, size=shape).astype(dtype)
-
-
-def _linear_params(rng, din, dout, dtype):
-    w = glorot_uniform(rng, (din, dout), din, dout, dtype)
-    return w, np.zeros(dout, dtype=dtype)
-
-
-def _conv_params(rng, cout, cin, k, dtype):
-    fan = cin * k * k, cout * k * k
-    w = glorot_uniform(rng, (cout, cin, k, k), fan[0], fan[1], dtype)
-    return w, np.zeros(cout, dtype=dtype)
-
-
-def _norm_params(d, dtype):
-    # gain 1 / offset 0 so an untrained norm is shape-preserving
-    return np.ones(d, dtype=dtype), np.zeros(d, dtype=dtype)
-
-
-def _transformer_params(rng, d, ffn: bool, dtype):
-    """Pre-norm attention (+ feed-forward of width 2*d when ffn) parameters at width d."""
-    p: dict[str, np.ndarray] = {}
-    p["att_norm.g"], p["att_norm.b"] = _norm_params(d, dtype)
-    for name in ("q", "k", "v"):
-        p[f"{name}.w"], p[f"{name}.b"] = _linear_params(rng, d, d, dtype)
-    p["proj.w"], p["proj.b"] = _linear_params(rng, d, d, dtype)
-    if ffn:
-        p["ffn_norm.g"], p["ffn_norm.b"] = _norm_params(d, dtype)
-        p["ffn1.w"], p["ffn1.b"] = _linear_params(rng, d, 2 * d, dtype)
-        p["ffn2.w"], p["ffn2.b"] = _linear_params(rng, 2 * d, d, dtype)
-    return p
-
-
-def init_m2mt_params(rng, cfg: NetConfig, dtype=np.float32):
-    """Parameter arrays for one many-to-many sub-block, in registry order."""
-    uvc, c = cfg.u * cfg.v * cfg.c, cfg.c
-    p: dict[str, np.ndarray] = {}
-    p["pos1.w"], p["pos1.b"] = _conv_params(rng, c, c, 3, dtype)
-    p["pos2.w"], p["pos2.b"] = _conv_params(rng, c, c, 3, dtype)
-    p["encode.w"], p["encode.b"] = _linear_params(rng, uvc, cfg.c_cor, dtype)
-    p.update(_transformer_params(rng, cfg.c_cor, ffn=True, dtype=dtype))
-    p["decode.w"], p["decode.b"] = _linear_params(rng, cfg.c_cor, uvc, dtype)
-    return p
-
-
-def init_angular_params(rng, cfg: NetConfig, dtype=np.float32):
-    """Parameter arrays for one angular sub-block."""
-    uv, c = cfg.u * cfg.v, cfg.c
-    p = {"pos_embed": glorot_uniform(rng, (uv, c), uv, c, dtype)}
-    p.update(_transformer_params(rng, c, ffn=False, dtype=dtype))
-    return p
-
-
-def init_o2o_spatial_params(rng, cfg: NetConfig, dtype=np.float32):
-    """Parameter arrays for one per-view spatial transformer (baseline)."""
-    return _transformer_params(rng, cfg.c, ffn=True, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------

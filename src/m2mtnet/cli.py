@@ -119,6 +119,9 @@ def _cmd_lam(args) -> int:
     cfg.validate()
     lf = lfio.load_lf_dir(args.input, central=args.central)
     net = network.net_from_file(args.weights, lf.u, lf.v)
+    # the output view is r*W x r*H; check what lam would reject after a forward
+    attribution._resolve_sai((lf.u, lf.v), cfg.sai)
+    attribution._check_window(cfg.window, net.cfg.r * lf.w, net.cfg.r * lf.h)
     res = attribution.lam(net, lf, cfg)
     print(f"di={_f(res.di)}")
     print(f"gini={_f(res.gini_coeff)}")

@@ -120,9 +120,9 @@ def load_lf_dir(path, central: int | None = None) -> LfTensor:
     """Load a view directory into a (U, V, W, H, 1) float32 light field.
 
     The grid is inferred from the filenames; a u or v in meta.txt must
-    agree with it.  Every view must exist with identical dims.  central=k
-    keeps only the central k x k views.  A .ppm view is reduced to BT.601
-    luma.
+    agree with it.  Every view must exist exactly once, with identical
+    dims.  central=k keeps only the central k x k views.  A .ppm view is
+    reduced to BT.601 luma.
     """
     if not os.path.isdir(path):
         raise ValueError(f"not a directory: {path}")
@@ -130,7 +130,11 @@ def load_lf_dir(path, central: int | None = None) -> LfTensor:
     for name in os.listdir(path):
         m = _VIEW_RE.match(name)
         if m:
-            found[(int(m.group(1)), int(m.group(2)))] = name
+            key = (int(m.group(1)), int(m.group(2)))
+            if key in found:
+                a, b = sorted((found[key], name))
+                raise ValueError(f"{a} and {b} are both view (u={key[0]}, v={key[1]}) in {path}")
+            found[key] = name
     if not found:
         raise ValueError(f"no view_u*_v*.pgm images in {path}")
     grid = {"u": max(k[0] for k in found) + 1, "v": max(k[1] for k in found) + 1}

@@ -32,12 +32,11 @@ __all__ = [
     "O2OBaseline",
     "build",
     "build_o2o",
+    "param_specs",
     "count_params",
     "count_flops",
     "save_weights",
     "load_weights",
-    "load_into",
-    "read_manifest",
     "config_from_manifest",
     "net_from_file",
 ]
@@ -164,40 +163,65 @@ def _subview(pv, prefix: str) -> dict:
 # ---------------------------------------------------------------------------
 # Construction
 
-def _head_params(rng, cfg: NetConfig, dtype):
-    p: "OrderedDict[str, np.ndarray]" = OrderedDict()
+def param_specs(cfg: NetConfig) -> list[tuple[str, tuple[int, ...], object]]:
+    """(name, dims, init) of every parameter of the cfg.arch net, in registry
+    order.  init is the (fan_in, fan_out) of a Glorot-uniform draw, or the
+    constant (0 or 1) the tensor starts at; norms start at gain 1, offset 0.
+    """
+    specs = []
+
+    def conv(name, cout, cin, k):
+        specs.append((f"{name}.w", (cout, cin, k, k), (cin * k * k, cout * k * k)))
+        specs.append((f"{name}.b", (cout,), 0))
+
+    def linear(name, din, dout):
+        specs.append((f"{name}.w", (din, dout), (din, dout)))
+        specs.append((f"{name}.b", (dout,), 0))
+
+    def transformer(pre, d, ffn):
+        specs.extend([(f"{pre}att_norm.g", (d,), 1), (f"{pre}att_norm.b", (d,), 0)])
+        for n in ("q", "k", "v", "proj"):
+            linear(pre + n, d, d)
+        if ffn:
+            specs.extend([(f"{pre}ffn_norm.g", (d,), 1), (f"{pre}ffn_norm.b", (d,), 0)])
+            linear(pre + "ffn1", d, 2 * d)
+            linear(pre + "ffn2", 2 * d, d)
+
+    c, uv = cfg.c, cfg.u * cfg.v
     for i in range(cfg.n1):
-        cin = 1 if i == 0 else cfg.c
-        p[f"head.{i}.w"], p[f"head.{i}.b"] = blocks._conv_params(rng, cfg.c, cin, 3, dtype)
-    return p
+        conv(f"head.{i}", c, 1 if i == 0 else c, 3)
+    for j in range(cfg.n2):
+        if cfg.arch == "m2m":
+            pre = f"block{j}.m2mt."
+            conv(pre + "pos1", c, c, 3)
+            conv(pre + "pos2", c, c, 3)
+            linear(pre + "encode", uv * c, cfg.c_cor)
+            transformer(pre, cfg.c_cor, ffn=True)
+            linear(pre + "decode", cfg.c_cor, uv * c)
+            specs.append((f"block{j}.ang.pos_embed", (uv, c), (uv, c)))
+            transformer(f"block{j}.ang.", c, ffn=False)
+        else:
+            transformer(f"block{j}.sp.", c, ffn=True)
+    conv("tail.expand", cfg.r * cfg.r * c, c, 1)
+    conv("tail.squeeze", 1, c, 3)
+    return specs
 
 
-def _tail_params(rng, cfg: NetConfig, dtype):
-    p: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    r2c = cfg.r * cfg.r * cfg.c
-    p["tail.expand.w"], p["tail.expand.b"] = blocks._conv_params(rng, r2c, cfg.c, 1, dtype)
-    p["tail.squeeze.w"], p["tail.squeeze.b"] = blocks._conv_params(rng, 1, cfg.c, 3, dtype)
-    return p
+_NETS = {"m2m": Network, "o2o": O2OBaseline}
 
 
 def build(cfg: NetConfig, dtype=np.float32) -> _SrNet:
     """Deterministically initialize the cfg.arch network from cfg.seed."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    params = _head_params(rng, cfg, dtype)
-    for j in range(cfg.n2):
-        if cfg.arch == "m2m":
-            subs = {
-                "m2mt": blocks.init_m2mt_params(rng, cfg, dtype),
-                "ang": blocks.init_angular_params(rng, cfg, dtype),
-            }
+    params: "OrderedDict[str, np.ndarray]" = OrderedDict()
+    for name, dims, init in param_specs(cfg):
+        if isinstance(init, tuple):
+            a = np.sqrt(6.0 / (init[0] + init[1]))
+            params[name] = rng.uniform(-a, a, size=dims).astype(dtype)
         else:
-            subs = {"sp": blocks.init_o2o_spatial_params(rng, cfg, dtype)}
-        for sub, ps in subs.items():
-            for n, a in ps.items():
-                params[f"block{j}.{sub}.{n}"] = a
-    params.update(_tail_params(rng, cfg, dtype))
-    return (Network if cfg.arch == "m2m" else O2OBaseline)(cfg, params)
+            params[name] = np.full(dims, init, dtype=dtype)
+    return _NETS[cfg.arch](cfg, params)
 
 
 def build_o2o(cfg: NetConfig, dtype=np.float32) -> O2OBaseline:
@@ -309,7 +333,7 @@ def _read_header(f):
     manifest = f.read(mlen)
     if len(manifest) < mlen:
         raise ValueError("weight file truncated inside its manifest")
-    entries = []
+    entries, seen = [], set()
     for line in manifest.decode().splitlines():
         if not line:
             continue
@@ -323,14 +347,11 @@ def _read_header(f):
         if not all(x.isascii() and x.isdigit() for x in nums):
             raise ValueError(f"bad weight manifest line {line!r}: dims and offset must be non-negative integers")
         *shape, offset = map(int, nums)
+        if name in seen:
+            raise ValueError(f"weight manifest names tensor {name!r} twice")
+        seen.add(name)
         entries.append((name, dts, tuple(shape), offset))
     return entries
-
-
-def read_manifest(path):
-    """Manifest entries [(name, dtype_str, dims_tuple, offset)] in file order."""
-    with open(path, "rb") as f:
-        return _read_header(f)
 
 
 def load_weights(path) -> "OrderedDict[str, np.ndarray]":
@@ -348,30 +369,12 @@ def load_weights(path) -> "OrderedDict[str, np.ndarray]":
     return out
 
 
-def load_into(net: _SrNet, path) -> None:
-    """Load weights by name; the file must hold exactly the registry's
-    tensors, each with matching dims."""
-    loaded = load_weights(path)
-    for name in loaded:
-        if name not in net.params:
-            raise ValueError(f"weight file has tensor {name!r}, which this network does not")
-    for name, arr in net.params.items():
-        if name not in loaded:
-            raise ValueError(f"weight file is missing tensor {name!r}")
-        if loaded[name].shape != arr.shape:
-            raise ValueError(
-                f"tensor {name!r}: file dims {loaded[name].shape} != expected {arr.shape}"
-            )
-        net.params[name] = loaded[name].astype(arr.dtype, copy=False)
-
-
-def config_from_manifest(entries, u: int, v: int) -> NetConfig:
-    """Reconstruct the architecture from weight-manifest names and dims.
+def config_from_manifest(shapes, u: int, v: int) -> NetConfig:
+    """Reconstruct the architecture from a weight file's name -> dims mapping.
 
     The weight file stores tensors only, so the angular grid (u, v) must come
     from the input; everything else is implied by layer dims.
     """
-    shapes = {n: shp for n, _, shp, _ in entries}
     if "head.0.w" not in shapes:
         raise ValueError("weight file has no head.0.w; not a network weight file")
 
@@ -408,8 +411,24 @@ def config_from_manifest(entries, u: int, v: int) -> NetConfig:
 
 
 def net_from_file(path, u: int, v: int, dtype=np.float32):
-    """Build the right architecture for a weight file and load it."""
-    cfg = config_from_manifest(read_manifest(path), u, v)
-    net = build(cfg, dtype)
-    load_into(net, path)
-    return net
+    """The architecture a weight file implies, holding the file's tensors.
+
+    The file must hold exactly the tensors of param_specs for that
+    architecture, each with matching dims.
+    """
+    loaded = load_weights(path)
+    cfg = config_from_manifest({n: a.shape for n, a in loaded.items()}, u, v)
+    cfg.validate()
+    specs = param_specs(cfg)
+    expected = {name for name, _, _ in specs}
+    for name in loaded:
+        if name not in expected:
+            raise ValueError(f"weight file has tensor {name!r}, which this network does not")
+    params: "OrderedDict[str, np.ndarray]" = OrderedDict()
+    for name, dims, _ in specs:
+        if name not in loaded:
+            raise ValueError(f"weight file is missing tensor {name!r}")
+        if loaded[name].shape != dims:
+            raise ValueError(f"tensor {name!r}: file dims {loaded[name].shape} != expected {dims}")
+        params[name] = loaded[name].astype(dtype, copy=False)
+    return _NETS[cfg.arch](cfg, params)

@@ -6,10 +6,12 @@ angular path mixes views only within one spatial location, and every
 sub-block degenerates to the identity at zero weights.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from m2mtnet import blocks, lftensor, ops
+from m2mtnet import blocks, lftensor, network, ops
 from m2mtnet.autodiff import Tape, Var
 from m2mtnet.network import NetConfig
 
@@ -21,10 +23,17 @@ def _rand_lf(rng, dims=DIMS):
     return rng.standard_normal(dims)
 
 
-def _cfg(dims=DIMS, c_cor=6):
-    """A NetConfig whose grid and channel count match a field of dims."""
+def _cfg(dims=DIMS, c_cor=6, seed=0):
+    """A one-block NetConfig whose grid and channel count match a field of dims."""
     u, v, _, _, c = dims
-    return NetConfig(u=u, v=v, c=c, c_cor=c_cor)
+    return NetConfig(u=u, v=v, c=c, c_cor=c_cor, n1=1, n2=1, seed=seed)
+
+
+def _params(cfg, sub):
+    """Block 0's `sub` ("m2mt", "ang" or "sp") parameters of build(cfg), float64."""
+    arch = "o2o" if sub == "sp" else "m2m"
+    net = network.build(replace(cfg, arch=arch), np.float64)
+    return network._subview(net.params, f"block0.{sub}.")
 
 
 def _zeroed(params):
@@ -39,9 +48,8 @@ def _zeroed(params):
 
 class TestInitializers:
     def test_m2mt_param_shapes(self):
-        rng = np.random.default_rng(0)
         u, v, c, c_cor = 2, 2, 4, 6
-        p = blocks.init_m2mt_params(rng, NetConfig(u=u, v=v, c=c, c_cor=c_cor), np.float64)
+        p = _params(NetConfig(u=u, v=v, c=c, c_cor=c_cor), "m2mt")
         assert p["pos1.w"].shape == (c, c, 3, 3)
         assert p["encode.w"].shape == (u * v * c, c_cor)
         assert p["q.w"].shape == (c_cor, c_cor)
@@ -50,28 +58,25 @@ class TestInitializers:
         assert all(p[f"{n}.b"].shape == (c_cor,) for n in ("q", "k", "v", "proj"))
 
     def test_angular_ffn_off_by_default(self):
-        rng = np.random.default_rng(2)
-        p = blocks.init_angular_params(rng, _cfg(), np.float64)
+        p = _params(_cfg(), "ang")
         assert "pos_embed" in p and p["pos_embed"].shape == (4, 4)
         assert not any(k.startswith("ffn") for k in p)
 
     def test_fixed_transformer_keys(self):
         # one design: pre-norm q/k/v + projection, FFN of width 2*d except angular
-        rng = np.random.default_rng(1)
         attn = ["att_norm.g", "att_norm.b", "q.w", "q.b", "k.w", "k.b", "v.w", "v.b", "proj.w", "proj.b"]
         ffn = ["ffn_norm.g", "ffn_norm.b", "ffn1.w", "ffn1.b", "ffn2.w", "ffn2.b"]
         cfg = _cfg()
-        m2mt = blocks.init_m2mt_params(rng, cfg, np.float64)
+        m2mt = _params(cfg, "m2mt")
         assert list(m2mt) == ["pos1.w", "pos1.b", "pos2.w", "pos2.b", "encode.w", "encode.b",
                               *attn, *ffn, "decode.w", "decode.b"]
-        assert list(blocks.init_angular_params(rng, cfg, np.float64)) == ["pos_embed", *attn]
-        o2o = blocks.init_o2o_spatial_params(rng, cfg, np.float64)
+        assert list(_params(cfg, "ang")) == ["pos_embed", *attn]
+        o2o = _params(cfg, "sp")
         assert list(o2o) == [*attn, *ffn]
         assert o2o["ffn1.w"].shape == (4, 8) and o2o["ffn2.w"].shape == (8, 4)
 
     def test_glorot_bounds_and_zero_biases(self):
-        rng = np.random.default_rng(4)
-        p = blocks.init_m2mt_params(rng, _cfg(c_cor=8), np.float64)
+        p = _params(_cfg(c_cor=8), "m2mt")
         bound = np.sqrt(6.0 / (16 + 8))
         assert np.all(np.abs(p["encode.w"]) <= bound)
         np.testing.assert_array_equal(p["encode.b"], 0.0)
@@ -79,8 +84,8 @@ class TestInitializers:
         np.testing.assert_array_equal(p["att_norm.b"], 0.0)
 
     def test_deterministic_given_seed(self):
-        p1 = blocks.init_m2mt_params(np.random.default_rng(7), _cfg(), np.float64)
-        p2 = blocks.init_m2mt_params(np.random.default_rng(7), _cfg(), np.float64)
+        p1 = _params(_cfg(seed=7), "m2mt")
+        p2 = _params(_cfg(seed=7), "m2mt")
         for k in p1:
             np.testing.assert_array_equal(p1[k], p2[k])
 
@@ -119,7 +124,7 @@ class TestZeroWeightIdentities:
         for dims in (DIMS, SKEW):
             x = _rand_lf(rng, dims)
             cfg = _cfg(dims)
-            p = _zeroed(blocks.init_m2mt_params(rng, cfg, np.float64))
+            p = _zeroed(_params(cfg, "m2mt"))
             out = blocks.m2mt_forward(Var(x), p).value
             np.testing.assert_array_equal(out, x)
 
@@ -128,7 +133,7 @@ class TestZeroWeightIdentities:
         for dims in (DIMS, SKEW):
             x = _rand_lf(rng, dims)
             cfg = _cfg(dims)
-            p = _zeroed(blocks.init_angular_params(rng, cfg, np.float64))
+            p = _zeroed(_params(cfg, "ang"))
             out = blocks.angular_forward(Var(x), p).value
             np.testing.assert_array_equal(out, x)
 
@@ -137,7 +142,7 @@ class TestZeroWeightIdentities:
         for dims in (DIMS, SKEW):
             x = _rand_lf(rng, dims)
             cfg = _cfg(dims)
-            p = _zeroed(blocks.init_o2o_spatial_params(rng, cfg, np.float64))
+            p = _zeroed(_params(cfg, "sp"))
             out = blocks.o2o_spatial_forward(Var(x), p).value
             np.testing.assert_array_equal(out, x)
 
@@ -156,7 +161,7 @@ class TestReceptiveField:
         for dims in (DIMS, SKEW):
             x = _rand_lf(rng, dims)
             cfg = _cfg(dims)
-            p = blocks.init_m2mt_params(rng, cfg, np.float64)
+            p = _params(cfg, "m2mt")
             delta = self._perturb_delta(
                 lambda v: blocks.m2mt_forward(v, p), x, (0, 0, 1, 1, 0)
             )
@@ -168,7 +173,7 @@ class TestReceptiveField:
         for dims in (DIMS, SKEW):
             x = _rand_lf(rng, dims)
             cfg = _cfg(dims)
-            p = blocks.init_o2o_spatial_params(rng, cfg, np.float64)
+            p = _params(cfg, "sp")
             delta = self._perturb_delta(
                 lambda v: blocks.o2o_spatial_forward(v, p), x, (0, 0, 1, 1, 0)
             )
@@ -182,7 +187,7 @@ class TestReceptiveField:
         for dims in (DIMS, SKEW):
             x = _rand_lf(rng, dims)
             cfg = _cfg(dims)
-            p = blocks.init_angular_params(rng, cfg, np.float64)
+            p = _params(cfg, "ang")
             delta = self._perturb_delta(
                 lambda v: blocks.angular_forward(v, p), x, (0, 0, 1, 2, 0)
             )
@@ -198,7 +203,7 @@ class TestWiring:
         """out - in == (projected) attention of the normalized stream."""
         rng = np.random.default_rng(14)
         cfg = _cfg()
-        p = blocks.init_m2mt_params(rng, cfg, np.float64)
+        p = _params(cfg, "m2mt")
         x = rng.standard_normal((9, 6))
         got = blocks.spatial_self_attention(Var(x), p).value - x
         normed = ops.layer_norm(Var(x), Var(p["att_norm.g"]), Var(p["att_norm.b"]))
@@ -213,8 +218,8 @@ class TestWiring:
     def test_correlation_block_composition(self):
         rng = np.random.default_rng(15)
         cfg = _cfg()
-        pm = blocks.init_m2mt_params(rng, cfg, np.float64)
-        pa = blocks.init_angular_params(rng, cfg, np.float64)
+        pm = _params(cfg, "m2mt")
+        pa = _params(cfg, "ang")
         x = _rand_lf(rng)
         got = blocks.correlation_block_forward(Var(x), pm, pa).value
         inner = blocks.angular_forward(blocks.m2mt_forward(Var(x), pm), pa).value
@@ -223,8 +228,8 @@ class TestWiring:
     def test_gradients_flow_through_block(self):
         rng = np.random.default_rng(17)
         cfg = _cfg()
-        pm = blocks.init_m2mt_params(rng, cfg, np.float64)
-        pa = blocks.init_angular_params(rng, cfg, np.float64)
+        pm = _params(cfg, "m2mt")
+        pa = _params(cfg, "ang")
         t = Tape()
         x = t.var(_rand_lf(rng))
         pmv = {k: t.var(v) for k, v in pm.items()}

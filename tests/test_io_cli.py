@@ -125,6 +125,19 @@ class TestLfDir:
         with pytest.raises(ValueError, match="missing view"):
             lfio.load_lf_dir(d)
 
+    @pytest.mark.parametrize("twin", ["view_u00_v0.pgm", "view_u0_v0.ppm"])
+    def test_two_files_for_one_view_rejected(self, tmp_path, twin):
+        d, _ = _lf_dir(tmp_path, w=2, h=2)
+        lfio.write_pgm(d / "view_u0_v0.pgm", np.full((2, 2), 0.25), 255)
+        if twin.endswith(".ppm"):
+            (d / twin).write_bytes(b"P6\n2 2\n255\n" + bytes([255] * 12))
+        else:
+            lfio.write_pgm(d / twin, np.ones((2, 2)), 255)
+        with pytest.raises(ValueError) as e:
+            lfio.load_lf_dir(d)
+        first, second = sorted(["view_u0_v0.pgm", twin])
+        assert str(e.value) == f"{first} and {second} are both view (u=0, v=0) in {d}"
+
     def test_dim_mismatch_rejected(self, tmp_path):
         d, _ = _lf_dir(tmp_path)
         lfio.write_pgm(d / "view_u0_v0.pgm", np.zeros((3, 3)), 255)
@@ -323,6 +336,31 @@ class TestCli:
         d, _ = _lf_dir(tmp_path)
         capsys.readouterr()
         args = {"--window": "8,8,4", "--sigma": "2.0", flag: value}
+        argv = ["lam", "--weights", str(weights), "--input", str(d), "--steps", "2"]
+        rc = cli.main(argv + [a for kv in args.items() for a in kv])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--window", "14,8,4", "window (14, 8, 4) exceeds the 16x16 view"),
+            ("--sai", "2,0", "sai (2, 0) outside the 2x2 grid"),
+        ],
+        ids=["window", "sai"],
+    )
+    def test_lam_bad_window_or_sai_before_any_forward(self, tmp_path, capsys, monkeypatch, flag, value, message):
+        cfg = _write_cfg(tmp_path)
+        weights = tmp_path / "w.m2mw"
+        cli.main(["init", "--config", str(cfg), "--out-weights", str(weights)])
+        d, _ = _lf_dir(tmp_path)
+        capsys.readouterr()
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward ran before --window and --sai were checked")
+
+        monkeypatch.setattr(network._SrNet, "forward_var", no_forward)
+        args = {"--window": "8,8,4", flag: value}
         argv = ["lam", "--weights", str(weights), "--input", str(d), "--steps", "2"]
         rc = cli.main(argv + [a for kv in args.items() for a in kv])
         assert rc == 1

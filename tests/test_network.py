@@ -4,13 +4,14 @@ Small configurations are used throughout; the full-size parameter and flop
 totals are pinned separately in the acceptance tests.
 """
 
+import hashlib
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from m2mtnet import blocks, network, ops
+from m2mtnet import network, ops
 from m2mtnet.autodiff import Var
 from m2mtnet.lftensor import LfTensor
 from m2mtnet.network import NetConfig
@@ -20,6 +21,11 @@ SMALL = NetConfig(u=2, v=2, c=4, c_cor=6, n1=2, n2=2, r=2, seed=3)
 
 def _rand_lf(rng, cfg, w=4, h=4):
     return LfTensor(rng.standard_normal((cfg.u, cfg.v, w, h, 1)))
+
+
+def _shapes(path):
+    """The name -> dims mapping of a weight file."""
+    return {n: a.shape for n, a in network.load_weights(path).items()}
 
 
 class TestConfig:
@@ -189,19 +195,19 @@ class TestWeightFiles:
         for k in loaded:
             np.testing.assert_array_equal(loaded[k], net.params[k])
 
-    def test_load_into_checks_dims(self, tmp_path):
+    def test_net_from_file_checks_dims(self, tmp_path):
         net = network.build(SMALL)
+        net.params["block0.m2mt.q.b"] = np.zeros(7, np.float32)
         p = tmp_path / "w.m2mw"
         network.save_weights(p, net)
-        other = network.build(NetConfig(**{**SMALL.__dict__, "c": 6}))
-        with pytest.raises(ValueError, match="dims"):
-            network.load_into(other, p)
+        with pytest.raises(ValueError, match=re.escape("tensor 'block0.m2mt.q.b': file dims (7,) != expected (6,)")):
+            network.net_from_file(p, SMALL.u, SMALL.v)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.m2mw"
         p.write_bytes(b"WRONG" + bytes(8))
         with pytest.raises(ValueError, match="magic"):
-            network.read_manifest(p)
+            network.load_weights(p)
 
     def test_truncated_header_or_manifest(self, tmp_path):
         p = tmp_path / "w.m2mw"
@@ -219,7 +225,7 @@ class TestWeightFiles:
         manifest = b"head.0.w\tf32\t4\t0\nhead.0.b\tf32\t4\n"
         p.write_bytes(b"M2MW1" + len(manifest).to_bytes(4, "little") + manifest)
         with pytest.raises(ValueError, match=r"manifest line 'head\.0\.b\\tf32\\t4'"):
-            network.read_manifest(p)
+            network.load_weights(p)
 
     @pytest.mark.parametrize(
         "line", [b"head.0.w\tf32\t3,x\t0", b"head.0.w\tf32\t3,4\t1.5", b"head.0.w\tf32\t3,4\t-8"]
@@ -229,7 +235,7 @@ class TestWeightFiles:
         manifest = line + b"\n"
         p.write_bytes(b"M2MW1" + len(manifest).to_bytes(4, "little") + manifest)
         with pytest.raises(ValueError, match=re.escape(f"bad weight manifest line {line.decode()!r}: dims and offset")):
-            network.read_manifest(p)
+            network.load_weights(p)
 
     def test_truncated_payload(self, tmp_path):
         net = network.build(SMALL)
@@ -249,7 +255,7 @@ class TestWeightFiles:
             net = network.build(cfg) if cfg.arch == "m2m" else network.build_o2o(cfg)
             p = tmp_path / "w.m2mw"
             network.save_weights(p, net)
-            got = network.config_from_manifest(network.read_manifest(p), cfg.u, cfg.v)
+            got = network.config_from_manifest(_shapes(p), cfg.u, cfg.v)
             # seed and flop convention are not stored in weights; the
             # baseline never uses c_cor, so it is not recoverable either
             want = dict(cfg.__dict__)
@@ -277,8 +283,6 @@ class TestWeightFiles:
         network.save_weights(p, net)
         with pytest.raises(ValueError, match=f"has tensor '{extra}'"):
             network.net_from_file(p, cfg.u, cfg.v)
-        with pytest.raises(ValueError, match=f"has tensor '{extra}'"):
-            network.load_into(network.build(cfg), p)
 
     @pytest.mark.parametrize("name", ["blocks_extra", "blockX.m2mt.q.w", "block.0.sp.q.w"])
     def test_bad_block_name_is_named(self, tmp_path, name):
@@ -296,7 +300,7 @@ class TestWeightFiles:
         p = tmp_path / "w.m2mw"
         network.save_weights(p, net)
         with pytest.raises(ValueError, match=f"tensor '{name}' has dims"):
-            network.config_from_manifest(network.read_manifest(p), SMALL.u, SMALL.v)
+            network.config_from_manifest(_shapes(p), SMALL.u, SMALL.v)
 
     def test_wrong_grid_fails_loudly(self, tmp_path):
         net = network.build(SMALL)
@@ -309,44 +313,112 @@ class TestWeightFiles:
 TOY = NetConfig(u=2, v=2, c=3, c_cor=5, n1=2, n2=1, r=2)
 
 
-def _per_arch_params(cfg, arch, dtype=np.float64):
-    """Parameters as the former separate m2m and o2o builders assembled them."""
-    rng = np.random.default_rng(cfg.seed)
-    params = network._head_params(rng, cfg, dtype)
-    for j in range(cfg.n2):
-        if arch == "m2m":
-            pm = blocks.init_m2mt_params(rng, cfg, dtype)
-            params.update((f"block{j}.m2mt.{n}", a) for n, a in pm.items())
-            pa = blocks.init_angular_params(rng, cfg, dtype)
-            params.update((f"block{j}.ang.{n}", a) for n, a in pa.items())
-        else:
-            ps = blocks.init_o2o_spatial_params(rng, cfg, dtype)
-            params.update((f"block{j}.sp.{n}", a) for n, a in ps.items())
-    params.update(network._tail_params(rng, cfg, dtype))
-    return params
+def _digest(net):
+    """SHA-256 over the name, dtype, dims and bytes of every parameter, in order."""
+    h = hashlib.sha256()
+    for n, a in net.params.items():
+        h.update(f"{n} {a.dtype.str} {a.shape}\n".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# _digest of build(replace(cfg, arch=arch), dtype), as drawn by the per-block
+# initializers that param_specs replaced; a changed draw order, bound or
+# registry order shows here.
+DIGESTS = {
+    ("SMALL", "m2m", "f64"): "423e530810c70d2548459348d98f7827a932e8aa27cad53781c2e9fd1c9fb15c",
+    ("SMALL", "o2o", "f64"): "633788545d241ecb0b9156d3ee8abf4d8efc5eb0d08203df6a75fb8302aa5309",
+    ("TOY", "m2m", "f32"): "758250937416fde3d380ad4812c617a8061bc5a9229ad1d66e7ee96916557645",
+    ("TOY", "m2m", "f64"): "93d3f0ee08664162e13bfc3b2a5848111f14385f1ee1abde1f49487fb31e7a94",
+    ("TOY", "o2o", "f32"): "efabc0690feead47bb6938d9d6bb89b6758fb43962266f2424101af0cf63a5cd",
+    ("TOY", "o2o", "f64"): "2363e81fe04785e654100c6855494d36d3ed6752f709c749acd93a849b0cfeb5",
+}
 
 
 class TestArchDispatch:
-    def _assert_params(self, net, want):
-        assert list(net.params) == list(want)
-        for n, a in want.items():
-            np.testing.assert_array_equal(net.params[n], a)
-
     def test_build_follows_cfg_arch(self):
         m2m = network.build(SMALL, np.float64)
         assert type(m2m) is network.Network and m2m.cfg.arch == "m2m"
-        self._assert_params(m2m, _per_arch_params(SMALL, "m2m"))
+        assert _digest(m2m) == DIGESTS["SMALL", "m2m", "f64"]
         o2o = network.build(replace(SMALL, arch="o2o"), np.float64)
         assert type(o2o) is network.O2OBaseline and o2o.cfg.arch == "o2o"
-        self._assert_params(o2o, _per_arch_params(SMALL, "o2o"))
+        assert _digest(o2o) == DIGESTS["SMALL", "o2o", "f64"]
 
     def test_build_o2o_records_its_arch(self):
         net = network.build_o2o(TOY, np.float64)
         assert type(net) is network.O2OBaseline and net.cfg.arch == "o2o"
-        self._assert_params(net, _per_arch_params(TOY, "o2o"))
+        assert _digest(net) == DIGESTS["TOY", "o2o", "f64"]
         # the cost model of the built baseline is the baseline's
         assert network.count_flops(net.cfg, 8)[1] == 444416
         assert network.count_flops(TOY, 8)[1] == 391168
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
+    def test_build_bytes_pinned(self, arch, dtype):
+        net = network.build(replace(TOY, arch=arch), {"f32": np.float32, "f64": np.float64}[dtype])
+        assert _digest(net) == DIGESTS["TOY", arch, dtype]
+
+
+class TestParamSpecs:
+    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
+    def test_names_and_dims_are_the_built_nets(self, arch):
+        cfg = replace(SMALL, arch=arch)
+        net = network.build(cfg)
+        assert [(n, d) for n, d, _ in network.param_specs(cfg)] == [(n, a.shape) for n, a in net.params.items()]
+        for name, _, init in network.param_specs(cfg):
+            if not isinstance(init, tuple):
+                np.testing.assert_array_equal(net.params[name], init)
+
+    def test_net_from_file_reads_once_and_draws_nothing(self, tmp_path, monkeypatch):
+        net = network.build(SMALL, np.float64)
+        p = tmp_path / "w.m2mw"
+        network.save_weights(p, net)
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("net_from_file drew from an RNG")
+
+        monkeypatch.setattr(network, "open", counting_open, raising=False)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        again = network.net_from_file(p, SMALL.u, SMALL.v, np.float64)
+        assert opened == [p]
+        assert type(again) is network.Network and again.cfg == replace(SMALL, seed=0)
+        assert list(again.params) == list(net.params)
+        for n, a in net.params.items():
+            assert again.params[n].dtype == a.dtype
+            np.testing.assert_array_equal(again.params[n], a)
+
+    def test_missing_tensor_named(self, tmp_path):
+        net = network.build(SMALL)
+        del net.params["block1.ang.v.b"]
+        p = tmp_path / "w.m2mw"
+        network.save_weights(p, net)
+        with pytest.raises(ValueError) as e:
+            network.net_from_file(p, SMALL.u, SMALL.v)
+        assert str(e.value) == "weight file is missing tensor 'block1.ang.v.b'"
+
+    def test_tail_implying_r3_refused_by_validate(self, tmp_path):
+        net = network.build(SMALL)
+        net.params["tail.expand.w"] = np.zeros((9 * SMALL.c, SMALL.c, 1, 1), np.float32)
+        net.params["tail.expand.b"] = np.zeros(9 * SMALL.c, np.float32)
+        p = tmp_path / "w.m2mw"
+        network.save_weights(p, net)
+        with pytest.raises(ValueError) as e:
+            network.net_from_file(p, SMALL.u, SMALL.v)
+        assert str(e.value) == "upscale factor must be 2 or 4, got 3"
+
+    def test_manifest_naming_a_tensor_twice_refused(self, tmp_path):
+        p = tmp_path / "w.m2mw"
+        payload = np.ones(2, "<f4").tobytes() + np.full(2, 7.0, "<f4").tobytes()
+        manifest = b"head.0.w\tf32\t2\t0\nhead.0.w\tf32\t2\t8\n"
+        p.write_bytes(b"M2MW1" + len(manifest).to_bytes(4, "little") + manifest + payload)
+        with pytest.raises(ValueError) as e:
+            network.load_weights(p)
+        assert str(e.value) == "weight manifest names tensor 'head.0.w' twice"
 
 
 class TestCostModelMatchesForward:

@@ -1,18 +1,23 @@
-"""The benchmark tracer can patch and restore every program name it wraps.
+"""The benchmark still runs on this program.
 
 `perfbench.tracer.Tracer` replaces module attributes and methods of
 m2mtnet by name, so renaming one of them in `src/` breaks traced benchmark
-runs.  This guard fails fast in the main suite when that happens.
+runs; and each workload calls the program's public names and checks its
+output against stored references.  These guards fail fast in the main
+suite when either breaks.
 """
 
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from perfbench.tracer import Tracer  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
 
 
 def _current(owner, attr):
@@ -34,3 +39,12 @@ def test_install_wraps_and_uninstall_restores_every_target():
         tracer.uninstall()
     for (owner, attr), orig in zip(names, before):
         assert _current(owner, attr) is orig, f"{attr} was not restored"
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_tiny_workload_matches_its_reference(name, tmp_path):
+    w = WORKLOADS[name](0, tiny=True)
+    w.prepare(tmp_path)
+    w.setup(tmp_path)
+    w.load()
+    assert w.check(w.request(), w.reference()) == []
