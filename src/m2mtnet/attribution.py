@@ -26,7 +26,7 @@ falls as attribution concentrates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -203,24 +203,40 @@ def lam(net, lr: LfTensor, cfg: LamConfig) -> LamResult:
     """Attribution of net's output window w.r.t. every input pixel.
 
     Runs in float64 whatever the stored weight dtype.  net may be either
-    architecture; it only needs astype, forward_var and param_vars.
+    architecture; it only needs astype, forward_var and param_vars.  The
+    parameters are constants, so each backward computes the input gradient
+    alone.
+
+    A net whose class sets mixes_views = False (the per-view baseline) is
+    run on the probed view only: the input grid is checked against net.cfg,
+    then each path sample's view s goes through type(net) built with
+    u = v = 1 on the same parameters, and the gradient lands in view s of
+    an otherwise zero map.  That map equals the full-grid one exactly,
+    since such a net gives every other view zero gradient.  A net without
+    the attribute is taken to mix views.
     """
     cfg.validate()
     s = cfg.steps
     path = [gaussian_path(lr, k, cfg).data for k in range(s + 1)]
     net64 = net.astype(np.float64)
     acc = np.zeros_like(path[0])
+    sai, view = cfg.sai, (slice(None), slice(None))
+    if not getattr(net, "mixes_views", True):
+        net.check_input(lr.data.shape)
+        su, sv = _resolve_sai(lr.data.shape, cfg.sai)
+        net64 = type(net)(replace(net.cfg, u=1, v=1), net64.params)
+        sai, view = (0, 0), (slice(su, su + 1), slice(sv, sv + 1))
     for k in range(1, s + 1):
         tape = Tape()
-        x = Var(path[k], tape)
+        x = Var(path[k][view], tape)
         out = net64.forward_var(x, net64.param_vars(None))
-        d = _detector_var(out, cfg.window, cfg.sai)
+        d = _detector_var(out, cfg.window, sai)
         tape.backward(d, np.float64(1.0))
         if cfg.literal:
             nxt = min(k + 1, s)
-            acc += x.grad * (path[k] - path[nxt]) / s
+            acc[view] += x.grad * (path[k][view] - path[nxt][view]) / s
         else:
-            acc += x.grad * (path[k] - path[k - 1])
+            acc[view] += x.grad * (path[k][view] - path[k - 1][view])
     amap = np.abs(acc).sum(axis=4)
     macpi = to_macpi(LfTensor(amap[..., None]))[:, :, 0]
     try:

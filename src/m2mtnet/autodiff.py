@@ -12,8 +12,11 @@ freed as soon as they have been used.  A spent tape refuses a second
 backward and any further record.
 
 A Var may belong to at most one tape; ops refuse to mix Vars from different
-tapes.  Vars created without a tape act as constants — they flow through ops
-but record nothing on their own.
+tapes.  Vars created without a tape act as constants: they flow through ops
+but record nothing on their own, and get no gradient.  backward() gives a
+constant parent nothing, and the ops' vjps skip computing its gradient, so
+a forward whose parameters are constants (attribution) pays only for the
+gradients it reads.  To train a parameter, put it on the tape.
 """
 from __future__ import annotations
 
@@ -28,10 +31,11 @@ class Var:
     """A value in the computation: ndarray payload plus gradient slot.
 
     grad always has the same dims as value and starts at zeros (allocated
-    lazily so constant-only forward passes stay cheap).  After backward, grad
-    may share memory with other Vars' gradients (a vjp may hand one array to
-    several parents, and the first contribution is stored without a copy), so
-    it must not be written in place.
+    lazily so constant-only forward passes stay cheap).  A constant, a Var
+    without a tape, keeps zeros: backward never gives it a gradient.  After
+    backward, grad may share memory with other Vars' gradients (a vjp may
+    hand one array to several parents, and the first contribution is stored
+    without a copy), so it must not be written in place.
     """
 
     __slots__ = ("value", "_grad", "tape")
@@ -72,7 +76,9 @@ class Tape:
     Records are appended in execution order, so every parent Var was created
     before the record that consumes it; replaying in reverse is a valid
     topological order for backpropagation.  len(tape) counts the records
-    not yet replayed: 0 once backward has run.
+    not yet replayed: 0 once backward has run.  A record's vjp may return
+    None for a parent, and should for a constant parent (tape None), whose
+    gradient backward drops anyway.
     """
 
     def __init__(self):
@@ -93,7 +99,8 @@ class Tape:
         return 0 if self._records is None else len(self._records)
 
     def backward(self, output: Var, seed) -> None:
-        """Accumulate d(seed . output)/d(leaf) into .grad of every reachable Var.
+        """Accumulate d(seed . output)/d(leaf) into .grad of every reachable
+        Var on this tape; constants get nothing.
 
         seed must match output's dims.  Each record's vjp runs exactly once,
         in reverse execution order, and the record is dropped before the next
@@ -116,7 +123,7 @@ class Tape:
             out, parents, vjp = records.pop()
             grads = vjp(out.grad)
             for p, g in zip(parents, grads):
-                if p is None or g is None:
+                if p is None or g is None or p.tape is None:
                     continue
                 if g.shape != p.value.shape:
                     raise ValueError(

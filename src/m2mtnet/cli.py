@@ -1,12 +1,14 @@
 """Command-line front end: analysis and inference subcommands.
 
-All numeric output is printed to 6 significant digits.  Malformed inputs,
+All numeric output is printed to 6 significant digits, except JSON output
+(`lam --json`), which keeps full float precision.  Malformed inputs,
 missing files, and dimension mismatches produce a one-line diagnostic on
 stderr and a nonzero exit code.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import fields, replace
 
@@ -123,17 +125,30 @@ def _cmd_lam(args) -> int:
     attribution._resolve_sai((lf.u, lf.v), cfg.sai)
     attribution._check_window(cfg.window, net.cfg.r * lf.w, net.cfg.r * lf.h)
     res = attribution.lam(net, lf, cfg)
-    print(f"di={_f(res.di)}")
-    print(f"gini={_f(res.gini_coeff)}")
-    print(f"degenerate={'true' if res.degenerate else 'false'}")
     nonzero = int((res.map.max(axis=(2, 3)) > 0).sum())
-    print(f"views_with_support={nonzero}/{lf.u * lf.v}")
+    if not args.json:
+        print(f"di={_f(res.di)}")
+        print(f"gini={_f(res.gini_coeff)}")
+        print(f"degenerate={'true' if res.degenerate else 'false'}")
+        print(f"views_with_support={nonzero}/{lf.u * lf.v}")
     if args.out_map:
         write_lft1(args.out_map, res.map.astype(np.float64))
         print(f"wrote {args.out_map}")
     if args.out_heatmap:
         attribution.save_heatmap_pgm(args.out_heatmap, res.macpi)
         print(f"wrote {args.out_heatmap}")
+    if args.json:
+        report = {
+            "di": res.di,
+            "gini": res.gini_coeff,
+            "degenerate": res.degenerate,
+            "views_with_support": nonzero,
+            "u": lf.u,
+            "v": lf.v,
+            "steps": cfg.steps,
+            "mode": args.mode,
+        }
+        print(json.dumps(report))
     return 0
 
 
@@ -295,6 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--central", type=int, default=None)
     p.add_argument("--out-map", default=None, help="write the (U,V,W,H) map as a tensor file")
     p.add_argument("--out-heatmap", default=None, help="write the macro-pixel map as PGM")
+    p.add_argument("--json", action="store_true", help="report as one JSON object, the last stdout line")
     p.set_defaults(fn=_cmd_lam)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every op and a toy net")

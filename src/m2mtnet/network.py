@@ -75,7 +75,15 @@ class NetConfig:
 
 
 class _SrNet:
-    """Shared head/tail plumbing; subclasses provide the block stack."""
+    """Shared head/tail plumbing; subclasses provide the block stack.
+
+    mixes_views says whether an output view can depend on other input
+    views.  A net that does not mix them, and whose parameters do not depend
+    on U or V, computes each view as the same net built with u = v = 1
+    would; attribution uses that to run one view.
+    """
+
+    mixes_views = True
 
     def __init__(self, cfg: NetConfig, params: "OrderedDict[str, np.ndarray]"):
         self.cfg = cfg
@@ -101,14 +109,20 @@ class _SrNet:
     def _blocks_forward(self, x: Var, pv) -> Var:
         raise NotImplementedError
 
-    def forward_var(self, x: Var, pv: "OrderedDict[str, Var]") -> Var:
-        """Differentiable forward: Var (U,V,W,H,1) -> Var (U,V,rW,rH,1)."""
+    def check_input(self, dims) -> None:
+        """Refuse input dims other than (cfg.u, cfg.v, W, H, 1)."""
         cfg = self.cfg
-        uu, vv, w, h, cin = x.value.shape
+        uu, vv, _, _, cin = dims
         if (uu, vv) != (cfg.u, cfg.v):
             raise ValueError(f"input grid {uu}x{vv} != configured {cfg.u}x{cfg.v}")
         if cin != 1:
             raise ValueError(f"network expects 1 input channel, got {cin}")
+
+    def forward_var(self, x: Var, pv: "OrderedDict[str, Var]") -> Var:
+        """Differentiable forward: Var (U,V,W,H,1) -> Var (U,V,rW,rH,1)."""
+        cfg = self.cfg
+        self.check_input(x.value.shape)
+        w, h = x.value.shape[2:4]
         out_dims = (cfg.u, cfg.v, cfg.r * w, cfg.r * h, 1)
 
         img = blocks.lf_to_images(x)
@@ -149,6 +163,8 @@ class Network(_SrNet):
 
 class O2OBaseline(_SrNet):
     """Per-view baseline: identical head/tail, isolated spatial transformers."""
+
+    mixes_views = False
 
     def _blocks_forward(self, x: Var, pv) -> Var:
         for j in range(self.cfg.n2):
@@ -386,6 +402,8 @@ def config_from_manifest(shapes, u: int, v: int) -> NetConfig:
         return shapes[name]
 
     c = dims("head.0.w", 4)[0]
+    if c < 1:
+        raise ValueError(f"tensor 'head.0.w' has dims {shapes['head.0.w']}: C must be >= 1")
     n1 = sum(1 for n in shapes if n.startswith("head.") and n.endswith(".w"))
     block_ids = set()
     for n in shapes:

@@ -6,8 +6,10 @@ the one place an op joins the tape: the output lives on the parents' tape,
 or is a constant when no parent has one, and the vjp is recorded only in
 the first case.  A vjp maps the output gradient to one gradient per parent,
 in the order of `parents`; it may read the parents' values, which the
-record keeps alive anyway.  Ops never mutate input arrays.  Dtype follows
-the inputs: float32 stays float32, float64 stays float64.
+record keeps alive anyway.  A constant parent (no tape) gets None, and the
+vjp skips the work only that gradient needs, such as a conv's kernel GEMMs
+or a linear's dW.  Ops never mutate input arrays.  Dtype follows the
+inputs: float32 stays float32, float64 stays float64.
 """
 from __future__ import annotations
 
@@ -66,8 +68,12 @@ def _op(value, parents: tuple[Var, ...], vjp: Callable) -> Var:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum g down to `shape`, undoing numpy broadcasting."""
+def _unbroadcast(g: np.ndarray, p: Var) -> np.ndarray | None:
+    """Sum g down to p's dims, undoing numpy broadcasting; None when p is a
+    constant."""
+    if p.tape is None:
+        return None
+    shape = p.shape
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
@@ -101,12 +107,17 @@ def _scatter(part: np.ndarray, live: np.ndarray | None, n: int) -> np.ndarray:
 
 def add(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return _op(a.value + b.value, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    return _op(a.value + b.value, (a, b), lambda g: (_unbroadcast(g, a), _unbroadcast(g, b)))
 
 
 def sub(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return _op(a.value - b.value, (a, b), lambda g: (_unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)))
+
+    def vjp(g):
+        gb = _unbroadcast(g, b)
+        return (_unbroadcast(g, a), None if gb is None else -gb)
+
+    return _op(a.value - b.value, (a, b), vjp)
 
 
 def mul(a, b) -> Var:
@@ -114,7 +125,10 @@ def mul(a, b) -> Var:
     return _op(
         a.value * b.value,
         (a, b),
-        lambda g: (_unbroadcast(g * b.value, a.shape), _unbroadcast(g * a.value, b.shape)),
+        lambda g: (
+            None if a.tape is None else _unbroadcast(g * b.value, a),
+            None if b.tape is None else _unbroadcast(g * a.value, b),
+        ),
     )
 
 
@@ -198,8 +212,8 @@ def matmul(a, b) -> Var:
         a.value @ b.value,
         (a, b),
         lambda g: (
-            _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.shape),
-            _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.shape),
+            None if a.tape is None else _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a),
+            None if b.tape is None else _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b),
         ),
     )
 
@@ -215,7 +229,11 @@ def linear(x, w, b) -> Var:
 
     def vjp(g):
         g2 = g.reshape(-1, dout)
-        return ((g @ w.value.T).reshape(x.shape), x.value.reshape(-1, din).T @ g2, g2.sum(axis=0))
+        return (
+            None if x.tape is None else (g @ w.value.T).reshape(x.shape),
+            None if w.tape is None else x.value.reshape(-1, din).T @ g2,
+            None if b.tape is None else g2.sum(axis=0),
+        )
 
     return _op(x.value @ w.value + b.value, (x, w, b), vjp)
 
@@ -314,7 +332,8 @@ def conv2d(x, kernel, bias) -> Var:
     is scattered into zeros and the kernel gradient sums over them alone;
     the bias gradient sums the full g.  A skipped image gets +0 where the
     dense path could give -0, or NaN when the forward held inf or NaN there
-    (0 * NaN is NaN).  Every parent still gets a full-shape gradient.
+    (0 * NaN is NaN).  Every taped parent gets a full-shape gradient; a
+    constant one gets None, so a constant kernel costs no kernel GEMMs.
     """
     x, kernel, bias = as_var(x), as_var(kernel), as_var(bias)
     squeeze = x.value.ndim == 3
@@ -333,18 +352,25 @@ def conv2d(x, kernel, bias) -> Var:
     def vjp(g):
         kv = kernel.value
         gv = g[None] if squeeze else g
-        gb = gv.sum(axis=(0, 2, 3))
         live = _live(gv)
-        xs, gs = (xv, gv) if live is None else (xv[live], gv[live])
-        if len(gs):
-            gk = _conv_kernel_grad(xs, gs, kh, pad)
-            # input grad = correlation with the spatially flipped, channel-swapped kernel
-            kt = kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx = _scatter(_conv_value(gs, kt, None, pad), live, len(gv))
-        else:
-            gk = np.zeros(kv.shape, np.result_type(xv, gv))
-            gx = np.zeros(xv.shape, np.result_type(gv, kv))
-        return (gx[0] if squeeze else gx, gk, gb)
+        gs = gv if live is None else gv[live]
+        gx = gk = gb = None
+        if kernel.tape is not None:
+            if len(gs):
+                gk = _conv_kernel_grad(xv if live is None else xv[live], gs, kh, pad)
+            else:
+                gk = np.zeros(kv.shape, np.result_type(xv, gv))
+        if x.tape is not None:
+            if len(gs):
+                # input grad = correlation with the spatially flipped, channel-swapped kernel
+                kt = kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+                gx = _scatter(_conv_value(gs, kt, None, pad), live, len(gv))
+            else:
+                gx = np.zeros(xv.shape, np.result_type(gv, kv))
+            gx = gx[0] if squeeze else gx
+        if bias.tape is not None:
+            gb = gv.sum(axis=(0, 2, 3))
+        return (gx, gk, gb)
 
     y = _conv_value(xv, kernel.value, bias.value, pad)
     return _op(y[0] if squeeze else y, (x, kernel, bias), vjp)
@@ -390,6 +416,17 @@ def _scores(buf: np.ndarray, a: np.ndarray, bt: np.ndarray, b: slice, r: slice) 
     return np.matmul(a[b, r], bt[b], out=buf[: b.stop - b.start, : r.stop - r.start])
 
 
+def _into(acc: np.ndarray | None, b: slice, r: slice, a: np.ndarray, c: np.ndarray) -> None:
+    """acc[b] = a @ c for an instance's first row block, acc[b] += a @ c for
+    a later one; nothing when acc is None (a constant's dk or dv)."""
+    if acc is None:
+        return
+    if r.start == 0:
+        np.matmul(a, c, out=acc[b])
+    else:
+        acc[b] += a @ c
+
+
 def attention(q, k, v) -> Var:
     """Scaled dot-product attention softmax(q kT / sqrt(D)) v, one tape record.
 
@@ -411,8 +448,9 @@ def attention(q, k, v) -> Var:
     a nonzero entry (a NaN or inf in g counts as one), gathered and tiled
     afresh; the others get zero dq, dk and dv.  A skipped instance gets +0
     where the dense path could give -0, or NaN when the forward held inf or
-    NaN there (0 * NaN is NaN).  Every parent still gets a full-shape
-    gradient.
+    NaN there (0 * NaN is NaN).  Every taped parent gets a full-shape
+    gradient; a constant one gets None and its GEMMs are skipped (dS too,
+    when q and k are both constants).
     """
     q, k, v = as_var(q), as_var(k), as_var(v)
     qv, kv, vv = q.value, k.value, v.value
@@ -452,7 +490,7 @@ def attention(q, k, v) -> Var:
         if live is not None:
             qs, ks, vs, outs, lses, gs = (a[live] for a in (q3, k3, v3, o3, lse, g3))
             vblocks, vdims = _score_blocks(len(live), tq, tk, sdt.itemsize)
-        gq, gk, gv = np.empty(qs.shape, gdt), np.empty(ks.shape, gdt), np.empty(vs.shape, gdt)
+        gq, gk, gv = (None if x.tape is None else np.empty(a.shape, gdt) for x, a in ((q, qs), (k, ks), (v, vs)))
         p_buf, ds_buf = np.empty(vdims, sdt), np.empty(vdims, gdt)
         kts, vts = np.swapaxes(ks, -1, -2), np.swapaxes(vs, -1, -2)
         for b, r in vblocks:
@@ -460,20 +498,20 @@ def attention(q, k, v) -> Var:
             p -= lses[b, r]
             np.exp(p, out=p)
             gb = gs[b, r]
+            _into(gv, b, r, np.swapaxes(p, -1, -2), gb)
+            if gq is None and gk is None:
+                continue
             ds = _scores(ds_buf, gs, vts, b, r)
             ds -= (gb * outs[b, r]).sum(axis=-1, keepdims=True)
             ds *= p
-            np.matmul(ds, ks[b], out=gq[b, r])
-            pt, dst = np.swapaxes(p, -1, -2), np.swapaxes(ds, -1, -2)
-            # an instance's first block writes its dk and dv; later row blocks add
-            if r.start == 0:
-                np.matmul(pt, gb, out=gv[b])
-                np.matmul(dst, qs[b, r], out=gk[b])
-            else:
-                gv[b] += pt @ gb
-                gk[b] += dst @ qs[b, r]
-        gq *= c
-        return tuple(_scatter(a, live, n).reshape(x.shape) for a, x in ((gq, q), (gk, k), (gv, v)))
+            if gq is not None:
+                np.matmul(ds, ks[b], out=gq[b, r])
+            _into(gk, b, r, np.swapaxes(ds, -1, -2), qs[b, r])
+        if gq is not None:
+            gq *= c
+        return tuple(
+            None if a is None else _scatter(a, live, n).reshape(x.shape) for a, x in ((gq, q), (gk, k), (gv, v))
+        )
 
     return _op(o3.reshape(batch + o3.shape[1:]), (q, k, v), vjp)
 
@@ -491,12 +529,16 @@ def layer_norm(x, gain, offset, eps: float = 1e-5) -> Var:
     xhat = xc * inv
 
     def vjp(g):
-        dxhat = g * gain.value
-        dg = (g * xhat).reshape(-1, d).sum(axis=0)
-        db = g.reshape(-1, d).sum(axis=0)
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
+        dx = dg = db = None
+        if x.tape is not None:
+            dxhat = g * gain.value
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            dx = inv * (dxhat - m1 - xhat * m2)
+        if gain.tape is not None:
+            dg = (g * xhat).reshape(-1, d).sum(axis=0)
+        if offset.tape is not None:
+            db = g.reshape(-1, d).sum(axis=0)
         return (dx, dg, db)
 
     return _op(xhat * gain.value + offset.value, (x, gain, offset), vjp)

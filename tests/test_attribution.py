@@ -6,9 +6,11 @@ the standard rule telescopes to g*(input - blurriest), the literal rule to
 g*(path[1] - input)/steps.  Those identities pin the wiring.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +259,12 @@ class TestLamOnNetwork:
         assert 0.0 <= res.gini_coeff <= 1.0
         assert res.di == pytest.approx((1 - res.gini_coeff) * 100.0)
 
+    def test_o2o_wrong_grid_rejected(self):
+        net = network.build(network.NetConfig(u=3, v=2, c=4, c_cor=6, n1=2, n2=1, r=2, arch="o2o"), np.float64)
+        lf = LfTensor(np.random.default_rng(2).random((2, 3, 8, 8, 1)))
+        with pytest.raises(ValueError, match="^input grid 2x3 != configured 3x2$"):
+            attribution.lam(net, lf, LamConfig(window=(4, 4, 4), steps=2, sigma=2.0))
+
     def test_heatmap_written_and_scaled(self, tmp_path):
         m = np.array([[0.0, 1.0], [2.0, 4.0]])
         p = tmp_path / "h.pgm"
@@ -283,3 +291,50 @@ class TestLamOnNetwork:
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
             LamConfig(window=(0, 0, 2), sigma=sigma).validate()
+
+
+class _FullGridO2O(network.O2OBaseline):
+    """The per-view baseline with the one-view shortcut off, so lam takes
+    the plain forward_var path over the whole grid."""
+
+    mixes_views = True
+
+
+class TestLamOneView:
+    """lam runs a view-local net on the probed view alone; the map must be
+    the full-grid one, bit for bit."""
+
+    CFG = network.NetConfig(u=3, v=2, c=4, c_cor=6, n1=2, n2=1, r=2, seed=1)
+    # SHA-256 of the m2m map, computed while lam ran every net on the full
+    # grid and every vjp computed the parameter gradients too
+    M2M_DIGESTS = {
+        True: "a82a378df977b2bffcccb594acaf602185a75512cd55cae1fddee5eab2a4f7bd",
+        False: "8975e420507b9707cffd062790ebf1202c45b20bcd3c1b19d91411fb7f0a4866",
+    }
+
+    @staticmethod
+    def _run(net, literal):
+        lf = LfTensor(np.random.default_rng(11).random((3, 2, 8, 8, 1)))
+        # sai (2, 0) is off the central view (1, 1) of the 3x2 grid
+        return attribution.lam(net, lf, LamConfig(window=(3, 5, 6), steps=3, sigma=2.0, sai=(2, 0), literal=literal))
+
+    @pytest.mark.parametrize("literal", [True, False], ids=["literal", "standard"])
+    def test_o2o_one_view_equals_full_grid(self, literal):
+        net = network.build(replace(self.CFG, arch="o2o"), np.float64)
+        assert not net.mixes_views
+        one = self._run(net, literal)
+        full = self._run(_FullGridO2O(net.cfg, net.params), literal)
+        np.testing.assert_array_equal(one.map, full.map)
+        assert one.di == full.di and one.gini_coeff == full.gini_coeff
+        np.testing.assert_array_equal(one.macpi, full.macpi)
+        # the shortcut is exact because every other view is zero anyway
+        off = full.map.copy()
+        off[2, 0] = 0.0
+        assert np.all(off == 0.0) and full.map[2, 0].max() > 0
+
+    @pytest.mark.parametrize("literal", [True, False], ids=["literal", "standard"])
+    def test_m2m_map_unchanged(self, literal):
+        net = network.build(self.CFG, np.float64)
+        assert net.mixes_views
+        res = self._run(net, literal)
+        assert hashlib.sha256(res.map.tobytes()).hexdigest() == self.M2M_DIGESTS[literal]

@@ -2,15 +2,27 @@
 
 The tape replays vjps in reverse execution order and accumulates into
 .grad, so shared subexpressions sum their contributions (product rule).
+Constants, Vars without a tape, get no gradient.
 """
 
+import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from m2mtnet import ops
+from m2mtnet import network, ops
 from m2mtnet.autodiff import Tape, Var, gradcheck, rel_error
+
+TOY = network.NetConfig(u=2, v=2, c=3, c_cor=5, n1=2, n2=1, r=2)
+
+# SHA-256 of x.grad in test_constant_parameters_get_no_gradient, computed
+# while constants still received (and the vjps still computed) gradients
+INPUT_GRAD_DIGESTS = {
+    "m2m": "84997599f6cdca93abc128d9b91f77b88e91c2c36fb7c63818ff56e30e64f226",
+    "o2o": "09d6321a78484dc0d06e20841b689903d36da6365e786d1db0935e3760578721",
+}
 
 
 class TestVar:
@@ -78,15 +90,30 @@ class TestTape:
         t.backward(y, 5.0)
         np.testing.assert_allclose(x.grad, [20.0])
 
-    def test_constants_also_accumulate(self):
-        # tape-less Vars still collect gradients; they just never train
+    def test_constants_get_no_gradient(self):
+        # tape-less Vars flow through ops but backward gives them nothing
         t = Tape()
         x = t.var(np.full(2, 2.0))
         c = Var(np.full(2, 3.0))
         y = ops.vsum(ops.mul(x, c))
         t.backward(y, 1.0)
-        np.testing.assert_allclose(x.grad, [3.0, 3.0])
-        np.testing.assert_allclose(c.grad, [2.0, 2.0])
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+        np.testing.assert_array_equal(c.grad, [0.0, 0.0])
+
+    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
+    def test_constant_parameters_get_no_gradient(self, arch):
+        """A taped forward with constant parameters, as attribution runs it,
+        leaves every parameter without a gradient, and the input gradient
+        is the one the net gave when constants still took gradients."""
+        net = network.build(replace(TOY, arch=arch), np.float64)
+        rng = np.random.default_rng(5)
+        t = Tape()
+        x = t.var(rng.random((2, 2, 4, 4, 1)))
+        pv = net.param_vars(None)
+        out = net.forward_var(x, pv)
+        t.backward(out, rng.standard_normal(out.shape))
+        assert [n for n, p in pv.items() if p._grad is not None] == []
+        assert hashlib.sha256(x.grad.tobytes()).hexdigest() == INPUT_GRAD_DIGESTS[arch]
 
     def test_backward_rejects_foreign_output(self):
         t1, t2 = Tape(), Tape()

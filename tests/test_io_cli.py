@@ -4,6 +4,7 @@ CLI subcommands run in-process through main(argv); error paths must print
 one line to stderr and return exit code 1.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -319,6 +320,30 @@ class TestCli:
         img, _ = lfio.read_pgm(heat)
         assert img.shape == (8 * 2, 8 * 2)
 
+    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
+    def test_lam_json_is_the_last_line(self, tmp_path, capsys, arch):
+        cfg = _write_cfg(tmp_path, arch=arch)
+        weights = tmp_path / "w.m2mw"
+        cli.main(["init", "--config", str(cfg), "--out-weights", str(weights)])
+        d, _ = _lf_dir(tmp_path)
+        capsys.readouterr()
+        rc = cli.main(
+            [
+                "lam", "--weights", str(weights), "--input", str(d), "--window", "8,8,4",
+                "--steps", "3", "--sigma", "2.0", "--sai", "0,1", "--mode", "standard",
+                "--out-map", str(tmp_path / "map.lft"), "--json",
+            ]
+        )
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == [f"wrote {tmp_path / 'map.lft'}"]
+        rep = json.loads(lines[-1])
+        assert set(rep) == {"di", "gini", "degenerate", "views_with_support", "u", "v", "steps", "mode"}
+        assert (rep["u"], rep["v"], rep["steps"], rep["mode"]) == (2, 2, 3, "standard")
+        assert rep["degenerate"] is False
+        assert rep["views_with_support"] == (4 if arch == "m2m" else 1)
+        assert rep["di"] == pytest.approx((1 - rep["gini"]) * 100.0)
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [
@@ -493,6 +518,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"missing tensor {missing!r}" in err
+
+    def test_sr_weights_with_zero_channels_exit_one(self, tmp_path, capsys):
+        net = network.build(network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2, arch="o2o"))
+        net.params["head.0.w"] = np.zeros((0, 1, 3, 3), np.float32)
+        weights = tmp_path / "w.m2mw"
+        network.save_weights(weights, net)
+        d, _ = _lf_dir(tmp_path)
+        capsys.readouterr()
+        rc = cli.main(
+            ["sr", "--weights", str(weights), "--input", str(d), "--output", str(tmp_path / "o")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: tensor 'head.0.w' has dims (0, 1, 3, 3): C must be >= 1\n"
 
     @pytest.mark.parametrize("legacy", ["norm", "out_proj", "ffn", "angular_ffn", "ffn_ratio"])
     def test_sr_rejects_switched_legacy_weights(self, tmp_path, capsys, legacy):
