@@ -68,12 +68,8 @@ def _op(value, parents: tuple[Var, ...], vjp: Callable) -> Var:
     return out
 
 
-def _unbroadcast(g: np.ndarray, p: Var) -> np.ndarray | None:
-    """Sum g down to p's dims, undoing numpy broadcasting; None when p is a
-    constant."""
-    if p.tape is None:
-        return None
-    shape = p.shape
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum g down to `shape`, undoing numpy broadcasting."""
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
@@ -107,17 +103,26 @@ def _scatter(part: np.ndarray, live: np.ndarray | None, n: int) -> np.ndarray:
 
 def add(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return _op(a.value + b.value, (a, b), lambda g: (_unbroadcast(g, a), _unbroadcast(g, b)))
+    return _op(
+        a.value + b.value,
+        (a, b),
+        lambda g: (
+            None if a.tape is None else _unbroadcast(g, a.shape),
+            None if b.tape is None else _unbroadcast(g, b.shape),
+        ),
+    )
 
 
 def sub(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-
-    def vjp(g):
-        gb = _unbroadcast(g, b)
-        return (_unbroadcast(g, a), None if gb is None else -gb)
-
-    return _op(a.value - b.value, (a, b), vjp)
+    return _op(
+        a.value - b.value,
+        (a, b),
+        lambda g: (
+            None if a.tape is None else _unbroadcast(g, a.shape),
+            None if b.tape is None else -_unbroadcast(g, b.shape),
+        ),
+    )
 
 
 def mul(a, b) -> Var:
@@ -126,8 +131,8 @@ def mul(a, b) -> Var:
         a.value * b.value,
         (a, b),
         lambda g: (
-            None if a.tape is None else _unbroadcast(g * b.value, a),
-            None if b.tape is None else _unbroadcast(g * a.value, b),
+            None if a.tape is None else _unbroadcast(g * b.value, a.shape),
+            None if b.tape is None else _unbroadcast(g * a.value, b.shape),
         ),
     )
 
@@ -212,8 +217,8 @@ def matmul(a, b) -> Var:
         a.value @ b.value,
         (a, b),
         lambda g: (
-            None if a.tape is None else _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a),
-            None if b.tape is None else _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b),
+            None if a.tape is None else _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.shape),
+            None if b.tape is None else _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.shape),
         ),
     )
 
