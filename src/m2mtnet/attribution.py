@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import ops
+from . import lfio, ops
 from .autodiff import Tape, Var
 from .lftensor import LfTensor, to_macpi
 from .metrics import _gaussian_taps
@@ -252,10 +252,4 @@ def save_heatmap_pgm(path, map2d: np.ndarray) -> None:
     if m.ndim != 2:
         raise ValueError(f"heatmap needs a 2-D map, got ndim {m.ndim}")
     lo, hi = float(m.min()), float(m.max())
-    if hi > lo:
-        q = np.rint((m - lo) / (hi - lo) * 255.0).astype(np.uint8)
-    else:
-        q = np.zeros(m.shape, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode())
-        f.write(q.tobytes())
+    lfio.write_pgm(path, (m - lo) / (hi - lo) if hi > lo else np.zeros(m.shape), 255)

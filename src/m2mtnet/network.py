@@ -19,6 +19,7 @@ import re
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,8 +55,9 @@ class NetConfig:
     n2: int = 8
     r: int = 4
     seed: int = 0
-    flops_per_mac: int = 2
     arch: str = "m2m"
+    # FLOPs per multiply-accumulate in count_flops: a multiply and an add
+    flops_per_mac: ClassVar[int] = 2
 
     def validate(self) -> None:
         if min(self.u, self.v, self.c, self.c_cor) < 1:
@@ -66,8 +68,6 @@ class NetConfig:
             raise ValueError(f"n2 must be >= 1, got {self.n2}")
         if self.r not in (2, 4):
             raise ValueError(f"upscale factor must be 2 or 4, got {self.r}")
-        if self.flops_per_mac not in (1, 2):
-            raise ValueError(f"flops_per_mac must be 1 or 2, got {self.flops_per_mac}")
         if self.arch not in ("m2m", "o2o"):
             raise ValueError(f"arch must be 'm2m' or 'o2o', got {self.arch!r}")
         if self.seed < 0:
@@ -259,8 +259,8 @@ def count_flops(cfg: NetConfig, patch: int = 32):
 
     Counting convention: a conv contributes fpm*Cout*Cin*kh*kw*Hout*Wout per
     view, a linear fpm*Din*Dout per token, attention fpm*T*T*D*2 + 5*T*T per
-    instance, where fpm = cfg.flops_per_mac (2 counts multiply+add, 1 counts
-    MACs).  Biases, norms, activations, reshapes, pixel shuffle and the
+    instance, where fpm = NetConfig.flops_per_mac = 2 (a multiply and an
+    add).  Biases, norms, activations, reshapes, pixel shuffle and the
     bicubic residual are not counted.
     """
     cfg.validate()

@@ -251,11 +251,25 @@ def _shift_spans(s: int, n: int) -> tuple[slice, slice]:
     return slice(max(0, -s), n - max(0, s)), slice(max(0, s), n + min(0, s))
 
 
+def _im2col(x: np.ndarray, kh: int, pad: int) -> np.ndarray:
+    """Channels-last windows (B,H,W,kh,kh,C) of the zero-padded x (B,C,H,W);
+    every copy moves contiguous runs of C values."""
+    bsz, cin, h, w = x.shape
+    xp = np.zeros((bsz, h + 2 * pad, w + 2 * pad, cin), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((bsz, h, w, kh, kh, cin), dtype=x.dtype)
+    for dy in range(kh):
+        for dx in range(kh):
+            cols[:, :, :, dy, dx] = xp[:, dy:dy + h, dx:dx + w]
+    return cols
+
+
 def _conv_value(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
-    """Shape-preserving cross-correlation, x (B,C,H,W), k (Co,Ci,kh,kw).
+    """Shape-preserving cross-correlation, x (B,C,H,W) only, k (Co,Ci,kh,kw).
 
     The strategy follows the shapes (see conv2d); no branch gathers an
-    im2col through a transposing copy.
+    im2col through a transposing copy.  The 3x3 Cout >= Cin branch
+    multiplies _im2col's columns, the ones every kernel gradient uses.
     """
     bsz, cin, h, w = x.shape
     cout, _, kh, kw = k.shape
@@ -273,16 +287,10 @@ def _conv_value(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
                 ox, ix = _shift_spans(dx - pad, w)
                 y[:, :, oy, ox] += z[:, dy, dx, :, iy, ix]
     else:
-        # channels-last im2col: every copy moves contiguous runs of Ci values
-        xp = np.zeros((bsz, h + 2 * pad, w + 2 * pad, cin), dtype=x.dtype)
-        xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
-        cols = np.empty((bsz, h, w, kh, kw, cin), dtype=x.dtype)
-        for dy in range(kh):
-            for dx in range(kw):
-                cols[:, :, :, dy, dx] = xp[:, dy:dy + h, dx:dx + w]
-        kt = k.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
-        y = (cols.reshape(bsz * h * w, -1) @ kt).reshape(bsz, h, w, cout)
-        y = np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+        # the columns are bound to no name: a local would keep them alive
+        # through the copy back to (B,Cout,H,W) and raise peak memory
+        y = _im2col(x, kh, pad).reshape(bsz * h * w, kh * kw * cin) @ k.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
+        y = np.ascontiguousarray(y.reshape(bsz, h, w, cout).transpose(0, 3, 1, 2))
     y = y.reshape(bsz, cout, h, w)
     if b is not None:
         y += b.reshape(cout, 1, 1)
@@ -290,30 +298,13 @@ def _conv_value(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
 
 
 def _conv_kernel_grad(x: np.ndarray, g: np.ndarray, kh: int, pad: int) -> np.ndarray:
-    """d/dk of sum(g * conv(x, k)): per tap, one batched GEMM of g against
-    the flattened padded input shifted by that tap's flat offset."""
-    bsz, cin, h, w = x.shape
-    cout = g.shape[1]
-    wp = w + 2 * pad
-    n = h * wp - 2 * pad
-    xp, gq = x, g
-    if pad:
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        # g laid out on the padded row width; the pad columns stay zero
-        gq = np.zeros((bsz, cout, h, wp), dtype=g.dtype)
-        gq[..., :w] = g
-    xp = xp.reshape(bsz, cin, -1)
-    gq = gq.reshape(bsz, cout, -1)[..., :n]
-    gk = np.empty((cout, cin, kh, kh), dtype=np.result_type(x, g))
-    for dy in range(kh):
-        for dx in range(kh):
-            off = dy * wp + dx
-            gk[:, :, dy, dx] = np.matmul(gq, xp[..., off:off + n].transpose(0, 2, 1)).sum(axis=0)
-    return gk
+    """d/dk of sum(g * conv(x, k)): one GEMM of g against x's im2col columns."""
+    gk = np.tensordot(g, _im2col(x, kh, pad), axes=((0, 2, 3), (0, 1, 2)))
+    return gk.transpose(0, 3, 1, 2)
 
 
 def conv2d(x, kernel, bias) -> Var:
-    """2D convolution over (B, C, H, W) or (C, H, W), stride 1, same padding.
+    """2D convolution over (B, C, H, W), stride 1, same padding.
 
     Kernel dims (Cout, Cin, kh, kw) with kh == kw in {1, 3}; padding is
     (kh-1)//2 so spatial dims are preserved.
@@ -324,27 +315,26 @@ def conv2d(x, kernel, bias) -> Var:
       - 3x3, Cout < Cin: one GEMM of all 9 taps against the input, whose
         tap planes are then summed, each shifted by its tap offset;
         B*9*Cout*H*W tap planes.
-      - 3x3, Cout >= Cin: a channels-last im2col times the kernel; B*Cin*P
-        padded input, B*H*W*9*Cin columns, B*H*W*Cout channels-last output
-        before the copy back to (B,Cout,H,W).
-    The kernel gradient is one batched GEMM per tap against the shifted
-    padded input (B*Cin*P, plus B*Cout*H*(W+2) for the gradient on the
-    padded row width); the input gradient is the flipped-kernel
-    convolution, which picks its own branch.
+      - 3x3, Cout >= Cin: a channels-last im2col (_im2col) times the
+        kernel; B*Cin*P padded input, B*H*W*9*Cin columns, B*H*W*Cout
+        channels-last output before the copy back to (B,Cout,H,W).
+    The kernel gradient, 1x1 or 3x3, is one GEMM of g against the same
+    im2col columns (B*H*W*9*Cin, B*H*W*Cin for 1x1); the input gradient is
+    the flipped-kernel convolution, which picks its own branch.
 
     The vjp works on the live images only, those whose output gradient has
     a nonzero entry (a NaN or inf in g counts as one): their input gradient
     is scattered into zeros and the kernel gradient sums over them alone;
-    the bias gradient sums the full g.  A skipped image gets +0 where the
-    dense path could give -0, or NaN when the forward held inf or NaN there
+    the bias gradient sums the full g.  With no live image both run on an
+    empty batch and give +0.  A skipped image gets +0 where the dense path
+    could give -0, or NaN when the forward held inf or NaN there
     (0 * NaN is NaN).  Every taped parent gets a full-shape gradient; a
-    constant one gets None, so a constant kernel costs no kernel GEMMs.
+    constant one gets None, so a constant kernel costs no kernel GEMM.
     """
     x, kernel, bias = as_var(x), as_var(kernel), as_var(bias)
-    squeeze = x.value.ndim == 3
-    xv = x.value[None] if squeeze else x.value
+    xv = x.value
     if xv.ndim != 4:
-        raise ValueError(f"conv2d: input needs (B,C,H,W) or (C,H,W), got ndim {x.value.ndim}")
+        raise ValueError(f"conv2d: input needs (B,C,H,W), got ndim {xv.ndim}")
     cout, cin, kh, kw = kernel.value.shape
     if kh != kw or kh not in (1, 3):
         raise ValueError(f"conv2d: kernel must be square 1x1 or 3x3, got {kh}x{kw}")
@@ -355,30 +345,20 @@ def conv2d(x, kernel, bias) -> Var:
     pad = (kh - 1) // 2
 
     def vjp(g):
-        kv = kernel.value
-        gv = g[None] if squeeze else g
-        live = _live(gv)
-        gs = gv if live is None else gv[live]
+        live = _live(g)
+        gs = g if live is None else g[live]
         gx = gk = gb = None
         if kernel.tape is not None:
-            if len(gs):
-                gk = _conv_kernel_grad(xv if live is None else xv[live], gs, kh, pad)
-            else:
-                gk = np.zeros(kv.shape, np.result_type(xv, gv))
+            gk = _conv_kernel_grad(xv if live is None else xv[live], gs, kh, pad)
         if x.tape is not None:
-            if len(gs):
-                # input grad = correlation with the spatially flipped, channel-swapped kernel
-                kt = kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                gx = _scatter(_conv_value(gs, kt, None, pad), live, len(gv))
-            else:
-                gx = np.zeros(xv.shape, np.result_type(gv, kv))
-            gx = gx[0] if squeeze else gx
+            # input grad = correlation with the spatially flipped, channel-swapped kernel
+            kt = kernel.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gx = _scatter(_conv_value(gs, kt, None, pad), live, len(g))
         if bias.tape is not None:
-            gb = gv.sum(axis=(0, 2, 3))
+            gb = g.sum(axis=(0, 2, 3))
         return (gx, gk, gb)
 
-    y = _conv_value(xv, kernel.value, bias.value, pad)
-    return _op(y[0] if squeeze else y, (x, kernel, bias), vjp)
+    return _op(_conv_value(xv, kernel.value, bias.value, pad), (x, kernel, bias), vjp)
 
 
 # ---------------------------------------------------------------------------

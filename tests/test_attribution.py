@@ -273,6 +273,20 @@ class TestLamOnNetwork:
         assert maxval == 255
         np.testing.assert_array_equal(img, [[0, 64], [128, 255]])
 
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("random", "a03c508158dc5cb85378a6d897eed9de4113f064cd94c12ae9bc377af807720e"),
+            ("constant", "1756f2d25871b0b60e6fb3b9b392310e3ffb6a0c0165613d2ed95e1f4a9a3a29"),
+        ],
+    )
+    def test_heatmap_bytes_pinned(self, tmp_path, name, digest):
+        # digests of the files written before save_heatmap_pgm went through lfio.write_pgm
+        m = np.random.default_rng(5).standard_normal((7, 9)) if name == "random" else np.full((4, 6), 0.25)
+        p = tmp_path / "h.pgm"
+        attribution.save_heatmap_pgm(p, m)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+
     def test_heatmap_constant_map(self, tmp_path):
         p = tmp_path / "h.pgm"
         attribution.save_heatmap_pgm(p, np.full((3, 3), 2.0))

@@ -222,7 +222,7 @@ class TestConfigFile:
 
     def test_every_netconfig_field_round_trips(self, tmp_path):
         want = network.NetConfig(
-            u=3, v=4, c=5, c_cor=7, n1=2, n2=3, r=2, seed=9, flops_per_mac=1, arch="o2o",
+            u=3, v=4, c=5, c_cor=7, n1=2, n2=3, r=2, seed=9, arch="o2o",
         )
         defaults = network.NetConfig()
         for f in fields(network.NetConfig):
@@ -492,10 +492,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("key", ["norm", "out_proj", "ffn", "angular_ffn", "ffn_ratio"])
+    @pytest.mark.parametrize("key", ["norm", "out_proj", "ffn", "angular_ffn", "ffn_ratio", "flops_per_mac"])
     def test_removed_config_key_exits_one(self, tmp_path, capsys, key):
-        # the transformer sub-block design is fixed; its old switches are unknown keys
-        p = _write_cfg(tmp_path, **{key: 2 if key == "ffn_ratio" else "true"})
+        # the transformer sub-block design and the FLOP convention are fixed;
+        # their old switches are unknown keys
+        p = _write_cfg(tmp_path, **{key: 2 if key in ("ffn_ratio", "flops_per_mac") else "true"})
         assert cli.main(["params", "--config", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1

@@ -34,7 +34,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("n1", 0), ("n2", 0), ("r", 3), ("flops_per_mac", 3), ("arch", "both"), ("seed", -1)],
+        [("n1", 0), ("n2", 0), ("r", 3), ("arch", "both"), ("seed", -1)],
     )
     def test_rejects_bad_values(self, field, value):
         cfg = NetConfig(**{**SMALL.__dict__, field: value})
@@ -161,10 +161,6 @@ class TestCostModel:
         cfgs = [NetConfig(**{**SMALL.__dict__, "n2": n}) for n in (1, 2, 3)]
         totals = [network.count_flops(c, 8)[1] for c in cfgs]
         assert totals[2] - totals[1] == totals[1] - totals[0]
-
-    def test_flops_per_mac_switch(self):
-        one = NetConfig(**{**SMALL.__dict__, "flops_per_mac": 1})
-        assert network.count_flops(SMALL, 8)[1] > network.count_flops(one, 8)[1]
 
     def test_param_count_closed_form_small(self):
         """Cross-check counted params against an independent closed form."""
@@ -475,7 +471,7 @@ class TestCostModelMatchesForward:
     @pytest.mark.parametrize("arch", ["m2m", "o2o"])
     @pytest.mark.parametrize(
         "switches",
-        [{}, {"flops_per_mac": 1}, {"r": 4}, {"flops_per_mac": 1, "r": 4}],
+        [{}, {"n1": 1}, {"r": 4}, {"n1": 1, "r": 4}],
     )
     def test_per_layer_and_total(self, arch, switches, monkeypatch):
         cfg = replace(NetConfig(u=2, v=3, c=4, c_cor=6, n1=2, n2=2, r=2), arch=arch, **switches)

@@ -144,11 +144,17 @@ class TestConv2d:
     @pytest.mark.parametrize("ksize", [1, 3])
     def test_matches_scipy_correlate(self, ksize):
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((3, 6, 5))
+        x = rng.standard_normal((1, 3, 6, 5))
         k = rng.standard_normal((2, 3, ksize, ksize))
         b = rng.standard_normal(2)
         out = ops.conv2d(Var(x), Var(k), Var(b))
-        np.testing.assert_allclose(out.value, self._reference(x, k, b), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(out.value[0], self._reference(x[0], k, b), rtol=1e-10, atol=1e-12)
+
+    def test_rejects_chw_input(self):
+        k, b = np.zeros((2, 3, 3, 3)), np.zeros(2)
+        with pytest.raises(ValueError) as e:
+            ops.conv2d(np.zeros((3, 6, 5)), k, b)
+        assert str(e.value) == "conv2d: input needs (B,C,H,W), got ndim 3"
 
     def test_batched_input(self):
         rng = np.random.default_rng(13)
@@ -178,14 +184,13 @@ _CONV_BRANCHES = {
     "in_wide": (4, 2, 3),
     "in_square": (3, 3, 3),
 }
-# (C,H,W) and batched inputs, H != W, and a spatial side of 1
-_CONV_INPUTS = [(5, 7), (2, 4, 6), (2, 1, 5), (6, 1)]
+# (B,H,W) of the input: one image and batches, H != W, and a spatial side of 1
+_CONV_INPUTS = [(1, 5, 7), (2, 4, 6), (2, 1, 5), (1, 6, 1)]
 
 
 def _conv_case(rng, branch, spatial, dtype=np.float64):
     cout, cin, k = _CONV_BRANCHES[branch]
-    xs = (cin,) + spatial if len(spatial) == 2 else (spatial[0], cin) + spatial[1:]
-    x = rng.standard_normal(xs).astype(dtype)
+    x = rng.standard_normal((spatial[0], cin) + spatial[1:]).astype(dtype)
     w = rng.standard_normal((cout, cin, k, k)).astype(dtype)
     b = rng.standard_normal(cout).astype(dtype)
     return x, w, b
@@ -196,8 +201,6 @@ class TestConv2dBranches:
 
     def _reference(self, x, k, b):
         x, k, b = (a.astype(np.float64) for a in (x, k, b))
-        if x.ndim == 3:
-            return _scipy_conv(x, k, b)
         return np.stack([_scipy_conv(xi, k, b) for xi in x])
 
     @pytest.mark.parametrize("spatial", _CONV_INPUTS)
@@ -205,7 +208,7 @@ class TestConv2dBranches:
     def test_matches_scipy_correlate_f64(self, branch, spatial):
         x, k, b = _conv_case(np.random.default_rng(40), branch, spatial)
         out = ops.conv2d(Var(x), Var(k), Var(b)).value
-        assert out.dtype == np.float64 and out.shape == (x.shape[:-3] + (k.shape[0],) + x.shape[-2:])
+        assert out.dtype == np.float64 and out.shape == (x.shape[0], k.shape[0]) + x.shape[2:]
         np.testing.assert_allclose(out, self._reference(x, k, b), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("spatial", _CONV_INPUTS)
@@ -276,8 +279,8 @@ def _conv_grads_dense(x, k, g):
 class TestConv2dSkipsZeroGradientImages:
     """The vjp works on images whose output gradient is nonzero only."""
 
-    # 3x3 with Cout >= Cin, 3x3 with Cout < Cin, and 1x1
-    BRANCHES = ["in_wide", "out_mid", "1x1"]
+    # every branch: the kernel gradient is one im2col GEMM in all of them
+    BRANCHES = sorted(_CONV_BRANCHES)
     DEAD = [0, 2, 4]  # first, a middle and the last of 5 images
 
     @pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 1e-10, 1e-12), (np.float32, 0, 1e-5)])
@@ -301,26 +304,16 @@ class TestConv2dSkipsZeroGradientImages:
         np.testing.assert_array_equal(gb, g.sum(axis=(0, 2, 3)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("branch", BRANCHES)
-    def test_single_image_input(self, branch, dtype):
-        rng = np.random.default_rng(46)
-        x, k, b = _conv_case(rng, branch, (6, 7), dtype)
-        g = rng.standard_normal((k.shape[0], 6, 7)).astype(dtype)
-        gx, gk, gb = _conv_grads(x, k, b, g)
-        bx, bk, bb = _conv_grads(x[None], k, b, g[None])
-        for got, ref in ((gx, bx[0]), (gk, bk), (gb, bb)):
-            assert got.dtype == dtype
-            np.testing.assert_array_equal(got, ref)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("spatial", [(6, 7), (3, 6, 7)])
+    @pytest.mark.parametrize("spatial", [(1, 6, 7), (3, 6, 7)])
     @pytest.mark.parametrize("branch", BRANCHES)
     def test_all_zero_gradient(self, branch, spatial, dtype):
+        # no live image: the vjp runs on an empty batch
         x, k, b = _conv_case(np.random.default_rng(47), branch, spatial, dtype)
-        g = np.zeros(x.shape[:-3] + (k.shape[0],) + x.shape[-2:], dtype)
+        g = np.zeros((x.shape[0], k.shape[0]) + x.shape[2:], dtype)
         for got, like in zip(_conv_grads(x, k, b, g), (x, k, b)):
             assert got.dtype == dtype and got.shape == like.shape
             np.testing.assert_array_equal(got, 0)
+            assert not np.signbit(got).any()
 
     def test_dead_image_holding_nan_gets_plus_zero(self):
         """0 * NaN would be NaN on the dense path; a skipped image is +0."""
