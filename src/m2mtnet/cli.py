@@ -222,6 +222,11 @@ def _gradcheck_battery(seed: int):
     qb, kb, vb = (rng.standard_normal(s) for s in ((2, 3, 4), (2, 5, 4), (2, 5, 3)))
     checks.append(("attention.k", gradcheck(lambda k: ops.vsum(ops.square(ops.attention(qb, k, vb))), kb)))
     checks.append(("attention.v", gradcheck(lambda v: ops.vsum(ops.square(ops.attention(qb, kb, v))), vb)))
+    # concat between two constants, under weights in [1, 2]: a misplaced slice shows
+    ca, wc = rng.standard_normal((1, 3)), 1.0 + rng.random((5, 3))
+    checks.append(
+        ("concat", gradcheck(lambda x: ops.vsum(ops.mul(ops.concat([ca, x, ca]), wc)), rng.standard_normal((3, 3))))
+    )
     return checks
 
 

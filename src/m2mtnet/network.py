@@ -118,8 +118,21 @@ class _SrNet:
         if cin != 1:
             raise ValueError(f"network expects 1 input channel, got {cin}")
 
+    def _tail(self, img: Var, pv) -> Var:
+        """(n, C, H, W) features -> (n, 1, rH, rW) images."""
+        img = ops.conv2d(img, pv["tail.expand.w"], pv["tail.expand.b"])
+        img = ops.pixel_shuffle(img, self.cfg.r)
+        return ops.conv2d(img, pv["tail.squeeze.w"], pv["tail.squeeze.b"])
+
     def forward_var(self, x: Var, pv: "OrderedDict[str, Var]") -> Var:
-        """Differentiable forward: Var (U,V,W,H,1) -> Var (U,V,rW,rH,1)."""
+        """Differentiable forward: Var (U,V,W,H,1) -> Var (U,V,rW,rH,1).
+
+        The tail runs per group of views (ops.batch_slices) whose expanded
+        r*r*C channels fit the ops chunk budget, so the expand output and
+        its pixel-shuffled copy exist for one group at a time; the groups'
+        outputs are joined by ops.concat.  When every view fits one group
+        the tail runs on the whole batch, with no slicing or joining.
+        """
         cfg = self.cfg
         self.check_input(x.value.shape)
         w, h = x.value.shape[2:4]
@@ -135,9 +148,11 @@ class _SrNet:
         feat = self._blocks_forward(feat, pv)
 
         img = blocks.lf_to_images(feat)
-        img = ops.conv2d(img, pv["tail.expand.w"], pv["tail.expand.b"])
-        img = ops.pixel_shuffle(img, cfg.r)
-        img = ops.conv2d(img, pv["tail.squeeze.w"], pv["tail.squeeze.b"])
+        groups = ops.batch_slices(len(img.value), cfg.r * cfg.r * cfg.c * w * h * img.value.itemsize)
+        if len(groups) == 1:
+            img = self._tail(img, pv)
+        else:
+            img = ops.concat([self._tail(ops.getitem(img, s), pv) for s in groups])
         sr = blocks.images_to_lf(img, out_dims)
 
         up = ops.resize_bicubic(blocks.lf_to_images(x), float(cfg.r))

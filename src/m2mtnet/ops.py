@@ -36,8 +36,10 @@ __all__ = [
     "reshape",
     "transpose",
     "getitem",
+    "concat",
     "linear",
     "conv2d",
+    "batch_slices",
     "softmax",
     "attention",
     "layer_norm",
@@ -207,6 +209,31 @@ def getitem(a, idx) -> Var:
     return _op(np.ascontiguousarray(a.value[idx]), (a,), vjp)
 
 
+def concat(xs, axis: int = 0) -> Var:
+    """Join Vars along `axis`; every other dim and the dtype must agree.
+    The gradient of each input is a view of its slice of g."""
+    xs = [as_var(x) for x in xs]
+    if not xs:
+        raise ValueError("concat: needs at least one input")
+    first = xs[0].value
+    ax = axis % max(first.ndim, 1)
+    off = lambda dims: dims[:ax] + dims[ax + 1:]
+    for x in xs[1:]:
+        if x.dtype != first.dtype:
+            raise ValueError(f"concat: dtype {x.dtype} != {first.dtype} of the first input")
+        if off(x.shape) != off(first.shape):
+            raise ValueError(f"concat: input dims {x.shape} do not match {first.shape} off axis {ax}")
+    ends = np.cumsum([x.shape[ax] for x in xs]).tolist()
+    lead = (slice(None),) * ax
+
+    def vjp(g):
+        return tuple(
+            None if x.tape is None else g[lead + (slice(e - x.shape[ax], e),)] for x, e in zip(xs, ends)
+        )
+
+    return _op(np.concatenate([x.value for x in xs], axis=ax), tuple(xs), vjp)
+
+
 # ---------------------------------------------------------------------------
 # Linear algebra
 
@@ -246,6 +273,19 @@ def linear(x, w, b) -> Var:
 # ---------------------------------------------------------------------------
 # Convolution
 
+# Bytes one chunk of a per-view stage may hold: the 2 MiB per-core L2 of the
+# 2-core Xeon the benchmark runs on, so a chunk's im2col columns, or a view
+# group of the network's tail, stay in cache while they are used.
+_CHUNK_BYTES = 2 << 20
+
+
+def batch_slices(n: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices of range(n) of max(1, _CHUNK_BYTES // item_bytes)
+    items each; [slice(0, n)] when all n fit, also for n == 0."""
+    step = max(1, _CHUNK_BYTES // max(1, item_bytes))
+    return [slice(s, min(s + step, n)) for s in range(0, max(n, 1), step)]
+
+
 def _shift_spans(s: int, n: int) -> tuple[slice, slice]:
     """Output and input index ranges where out[i] reads in[i + s], 0 <= i+s < n."""
     return slice(max(0, -s), n - max(0, s)), slice(max(0, s), n + min(0, s))
@@ -269,7 +309,9 @@ def _conv_value(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
 
     The strategy follows the shapes (see conv2d); no branch gathers an
     im2col through a transposing copy.  The 3x3 Cout >= Cin branch
-    multiplies _im2col's columns, the ones every kernel gradient uses.
+    multiplies _im2col's columns, the ones every kernel gradient uses, one
+    chunk of images at a time (batch_slices) and writes each chunk's
+    result into the preallocated (B,Cout,H,W) output.
     """
     bsz, cin, h, w = x.shape
     cout, _, kh, kw = k.shape
@@ -287,10 +329,13 @@ def _conv_value(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
                 ox, ix = _shift_spans(dx - pad, w)
                 y[:, :, oy, ox] += z[:, dy, dx, :, iy, ix]
     else:
-        # the columns are bound to no name: a local would keep them alive
-        # through the copy back to (B,Cout,H,W) and raise peak memory
-        y = _im2col(x, kh, pad).reshape(bsz * h * w, kh * kw * cin) @ k.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
-        y = np.ascontiguousarray(y.reshape(bsz, h, w, cout).transpose(0, 3, 1, 2))
+        # a chunk's columns are bound to no name: a local would keep them
+        # alive through the copy into y, beside the next chunk's
+        km = k.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
+        y = np.empty((bsz, cout, h, w), np.result_type(x, k))
+        for s in batch_slices(bsz, h * w * kh * kw * cin * x.itemsize):
+            n = s.stop - s.start
+            y[s] = (_im2col(x[s], kh, pad).reshape(n * h * w, kh * kw * cin) @ km).reshape(n, h, w, cout).transpose(0, 3, 1, 2)
     y = y.reshape(bsz, cout, h, w)
     if b is not None:
         y += b.reshape(cout, 1, 1)
@@ -298,8 +343,18 @@ def _conv_value(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
 
 
 def _conv_kernel_grad(x: np.ndarray, g: np.ndarray, kh: int, pad: int) -> np.ndarray:
-    """d/dk of sum(g * conv(x, k)): one GEMM of g against x's im2col columns."""
-    gk = np.tensordot(g, _im2col(x, kh, pad), axes=((0, 2, 3), (0, 1, 2)))
+    """d/dk of sum(g * conv(x, k)): per chunk of images (batch_slices), one
+    GEMM of g against x's im2col columns; the chunks' results are summed.
+    An empty batch is one empty chunk and gives +0."""
+    bsz, cin, h, w = x.shape
+    # a generator, so one chunk's columns exist at a time
+    parts = (
+        np.tensordot(g[s], _im2col(x[s], kh, pad), axes=((0, 2, 3), (0, 1, 2)))
+        for s in batch_slices(bsz, h * w * kh * kh * cin * x.itemsize)
+    )
+    gk = next(parts)
+    for part in parts:
+        gk += part
     return gk.transpose(0, 3, 1, 2)
 
 
@@ -316,11 +371,18 @@ def conv2d(x, kernel, bias) -> Var:
         tap planes are then summed, each shifted by its tap offset;
         B*9*Cout*H*W tap planes.
       - 3x3, Cout >= Cin: a channels-last im2col (_im2col) times the
-        kernel; B*Cin*P padded input, B*H*W*9*Cin columns, B*H*W*Cout
-        channels-last output before the copy back to (B,Cout,H,W).
+        kernel, for one chunk of n images at a time; n*Cin*P padded input,
+        n*H*W*9*Cin columns, n*H*W*Cout channels-last output before the
+        copy into (B,Cout,H,W).
     The kernel gradient, 1x1 or 3x3, is one GEMM of g against the same
-    im2col columns (B*H*W*9*Cin, B*H*W*Cin for 1x1); the input gradient is
-    the flipped-kernel convolution, which picks its own branch.
+    im2col columns per chunk (n*H*W*9*Cin, n*H*W*Cin for 1x1), summed over
+    the chunks; the input gradient is the flipped-kernel convolution, which
+    picks its own branch.  A chunk holds as many images as keep its columns
+    within _CHUNK_BYTES (2 MiB), at least one (batch_slices); when all B
+    images fit, the one chunk is the whole batch.  Each chunk is its own
+    GEMM: at the network's shapes the forward and the input gradient are
+    bit-identical to a one-chunk run, while the kernel gradient adds the
+    chunks' sums in another order and agrees with it to rounding.
 
     The vjp works on the live images only, those whose output gradient has
     a nonzero entry (a NaN or inf in g counts as one): their input gradient

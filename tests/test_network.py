@@ -6,13 +6,14 @@ totals are pinned separately in the acceptance tests.
 
 import hashlib
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from m2mtnet import network, ops
-from m2mtnet.autodiff import Var
+from m2mtnet.autodiff import Tape, Var
 from m2mtnet.lftensor import LfTensor
 from m2mtnet.network import NetConfig
 
@@ -129,11 +130,69 @@ class TestForward:
         mask[1, 0] = False
         assert np.all(delta[mask] == 0.0)
 
+    def test_default_width_forward_peak_memory(self):
+        """An f32 forward of the default widths with one block on 5x5 views
+        of 32x32: convs run per chunk of images and the tail per view group,
+        so it peaks under 80 MB; whole-batch im2col and tail need ~160 MB."""
+        net = network.build(NetConfig(n2=1))
+        lf = LfTensor(np.random.default_rng(7).random((5, 5, 32, 32, 1)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            net.forward(lf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_astype_round_trip(self):
         net = network.build(SMALL, np.float32)
         d = net.astype(np.float64)
         assert d.params["head.0.w"].dtype == np.float64
         assert d.cfg == net.cfg
+
+
+class TestTailGroups:
+    """The tail runs per group of views whose expand output fits the ops
+    chunk budget; the groups are sliced by ops.getitem and joined by
+    ops.concat, and change no value."""
+
+    CFG = NetConfig(u=2, v=3, c=4, c_cor=6, n1=2, n2=1, r=2, seed=3)
+
+    def _taped(self, net, x, views, monkeypatch):
+        """Output, input gradient and parameter gradients with the tail in
+        groups of `views` views, plus the sizes of the groups joined."""
+        w, h = x.shape[2:4]
+        tail_bytes = net.cfg.r ** 2 * net.cfg.c * w * h * x.itemsize
+        monkeypatch.setattr(ops, "_CHUNK_BYTES", views * tail_bytes)
+        joined, concat = [], ops.concat
+
+        def recording_concat(xs):
+            joined.extend(len(p.value) for p in xs)
+            return concat(xs)
+
+        monkeypatch.setattr(ops, "concat", recording_concat)
+        t = Tape()
+        xv, pv = t.var(x), net.param_vars(t)
+        out = net.forward_var(xv, pv)
+        t.backward(out, np.random.default_rng(6).standard_normal(out.shape))
+        return out.value, xv.grad, [p.grad for p in pv.values()], joined
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
+    def test_groups_change_no_value(self, arch, dtype, monkeypatch):
+        net = network.build(replace(self.CFG, arch=arch), dtype)
+        x = np.random.default_rng(5).standard_normal((2, 3, 5, 4, 1)).astype(dtype)
+        ref_out, ref_gx, ref_gp, joined = self._taped(net, x, 6, monkeypatch)
+        assert joined == []
+        rtol = 1e-12 if dtype == np.float64 else 1e-5
+        for views, groups in ((4, [4, 2]), (2, [2, 2, 2]), (1, [1] * 6)):
+            out, gx, gp, joined = self._taped(net, x, views, monkeypatch)
+            assert joined == groups
+            np.testing.assert_array_equal(out, ref_out)
+            np.testing.assert_array_equal(net.forward(LfTensor(x)).data, ref_out)
+            for got, ref in zip([gx] + gp, [ref_gx] + ref_gp):
+                assert got.dtype == dtype
+                assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
 
 
 class TestCostModel:
@@ -475,6 +534,15 @@ class TestCostModelMatchesForward:
     )
     def test_per_layer_and_total(self, arch, switches, monkeypatch):
         cfg = replace(NetConfig(u=2, v=3, c=4, c_cor=6, n1=2, n2=2, r=2), arch=arch, **switches)
+        self._check(cfg, monkeypatch)
+
+    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
+    def test_tail_in_one_view_groups(self, arch, monkeypatch):
+        # a 1-byte budget: one view per tail group, one image per conv chunk
+        monkeypatch.setattr(ops, "_CHUNK_BYTES", 1)
+        self._check(replace(NetConfig(u=2, v=3, c=4, c_cor=6, n1=2, n2=1, r=2), arch=arch), monkeypatch)
+
+    def _check(self, cfg, monkeypatch):
         patch = 3
         counted = self._counted(network.build(cfg, np.float64), patch, monkeypatch)
         rows, total = network.count_flops(cfg, patch)

@@ -93,6 +93,49 @@ class TestShapeOps:
         np.testing.assert_array_equal(x.grad[1:], 0.0)
         np.testing.assert_array_equal(x.grad[0], 1.0)
 
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_concat_values_and_gradient(self, axis):
+        rng = np.random.default_rng(8)
+        parts = []
+        for n in (1, 3, 2):
+            d = [2, 3, 4]
+            d[axis] = n
+            parts.append(rng.standard_normal(d))
+        joined = np.concatenate(parts, axis=axis)
+        out = ops.concat([Var(a) for a in parts], axis=axis)
+        np.testing.assert_array_equal(out.value, joined)
+        # a linear head with weights in [1, 2]: no gradient entry is near 0
+        wts = 1.0 + rng.random(joined.shape)
+        for i in range(len(parts)):
+            f = lambda x: ops.vsum(ops.mul(ops.concat([x if j == i else a for j, a in enumerate(parts)], axis=axis), wts))
+            assert gradcheck(f, parts[i]) < TOL
+
+    def test_concat_gradients_are_views_of_g(self):
+        rng = np.random.default_rng(9)
+        t = Tape()
+        a, b = t.var(rng.standard_normal((2, 3))), t.var(rng.standard_normal((1, 3)))
+        out = ops.concat([a, b])
+        g = rng.standard_normal((3, 3))
+        t.backward(out, g)
+        assert np.shares_memory(a.grad, g) and np.shares_memory(b.grad, g)
+        np.testing.assert_array_equal(a.grad, g[:2])
+        np.testing.assert_array_equal(b.grad, g[2:])
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ([], "concat: needs at least one input"),
+            ([np.zeros((2, 3)), np.zeros((2, 4))], "concat: input dims (2, 4) do not match (2, 3) off axis 0"),
+            ([np.zeros((2, 3)), np.zeros((2, 3, 1))], "concat: input dims (2, 3, 1) do not match (2, 3) off axis 0"),
+            ([np.zeros((2, 3)), np.zeros((2, 3), np.float32)], "concat: dtype float32 != float64 of the first input"),
+        ],
+        ids=["empty", "trailing-dims", "ndim", "dtype"],
+    )
+    def test_concat_rejects_mismatched_inputs(self, parts, message):
+        with pytest.raises(ValueError) as e:
+            ops.concat(parts)
+        assert str(e.value) == message
+
 
 class TestMatmulLinear:
     def test_matmul_matches_numpy_batched(self):
@@ -327,6 +370,95 @@ class TestConv2dSkipsZeroGradientImages:
         g[0, 0, 0, 0] = np.nan  # a NaN in g makes its image live
         gx, gk, _ = _conv_grads(x, k, b, g)
         assert np.isnan(gk).any() and np.isnan(gx[0]).any()
+
+
+class TestConv2dChunks:
+    """The im2col branch and every kernel gradient run per chunk of images
+    (ops.batch_slices).  Against a one-chunk run, the forward and the input
+    gradient are equal exactly at the network's shapes, and the kernel
+    gradient, a sum over chunks, agrees to rounding."""
+
+    # (B, Cin, Cout, H, W, dtype): a 48->48 conv of the default model on
+    # 5x5x32x32 views in f32, a 12->12 conv of the criterion-8 nets in f64,
+    # and the default model's first head conv (Cin = 1)
+    SHAPES = {
+        "sr": (25, 48, 48, 32, 32, np.float32),
+        "lam": (25, 12, 12, 32, 32, np.float64),
+        "head0": (25, 1, 48, 32, 32, np.float32),
+    }
+    # relative to the largest one-chunk kernel gradient entry
+    KERNEL_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+    @staticmethod
+    def _run(x, k, b, g):
+        t = Tape()
+        xv, kv = t.var(x), t.var(k)
+        out = ops.conv2d(xv, kv, b)
+        t.backward(out, g)
+        return out.value, xv.grad, kv.grad
+
+    @pytest.mark.parametrize("images", [1, 2, 5])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_chunks_match_one_chunk(self, shape, images, monkeypatch):
+        bsz, cin, cout, h, w, dtype = self.SHAPES[shape]
+        rng = np.random.default_rng(50)
+        x = rng.standard_normal((bsz, cin, h, w)).astype(dtype)
+        k = rng.standard_normal((cout, cin, 3, 3)).astype(dtype)
+        b = rng.standard_normal(cout).astype(dtype)
+        g = rng.standard_normal((bsz, cout, h, w)).astype(dtype)
+        monkeypatch.setattr(ops, "_CHUNK_BYTES", 1 << 40)
+        ref = self._run(x, k, b, g)
+        per_image = h * w * 9 * cin * x.itemsize
+        monkeypatch.setattr(ops, "_CHUNK_BYTES", images * per_image)
+        assert len(ops.batch_slices(bsz, per_image)) == -(-bsz // images)
+        y, gx, gk = self._run(x, k, b, g)
+        np.testing.assert_array_equal(y, ref[0])
+        np.testing.assert_array_equal(gx, ref[1])
+        assert gk.dtype == dtype
+        err = np.abs(gk.astype(np.float64) - ref[2]).max() / np.abs(ref[2]).max()
+        assert err <= self.KERNEL_RTOL[dtype], err
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("branch", sorted(_CONV_BRANCHES))
+    def test_empty_live_batch_in_one_image_chunks(self, branch, dtype, monkeypatch):
+        monkeypatch.setattr(ops, "_CHUNK_BYTES", 1)
+        x, k, b = _conv_case(np.random.default_rng(51), branch, (3, 6, 7), dtype)
+        g = np.zeros((3, k.shape[0], 6, 7), dtype)
+        for got, like in zip(_conv_grads(x, k, b, g), (x, k, b)):
+            assert got.dtype == dtype and got.shape == like.shape
+            np.testing.assert_array_equal(got, 0)
+            assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize(
+        "n, item_bytes, budget, sizes",
+        [
+            (25, 100, 1000, [10, 10, 5]),
+            (25, 100, 2500, [25]),
+            (25, 100, 99, [1] * 25),
+            (7, 0, 10, [7]),
+            (0, 100, 1000, [0]),
+            (0, 100, 1, [0]),
+        ],
+    )
+    def test_batch_slices_tile_once_in_order(self, n, item_bytes, budget, sizes, monkeypatch):
+        monkeypatch.setattr(ops, "_CHUNK_BYTES", budget)
+        slices = ops.batch_slices(n, item_bytes)
+        assert [s.stop - s.start for s in slices] == sizes
+        assert [i for s in slices for i in range(s.start, s.stop)] == list(range(n))
+
+    def test_peak_memory_under_two_inputs(self):
+        """One chunk's columns, not the batch's 9*Cin im2col (10x the input)."""
+        rng = np.random.default_rng(52)
+        x = rng.standard_normal((25, 48, 32, 32), dtype=np.float32)
+        k = rng.standard_normal((48, 48, 3, 3), dtype=np.float32)
+        b = np.zeros(48, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            ops.conv2d(x, k, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input bytes"
 
 
 class TestSoftmaxAttention:
@@ -808,6 +940,7 @@ def _protocol_cases():
         "reshape": (lambda x: ops.reshape(x, (4, 3)), [a(3, 4)]),
         "transpose": (lambda x: ops.transpose(x, (1, 0)), [a(3, 4)]),
         "getitem": (lambda x: ops.getitem(x, (slice(1, 3), 2)), [a(3, 4)]),
+        "concat": (lambda *xs: ops.concat(xs), [a(2, 4), a(1, 4)]),
         "linear": (ops.linear, [a(2, 3, 4), a(4, 5), a(5)]),
         "conv2d": (ops.conv2d, [a(2, 3, 4, 4), a(2, 3, 3, 3), a(2)]),
         "softmax": (ops.softmax, [a(3, 4)]),
@@ -820,9 +953,9 @@ def _protocol_cases():
 
 
 _PROTOCOL = _protocol_cases()
-# built from other ops, so they record once per inner op; and two helpers
+# built from other ops, so they record once per inner op; and three helpers
 # that take no Vars
-_NOT_SELF_RECORDING = {"vmean", "pixel_shuffle", "as_var", "resample_matrix"}
+_NOT_SELF_RECORDING = {"vmean", "pixel_shuffle", "as_var", "resample_matrix", "batch_slices"}
 
 
 class TestOpProtocol:
