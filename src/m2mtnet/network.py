@@ -130,8 +130,7 @@ class _SrNet:
         The tail runs per group of views (ops.batch_slices) whose expanded
         r*r*C channels fit the ops chunk budget, so the expand output and
         its pixel-shuffled copy exist for one group at a time; the groups'
-        outputs are joined by ops.concat.  When every view fits one group
-        the tail runs on the whole batch, with no slicing or joining.
+        outputs are joined by ops.concat.
         """
         cfg = self.cfg
         self.check_input(x.value.shape)
@@ -149,10 +148,7 @@ class _SrNet:
 
         img = blocks.lf_to_images(feat)
         groups = ops.batch_slices(len(img.value), cfg.r * cfg.r * cfg.c * w * h * img.value.itemsize)
-        if len(groups) == 1:
-            img = self._tail(img, pv)
-        else:
-            img = ops.concat([self._tail(ops.getitem(img, s), pv) for s in groups])
+        img = ops.concat([self._tail(ops.getitem(img, s), pv) for s in groups])
         sr = blocks.images_to_lf(img, out_dims)
 
         up = ops.resize_bicubic(blocks.lf_to_images(x), float(cfg.r))
@@ -194,48 +190,63 @@ def _subview(pv, prefix: str) -> dict:
 # ---------------------------------------------------------------------------
 # Construction
 
+def _layers(cfg: NetConfig, patch: int):
+    """The one walk of the cfg.arch architecture, head to tail: (specs, rows).
+
+    specs are param_specs'.  rows hold, for one forward on patch x patch
+    views, a (name, flops) row per weight tensor, named like it without
+    ".w", and a "<pre>.attention" row per transformer (see count_flops).
+    """
+    fpm, uv, t = cfg.flops_per_mac, cfg.u * cfg.v, patch * patch
+    c, cc, r = cfg.c, cfg.c_cor, cfg.r
+    specs, rows = [], []
+
+    def conv(name, cout, cin, k, positions=uv * t):
+        specs.extend([(f"{name}.w", (cout, cin, k, k), (cin * k * k, cout * k * k)), (f"{name}.b", (cout,), 0)])
+        rows.append((name, fpm * cout * cin * k * k * positions))
+
+    def linear(name, din, dout, positions):
+        specs.extend([(f"{name}.w", (din, dout), (din, dout)), (f"{name}.b", (dout,), 0)])
+        rows.append((name, fpm * din * dout * positions))
+
+    def transformer(pre, d, tokens, instances, ffn):
+        """Attention over `instances` sequences of `tokens` tokens at width d."""
+        n = tokens * instances
+        specs.extend([(f"{pre}.att_norm.g", (d,), 1), (f"{pre}.att_norm.b", (d,), 0)])
+        for name in ("q", "k", "v"):
+            linear(f"{pre}.{name}", d, d, n)
+        rows.append((f"{pre}.attention", (fpm * tokens * tokens * d * 2 + 5 * tokens * tokens) * instances))
+        linear(f"{pre}.proj", d, d, n)
+        if ffn:
+            specs.extend([(f"{pre}.ffn_norm.g", (d,), 1), (f"{pre}.ffn_norm.b", (d,), 0)])
+            linear(f"{pre}.ffn1", d, 2 * d, n)
+            linear(f"{pre}.ffn2", 2 * d, d, n)
+
+    for i in range(cfg.n1):
+        conv(f"head.{i}", c, 1 if i == 0 else c, 3)
+    for j in range(cfg.n2):
+        if cfg.arch == "m2m":
+            pre = f"block{j}.m2mt"
+            conv(f"{pre}.pos1", c, c, 3)
+            conv(f"{pre}.pos2", c, c, 3)
+            linear(f"{pre}.encode", uv * c, cc, t)
+            transformer(pre, cc, t, 1, ffn=True)
+            linear(f"{pre}.decode", cc, uv * c, t)
+            specs.append((f"block{j}.ang.pos_embed", (uv, c), (uv, c)))
+            transformer(f"block{j}.ang", c, uv, t, ffn=False)
+        else:
+            transformer(f"block{j}.sp", c, t, uv, ffn=True)
+    conv("tail.expand", r * r * c, c, 1)
+    conv("tail.squeeze", 1, c, 3, uv * r * r * t)
+    return specs, rows
+
+
 def param_specs(cfg: NetConfig) -> list[tuple[str, tuple[int, ...], object]]:
     """(name, dims, init) of every parameter of the cfg.arch net, in registry
     order.  init is the (fan_in, fan_out) of a Glorot-uniform draw, or the
     constant (0 or 1) the tensor starts at; norms start at gain 1, offset 0.
     """
-    specs = []
-
-    def conv(name, cout, cin, k):
-        specs.append((f"{name}.w", (cout, cin, k, k), (cin * k * k, cout * k * k)))
-        specs.append((f"{name}.b", (cout,), 0))
-
-    def linear(name, din, dout):
-        specs.append((f"{name}.w", (din, dout), (din, dout)))
-        specs.append((f"{name}.b", (dout,), 0))
-
-    def transformer(pre, d, ffn):
-        specs.extend([(f"{pre}att_norm.g", (d,), 1), (f"{pre}att_norm.b", (d,), 0)])
-        for n in ("q", "k", "v", "proj"):
-            linear(pre + n, d, d)
-        if ffn:
-            specs.extend([(f"{pre}ffn_norm.g", (d,), 1), (f"{pre}ffn_norm.b", (d,), 0)])
-            linear(pre + "ffn1", d, 2 * d)
-            linear(pre + "ffn2", 2 * d, d)
-
-    c, uv = cfg.c, cfg.u * cfg.v
-    for i in range(cfg.n1):
-        conv(f"head.{i}", c, 1 if i == 0 else c, 3)
-    for j in range(cfg.n2):
-        if cfg.arch == "m2m":
-            pre = f"block{j}.m2mt."
-            conv(pre + "pos1", c, c, 3)
-            conv(pre + "pos2", c, c, 3)
-            linear(pre + "encode", uv * c, cfg.c_cor)
-            transformer(pre, cfg.c_cor, ffn=True)
-            linear(pre + "decode", cfg.c_cor, uv * c)
-            specs.append((f"block{j}.ang.pos_embed", (uv, c), (uv, c)))
-            transformer(f"block{j}.ang.", c, ffn=False)
-        else:
-            transformer(f"block{j}.sp.", c, ffn=True)
-    conv("tail.expand", cfg.r * cfg.r * c, c, 1)
-    conv("tail.squeeze", 1, c, 3)
-    return specs
+    return _layers(cfg, 1)[0]
 
 
 _NETS = {"m2m": Network, "o2o": O2OBaseline}
@@ -272,55 +283,22 @@ def count_params(net: _SrNet):
 def count_flops(cfg: NetConfig, patch: int = 32):
     """Per-layer multiply cost for one (patch x patch per view) forward.
 
-    Counting convention: a conv contributes fpm*Cout*Cin*kh*kw*Hout*Wout per
-    view, a linear fpm*Din*Dout per token, attention fpm*T*T*D*2 + 5*T*T per
-    instance, where fpm = NetConfig.flops_per_mac = 2 (a multiply and an
-    add).  Biases, norms, activations, reshapes, pixel shuffle and the
-    bicubic residual are not counted.
+    The rows come from the walk that lists the parameters (param_specs):
+    one per weight tensor, named like it without ".w" (head.0,
+    block0.m2mt.q, ..., tail.squeeze), and one "<pre>.attention" per
+    transformer, in forward order.  A conv or linear costs
+    fpm * weight elements per position it runs at: U*V*patch^2 for the
+    per-view convs and the angular and per-view linears, patch^2 for the
+    many-to-many correlation-space linears, U*V*r^2*patch^2 for
+    tail.squeeze.  Attention costs fpm*T*T*D*2 + 5*T*T per instance.
+    fpm = NetConfig.flops_per_mac = 2 (a multiply and an add).  Biases,
+    norms, activations, reshapes, pixel shuffle and the bicubic residual
+    are not counted.
     """
     cfg.validate()
     if patch < 1:
         raise ValueError("patch must be >= 1")
-    fpm = cfg.flops_per_mac
-    uv = cfg.u * cfg.v
-    t = patch * patch
-    c, cc, r = cfg.c, cfg.c_cor, cfg.r
-
-    def conv(cout, cin, k, hw, views=uv):
-        return fpm * cout * cin * k * k * hw * views
-
-    def lin(din, dout, tokens):
-        return fpm * din * dout * tokens
-
-    rows: list[tuple[str, int]] = []
-
-    def transformer(pre, d, tokens, instances, ffn):
-        """Attention over `instances` sequences of `tokens` tokens at width d."""
-        n = tokens * instances
-        rows.append((f"{pre}.qkv", 3 * lin(d, d, n)))
-        att = fpm * tokens * tokens * d * 2 + 5 * tokens * tokens
-        rows.append((f"{pre}.attention", att * instances))
-        rows.append((f"{pre}.proj", lin(d, d, n)))
-        if ffn:
-            rows.append((f"{pre}.ffn", lin(d, 2 * d, n) + lin(2 * d, d, n)))
-
-    rows.append(("head.0", conv(c, 1, 3, t)))
-    for i in range(1, cfg.n1):
-        rows.append((f"head.{i}", conv(c, c, 3, t)))
-
-    for j in range(cfg.n2):
-        if cfg.arch == "m2m":
-            pre = f"block{j}.m2mt"
-            rows.append((f"{pre}.pos", 2 * conv(c, c, 3, t)))
-            rows.append((f"{pre}.encode", lin(uv * c, cc, t)))
-            transformer(pre, cc, t, 1, ffn=True)
-            rows.append((f"{pre}.decode", lin(cc, uv * c, t)))
-            transformer(f"block{j}.ang", c, uv, t, ffn=False)
-        else:
-            transformer(f"block{j}.sp", c, t, uv, ffn=True)
-
-    rows.append(("tail.expand", conv(r * r * c, c, 1, t)))
-    rows.append(("tail.squeeze", conv(1, c, 3, r * r * t)))
+    rows = _layers(cfg, patch)[1]
     return rows, sum(f for _, f in rows)
 
 

@@ -273,9 +273,10 @@ def linear(x, w, b) -> Var:
 # ---------------------------------------------------------------------------
 # Convolution
 
-# Bytes one chunk of a per-view stage may hold: the 2 MiB per-core L2 of the
-# 2-core Xeon the benchmark runs on, so a chunk's im2col columns, or a view
-# group of the network's tail, stay in cache while they are used.
+# Bytes one chunk of a tiled loop may hold: the 2 MiB per-core L2 of the
+# 2-core Xeon the benchmark runs on, so a chunk's im2col columns, a view
+# group of the network's tail, or an attention block's two score buffers
+# stay in cache while they are used.
 _CHUNK_BYTES = 2 << 20
 
 
@@ -435,26 +436,21 @@ def softmax(x, axis: int = -1) -> Var:
     return _op(y, (x,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
-# Score bytes one attention block holds: half of the 2 MiB per-core L2
-# measured on the 2-core Xeon the benchmark runs on, so a block stays in
-# cache from q kT to P v in the forward, and the vjp's two block buffers,
-# P and dS, together fill that L2.
-_ATTENTION_BLOCK_BYTES = 1 << 20
-
-
 def _score_blocks(n: int, tq: int, tk: int, itemsize: int):
-    """Tile the (n, Tq, Tk) scores into blocks of at most _ATTENTION_BLOCK_BYTES.
+    """Tile the (n, Tq, Tk) scores with batch_slices.
 
     Returns the (instances, rows) slice pairs in order, plus the dims of the
-    largest block.  Whole instances go together when one instance's scores
-    fit in a block; otherwise each block is a row slice of one instance (at
-    least one row).
+    largest block.  The vjp holds two block buffers, P and dS, so an
+    instance counts 2*Tq*Tk*itemsize bytes and a row 2*Tk*itemsize: the two
+    together stay within _CHUNK_BYTES, the L2 of the benchmark host, and in
+    the forward one block stays in cache from q kT to P v.  Whole instances
+    go together when one instance's scores fit; otherwise each block is a
+    row slice of one instance (at least one row).  With n == 0 the blocks'
+    instance slices are empty.
     """
-    row_bytes = max(1, tk * itemsize)
-    rows = max(1, min(tq, _ATTENTION_BLOCK_BYTES // row_bytes))
-    per = max(1, _ATTENTION_BLOCK_BYTES // (rows * row_bytes))
-    blocks = [(slice(i, min(i + per, n)), slice(r, min(r + rows, tq))) for i in range(0, n, per) for r in range(0, tq, rows)]
-    return blocks, (min(per, n), rows, tk)
+    inst = batch_slices(n, 2 * tq * tk * itemsize)
+    rows = batch_slices(tq, 2 * tk * itemsize)
+    return [(b, r) for b in inst for r in rows], (inst[0].stop, rows[0].stop, tk)
 
 
 def _scores(buf: np.ndarray, a: np.ndarray, bt: np.ndarray, b: slice, r: slice) -> np.ndarray:
@@ -479,8 +475,8 @@ def attention(q, k, v) -> Var:
 
     q: (..., Tq, D), k: (..., Tk, D), v: (..., Tk, Dv); the leading axes
     must be equal and flatten to n instances.  q is scaled by 1/sqrt(D) once.
-    The (n, Tq, Tk) scores are walked in blocks of at most
-    _ATTENTION_BLOCK_BYTES (1 MiB), see _score_blocks.  Each block is
+    The (n, Tq, Tk) scores are walked in blocks of at most half the
+    _CHUNK_BYTES budget (1 MiB), see _score_blocks.  Each block is
     max-subtracted, exponentiated, normalized and multiplied by v while it
     is still in cache, and each row's log-sum-exp (lse) is stored.
 

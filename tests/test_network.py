@@ -153,16 +153,29 @@ class TestForward:
 
 class TestTailGroups:
     """The tail runs per group of views whose expand output fits the ops
-    chunk budget; the groups are sliced by ops.getitem and joined by
-    ops.concat, and change no value."""
+    chunk budget; the groups, one when every view fits, are sliced by
+    ops.getitem and joined by ops.concat, and change no value."""
 
     CFG = NetConfig(u=2, v=3, c=4, c_cor=6, n1=2, n2=1, r=2, seed=3)
+    _BUDGET, _SCORE_BLOCKS = ops._CHUNK_BYTES, staticmethod(ops._score_blocks)
 
     def _taped(self, net, x, views, monkeypatch):
         """Output, input gradient and parameter gradients with the tail in
-        groups of `views` views, plus the sizes of the groups joined."""
+        groups of `views` views, plus the sizes of the groups joined.
+
+        Attention is tiled as under the default budget in every run: a
+        budget small enough to split the tail also splits the attention rows,
+        which sums dk in another order, and the gradient of a key bias, zero
+        but for rounding, then differs by its whole magnitude."""
         w, h = x.shape[2:4]
         tail_bytes = net.cfg.r ** 2 * net.cfg.c * w * h * x.itemsize
+
+        def default_score_blocks(*args):
+            with monkeypatch.context() as m:
+                m.setattr(ops, "_CHUNK_BYTES", self._BUDGET)
+                return self._SCORE_BLOCKS(*args)
+
+        monkeypatch.setattr(ops, "_score_blocks", default_score_blocks)
         monkeypatch.setattr(ops, "_CHUNK_BYTES", views * tail_bytes)
         joined, concat = [], ops.concat
 
@@ -183,7 +196,7 @@ class TestTailGroups:
         net = network.build(replace(self.CFG, arch=arch), dtype)
         x = np.random.default_rng(5).standard_normal((2, 3, 5, 4, 1)).astype(dtype)
         ref_out, ref_gx, ref_gp, joined = self._taped(net, x, 6, monkeypatch)
-        assert joined == []
+        assert joined == [6]
         rtol = 1e-12 if dtype == np.float64 else 1e-5
         for views, groups in ((4, [4, 2]), (2, [2, 2, 2]), (1, [1] * 6)):
             out, gx, gp, joined = self._taped(net, x, views, monkeypatch)
@@ -478,16 +491,14 @@ class TestParamSpecs:
 
 class TestCostModelMatchesForward:
     """count_flops against FLOPs counted at every conv2d, linear and attention
-    call of a real forward, attributed to the layer whose weights it uses."""
-
-    @staticmethod
-    def _layer(param_name):
-        return ".".join(param_name.split(".")[:2])
+    call of a real forward: a conv2d or linear call is attributed to its
+    weight's name without ".w", an attention call to "<pre>.attention" of
+    the transformer whose v projection ran just before it."""
 
     def _counted(self, net, patch, monkeypatch):
         fpm = net.cfg.flops_per_mac
         pv = net.param_vars(None)
-        layer_of = {id(var): self._layer(n) for n, var in pv.items()}
+        layer_of = {id(var): n.removesuffix(".w") for n, var in pv.items()}
         counted: dict[str, int] = {}
         last = []
 
@@ -517,7 +528,9 @@ class TestCostModelMatchesForward:
             tk, dv = k.value.shape[-2], v.value.shape[-1]
             assert (tq, dv) == (tk, d)  # the count_flops formula assumes both
             per = fpm * tq * tq * d * 2 + 5 * tq * tq
-            count(last[0], per * (q.value.size // (tq * d)))  # layer of the v projection
+            pre, proj = last[0].rsplit(".", 1)
+            assert proj == "v"
+            count(f"{pre}.attention", per * (q.value.size // (tq * d)))
             return out
 
         monkeypatch.setattr(ops, "conv2d", counting_conv2d)
@@ -546,8 +559,7 @@ class TestCostModelMatchesForward:
         patch = 3
         counted = self._counted(network.build(cfg, np.float64), patch, monkeypatch)
         rows, total = network.count_flops(cfg, patch)
-        want: dict[str, int] = {}
-        for name, flops in rows:
-            want[self._layer(name)] = want.get(self._layer(name), 0) + flops
-        assert counted == want
+        assert counted == dict(rows)
+        # one row per layer, in the order the forward first runs them
+        assert list(counted.items()) == rows
         assert sum(counted.values()) == total
