@@ -203,27 +203,28 @@ def lam(net, lr: LfTensor, cfg: LamConfig) -> LamResult:
     """Attribution of net's output window w.r.t. every input pixel.
 
     Runs in float64 whatever the stored weight dtype.  net may be either
-    architecture; it only needs astype, forward_var and param_vars.  The
-    parameters are constants, so each backward computes the input gradient
-    alone.
+    architecture; it only needs cfg.r, check_input, astype, forward_var and
+    param_vars.  Before any work, lr, sai and window are checked against
+    net (and the r*W x r*H output view).  The parameters are constants, so
+    each backward computes the input gradient alone.
 
     A net whose class sets mixes_views = False (the per-view baseline) is
-    run on the probed view only: the input grid is checked against net.cfg,
-    then each path sample's view s goes through type(net) built with
-    u = v = 1 on the same parameters, and the gradient lands in view s of
-    an otherwise zero map.  That map equals the full-grid one exactly,
-    since such a net gives every other view zero gradient.  A net without
-    the attribute is taken to mix views.
+    run on the probed view only: each path sample's view s goes through
+    type(net) built with u = v = 1 on the same parameters, and the gradient
+    lands in view s of an otherwise zero map.  That map equals the
+    full-grid one exactly, since such a net gives every other view zero
+    gradient.  A net without the attribute is taken to mix views.
     """
     cfg.validate()
+    net.check_input(lr.data.shape)
+    su, sv = _resolve_sai(lr.data.shape, cfg.sai)
+    _check_window(cfg.window, net.cfg.r * lr.w, net.cfg.r * lr.h)
     s = cfg.steps
     path = [gaussian_path(lr, k, cfg).data for k in range(s + 1)]
     net64 = net.astype(np.float64)
     acc = np.zeros_like(path[0])
-    sai, view = cfg.sai, (slice(None), slice(None))
+    sai, view = (su, sv), (slice(None), slice(None))
     if not getattr(net, "mixes_views", True):
-        net.check_input(lr.data.shape)
-        su, sv = _resolve_sai(lr.data.shape, cfg.sai)
         net64 = type(net)(replace(net.cfg, u=1, v=1), net64.params)
         sai, view = (0, 0), (slice(su, su + 1), slice(sv, sv + 1))
     for k in range(1, s + 1):

@@ -32,10 +32,10 @@ class Var:
 
     grad always has the same dims as value and starts at zeros (allocated
     lazily so constant-only forward passes stay cheap).  A constant, a Var
-    without a tape, keeps zeros: backward never gives it a gradient.  After
-    backward, grad may share memory with other Vars' gradients (a vjp may
-    hand one array to several parents, and the first contribution is stored
-    without a copy), so it must not be written in place.
+    without a tape, keeps zeros: backward never gives it a gradient.  An
+    op's value may be a view of, or share memory with, its inputs; grad may
+    share memory with other Vars' gradients (a vjp may hand one array to
+    several parents).  So neither may be written in place.
     """
 
     __slots__ = ("value", "_grad", "tape")

@@ -121,9 +121,6 @@ def _cmd_lam(args) -> int:
     cfg.validate()
     lf = lfio.load_lf_dir(args.input, central=args.central)
     net = network.net_from_file(args.weights, lf.u, lf.v)
-    # the output view is r*W x r*H; check what lam would reject after a forward
-    attribution._resolve_sai((lf.u, lf.v), cfg.sai)
-    attribution._check_window(cfg.window, net.cfg.r * lf.w, net.cfg.r * lf.h)
     res = attribution.lam(net, lf, cfg)
     nonzero = int((res.map.max(axis=(2, 3)) > 0).sum())
     if not args.json:
@@ -247,8 +244,6 @@ def _cmd_train_toy(args) -> int:
     tcfg = training.TrainConfig(iters=args.iters, lr=args.lr)
     tcfg.validate()
     hr = lfio.load_lf_dir(args.input, central=args.central)
-    if (hr.u, hr.v) != (cfg.u, cfg.v):
-        raise ValueError(f"input grid {hr.u}x{hr.v} != config {cfg.u}x{cfg.v}")
     pair = training.make_pair(hr, cfg.r)
     net = network.build(cfg, np.float64)
     curve = training.train_toy(net, pair, tcfg)

@@ -8,8 +8,9 @@ the first case.  A vjp maps the output gradient to one gradient per parent,
 in the order of `parents`; it may read the parents' values, which the
 record keeps alive anyway.  A constant parent (no tape) gets None, and the
 vjp skips the work only that gradient needs, such as a conv's kernel GEMMs
-or a linear's dW.  Ops never mutate input arrays.  Dtype follows the
-inputs: float32 stays float32, float64 stays float64.
+or a linear's dW.  Ops never mutate input arrays, and an op's output, which
+may be a view of or share memory with its input, must never be written in
+place.  Dtype follows the inputs, float32 or float64.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf
 
-from .autodiff import Tape, Var
+from .autodiff import Var
 
 __all__ = [
     "as_var",
@@ -51,8 +52,8 @@ __all__ = [
 ]
 
 
-def as_var(x, tape: Tape | None = None) -> Var:
-    return x if isinstance(x, Var) else Var(np.asarray(x), tape)
+def as_var(x) -> Var:
+    return x if isinstance(x, Var) else Var(np.asarray(x))
 
 
 def _op(value, parents: tuple[Var, ...], vjp: Callable) -> Var:
@@ -190,11 +191,7 @@ def reshape(a, shape) -> Var:
 
 def transpose(a, axes) -> Var:
     a = as_var(a)
-    return _op(
-        np.ascontiguousarray(np.transpose(a.value, axes)),
-        (a,),
-        lambda g: (np.ascontiguousarray(np.transpose(g, np.argsort(axes))),),
-    )
+    return _op(np.transpose(a.value, axes), (a,), lambda g: (np.transpose(g, np.argsort(axes)),))
 
 
 def getitem(a, idx) -> Var:
@@ -206,7 +203,7 @@ def getitem(a, idx) -> Var:
         gz[idx] = g
         return (gz,)
 
-    return _op(np.ascontiguousarray(a.value[idx]), (a,), vjp)
+    return _op(a.value[idx], (a,), vjp)
 
 
 def concat(xs, axis: int = 0) -> Var:
@@ -311,13 +308,13 @@ def _conv_value(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
     The strategy follows the shapes (see conv2d); no branch gathers an
     im2col through a transposing copy.  The 3x3 Cout >= Cin branch
     multiplies _im2col's columns, the ones every kernel gradient uses, one
-    chunk of images at a time (batch_slices) and writes each chunk's
-    result into the preallocated (B,Cout,H,W) output.
+    chunk of images at a time (batch_slices), each chunk's GEMM writing its
+    rows of a channels-last (B,H,W,Cout) buffer; y is that buffer's view.
     """
     bsz, cin, h, w = x.shape
     cout, _, kh, kw = k.shape
     if kh == 1:
-        y = np.matmul(k.reshape(cout, cin), x.reshape(bsz, cin, h * w))
+        y = np.matmul(k.reshape(cout, cin), x.reshape(bsz, cin, h * w)).reshape(bsz, cout, h, w)
     elif cout < cin:
         # one GEMM for all taps, then each tap plane is added shifted by its
         # offset; the zero padding is the part of a plane that falls outside
@@ -330,14 +327,12 @@ def _conv_value(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
                 ox, ix = _shift_spans(dx - pad, w)
                 y[:, :, oy, ox] += z[:, dy, dx, :, iy, ix]
     else:
-        # a chunk's columns are bound to no name: a local would keep them
-        # alive through the copy into y, beside the next chunk's
         km = k.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
-        y = np.empty((bsz, cout, h, w), np.result_type(x, k))
+        y = np.empty((bsz, h, w, cout), np.result_type(x, k))
         for s in batch_slices(bsz, h * w * kh * kw * cin * x.itemsize):
             n = s.stop - s.start
-            y[s] = (_im2col(x[s], kh, pad).reshape(n * h * w, kh * kw * cin) @ km).reshape(n, h, w, cout).transpose(0, 3, 1, 2)
-    y = y.reshape(bsz, cout, h, w)
+            np.matmul(_im2col(x[s], kh, pad).reshape(n * h * w, kh * kw * cin), km, out=y[s].reshape(n * h * w, cout))
+        y = y.transpose(0, 3, 1, 2)
     if b is not None:
         y += b.reshape(cout, 1, 1)
     return y
@@ -373,8 +368,8 @@ def conv2d(x, kernel, bias) -> Var:
         B*9*Cout*H*W tap planes.
       - 3x3, Cout >= Cin: a channels-last im2col (_im2col) times the
         kernel, for one chunk of n images at a time; n*Cin*P padded input,
-        n*H*W*9*Cin columns, n*H*W*Cout channels-last output before the
-        copy into (B,Cout,H,W).
+        n*H*W*9*Cin columns.  The GEMMs write the channels-last output,
+        returned as its (B,Cout,H,W) view: there is no copy back out.
     The kernel gradient, 1x1 or 3x3, is one GEMM of g against the same
     im2col columns per chunk (n*H*W*9*Cin, n*H*W*Cin for 1x1), summed over
     the chunks; the input gradient is the flipped-kernel convolution, which
@@ -559,8 +554,9 @@ def attention(q, k, v) -> Var:
     return _op(o3.reshape(batch + o3.shape[1:]), (q, k, v), vjp)
 
 
-def layer_norm(x, gain, offset, eps: float = 1e-5) -> Var:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x, gain, offset) -> Var:
+    """Normalize the last axis to zero mean / unit variance (1e-5 is added
+    to the variance), then affine."""
     x, gain, offset = as_var(x), as_var(gain), as_var(offset)
     d = x.value.shape[-1]
     if gain.value.shape != (d,) or offset.value.shape != (d,):
@@ -568,7 +564,7 @@ def layer_norm(x, gain, offset, eps: float = 1e-5) -> Var:
     mean = x.value.mean(axis=-1, keepdims=True)
     xc = x.value - mean
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
 
     def vjp(g):

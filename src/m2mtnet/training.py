@@ -93,11 +93,17 @@ def train_toy(net, pair: tuple[LfTensor, LfTensor], cfg: TrainConfig) -> list[fl
     per-iteration loss curve.
 
     Runs in float64 for numerically clean gradients; net.params are updated
-    in place (cast up first if needed).  Non-finite loss aborts with a
-    diagnostic rather than continuing silently.
+    in place (cast up first if needed), once the pair has passed
+    net.check_input (LR) and matched (U, V, r*W, r*H, 1) (HR).  Non-finite
+    loss aborts with a diagnostic rather than continuing silently.
     """
     cfg.validate()
     lr_lf, hr_lf = pair
+    net.check_input(lr_lf.data.shape)
+    r = net.cfg.r
+    want = (lr_lf.u, lr_lf.v, r * lr_lf.w, r * lr_lf.h, 1)
+    if hr_lf.data.shape != want:
+        raise ValueError(f"HR field dims {hr_lf.data.shape} != {want}: the LR grid, {r}x its view size, 1 channel")
     for name in list(net.params):
         net.params[name] = net.params[name].astype(np.float64)
     x_const = lr_lf.data.astype(np.float64)

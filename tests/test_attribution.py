@@ -12,6 +12,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class _IdentityNet:
-    """Minimal stand-in with the interface lam() needs."""
+    """Minimal stand-in with the interface lam() needs; its output view is
+    the input view (r = 1)."""
+
+    cfg = SimpleNamespace(r=1)
+
+    def check_input(self, dims):
+        pass
 
     def astype(self, dtype):
         return self
@@ -264,6 +271,31 @@ class TestLamOnNetwork:
         lf = LfTensor(np.random.default_rng(2).random((2, 3, 8, 8, 1)))
         with pytest.raises(ValueError, match="^input grid 2x3 != configured 3x2$"):
             attribution.lam(net, lf, LamConfig(window=(4, 4, 4), steps=2, sigma=2.0))
+
+    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
+    @pytest.mark.parametrize(
+        "dims, window, sai, message",
+        [
+            ((2, 2, 8, 8, 1), (14, 8, 4), None, r"^window \(14, 8, 4\) exceeds the 16x16 view$"),
+            ((2, 2, 8, 8, 1), (8, 8, 4), (2, 0), r"^sai \(2, 0\) outside the 2x2 grid$"),
+            ((2, 3, 8, 8, 1), (8, 8, 4), None, r"^input grid 2x3 != configured 2x2$"),
+            ((2, 2, 8, 8, 2), (8, 8, 4), None, r"^network expects 1 input channel, got 2$"),
+        ],
+        ids=["window", "sai", "grid", "channels"],
+    )
+    def test_bad_input_before_any_forward(self, monkeypatch, arch, dims, window, sai, message):
+        """lam refuses what it cannot probe before it blurs a path or runs
+        a forward; the window is checked against the r*W x r*H output view."""
+        net = network.build(network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=2, n2=1, r=2, arch=arch), np.float64)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("lam worked before its input was checked")
+
+        monkeypatch.setattr(network._SrNet, "forward_var", no_work)
+        monkeypatch.setattr(attribution, "_blur_lf", no_work)
+        lf = LfTensor(np.zeros(dims))
+        with pytest.raises(ValueError, match=message):
+            attribution.lam(net, lf, LamConfig(window=window, steps=2, sigma=2.0, sai=sai))
 
     def test_heatmap_written_and_scaled(self, tmp_path):
         m = np.array([[0.0, 1.0], [2.0, 4.0]])

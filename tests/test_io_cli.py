@@ -467,6 +467,15 @@ class TestCli:
         assert curve_file.read_text().startswith("iter,loss")
         assert network.net_from_file(weights, 2, 2).cfg.c == 4
 
+    def test_train_toy_wrong_grid_one_line(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path)
+        d, _ = _lf_dir(tmp_path, u=3, v=2)
+        rc = cli.main(["train-toy", "--config", str(cfg), "--input", str(d), "--iters", "2",
+                       "--out-weights", str(tmp_path / "t.m2mw")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: input grid 3x2 != configured 2x2\n"
+        assert not (tmp_path / "t.m2mw").exists()
+
     def test_weights_truncated_in_header_exit_one(self, tmp_path, capsys):
         d, _ = _lf_dir(tmp_path)
         weights = tmp_path / "w.m2mw"

@@ -563,3 +563,46 @@ class TestCostModelMatchesForward:
         # one row per layer, in the order the forward first runs them
         assert list(counted.items()) == rows
         assert sum(counted.values()) == total
+
+
+class TestReadOnlyInputs:
+    """No op writes into an array it was given: with the input and every
+    parameter read-only, forwards and backwards run and change no value.
+    Op outputs may be views of their inputs (see ops), so a write into one
+    would reach the input or a parameter and fail here."""
+
+    @staticmethod
+    def _net_and_input(arch, writable):
+        rng = np.random.default_rng(17)
+        net = network.build(replace(TOY, arch=arch), np.float64)
+        # random weights everywhere, so no branch is skipped by a zero
+        for name, a in net.params.items():
+            net.params[name] = rng.standard_normal(a.shape) * 0.3
+        x = rng.standard_normal((TOY.u, TOY.v, 4, 4, 1))
+        for a in [x, *net.params.values()]:
+            a.setflags(write=writable)
+        return net, x
+
+    @staticmethod
+    def _run(net, x):
+        plain = net.forward_var(Var(x), net.param_vars(None)).value
+        t = Tape()
+        xv, pv = t.var(x), net.param_vars(t)
+        out = net.forward_var(xv, pv)
+        t.backward(out, np.cos(out.value))
+        return plain, out.value, xv.grad, {n: v.grad for n, v in pv.items()}
+
+    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
+    def test_forward_and_backward_on_read_only_arrays(self, arch):
+        net, x = self._net_and_input(arch, writable=False)
+        before = [a.copy() for a in (x, *net.params.values())]
+        got = self._run(net, x)
+        for a, b in zip((x, *net.params.values()), before):
+            assert not a.flags.writeable
+            np.testing.assert_array_equal(a, b)
+        ref = self._run(*self._net_and_input(arch, writable=True))
+        for g, r in zip(got[:3], ref[:3]):
+            np.testing.assert_array_equal(g, r)
+        assert got[3].keys() == ref[3].keys()
+        for name in ref[3]:
+            np.testing.assert_array_equal(got[3][name], ref[3][name], err_msg=name)

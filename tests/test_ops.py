@@ -93,6 +93,21 @@ class TestShapeOps:
         np.testing.assert_array_equal(x.grad[1:], 0.0)
         np.testing.assert_array_equal(x.grad[0], 1.0)
 
+    def test_transpose_and_getitem_are_views(self):
+        """Layout changes copy nothing: transpose's value and gradient, and
+        getitem's value, share memory with what they were made from."""
+        a = np.random.default_rng(6).standard_normal((2, 3, 4))
+        t = Tape()
+        x = t.var(a)
+        y = ops.transpose(x, (2, 0, 1))
+        assert np.shares_memory(y.value, a)
+        g = np.random.default_rng(9).standard_normal(y.shape)
+        t.backward(y, g)
+        assert np.shares_memory(x.grad, g)
+        np.testing.assert_array_equal(x.grad, g.transpose(1, 2, 0))
+        z = ops.getitem(Var(a), (slice(1, 3), slice(None, None, 2)))
+        assert np.shares_memory(z.value, a)
+
     @pytest.mark.parametrize("axis", [0, 1, -1])
     def test_concat_values_and_gradient(self, axis):
         rng = np.random.default_rng(8)
@@ -279,6 +294,15 @@ class TestConv2dBranches:
         out = ops.conv2d(Var(x), Var(np.zeros_like(k)), Var(b)).value
         np.testing.assert_array_equal(out, np.broadcast_to(b[:, None, None], out.shape))
 
+    @pytest.mark.parametrize("branch", ["in_cin1", "in_wide", "in_square"])
+    def test_im2col_branch_returns_its_channels_last_buffer(self, branch):
+        """Cout >= Cin: the output is the (B,Cout,H,W) view of the
+        (B,H,W,Cout) buffer the GEMMs wrote, not a copy of it."""
+        x, k, b = _conv_case(np.random.default_rng(46), branch, (3, 5, 4))
+        out = ops.conv2d(Var(x), Var(k), Var(b)).value
+        assert out.base is not None and out.transpose(0, 2, 3, 1).flags.c_contiguous
+        np.testing.assert_allclose(out, self._reference(x, k, b), rtol=1e-10, atol=1e-12)
+
     def test_cout1_peak_memory_stays_under_two_inputs(self):
         """The Cout=1 3x3 conv (tail.squeeze) must not build a 9*Cin im2col."""
         rng = np.random.default_rng(44)
@@ -417,6 +441,47 @@ class TestConv2dChunks:
         assert gk.dtype == dtype
         err = np.abs(gk.astype(np.float64) - ref[2]).max() / np.abs(ref[2]).max()
         assert err <= self.KERNEL_RTOL[dtype], err
+
+    # (B,Cin,H,W) views that are not contiguous, each with the base it is
+    # taken from: a transpose of a channels-last batch and a strided slice
+    VIEWS = {
+        "transpose": (lambda b, c, h, w: (b, h, w, c), lambda a: ops.transpose(a, (0, 3, 1, 2))),
+        "getitem": (
+            lambda b, c, h, w: (2 * b, c + 1, h + 2, w + 3),
+            lambda a: ops.getitem(a, (slice(None, None, 2), slice(1, None), slice(1, -1), slice(2, -1))),
+        ),
+    }
+
+    @pytest.mark.parametrize("chunk_images", [1, 2, None])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("branch", ["1x1", "out_mid", "in_wide", "in_square"])
+    def test_view_input_matches_contiguous_copy(self, branch, view, dtype, chunk_images, monkeypatch):
+        """A conv reads strided input correctly: on a transpose or getitem
+        view, the forward and the input gradient equal, bit for bit, those
+        of a run on a contiguous copy of the view."""
+        cout, cin, kh = _CONV_BRANCHES[branch]
+        bsz, h, w = 5, 6, 7
+        if chunk_images is not None:
+            monkeypatch.setattr(ops, "_CHUNK_BYTES", chunk_images * h * w * 9 * cin * np.dtype(dtype).itemsize)
+        base_dims, make_view = self.VIEWS[view]
+        rng = np.random.default_rng(53)
+        base = rng.standard_normal(base_dims(bsz, cin, h, w)).astype(dtype)
+        _, k, b = _conv_case(rng, branch, (bsz, h, w), dtype)
+        g = rng.standard_normal((bsz, cout, h, w)).astype(dtype)
+
+        t = Tape()
+        xv = make_view(t.var(base))
+        assert not xv.value.flags.c_contiguous and np.shares_memory(xv.value, base)
+        out = ops.conv2d(xv, k, b)
+        t.backward(out, g)
+
+        t = Tape()
+        xc = t.var(np.ascontiguousarray(xv.value))
+        ref = ops.conv2d(xc, k, b)
+        t.backward(ref, g)
+        np.testing.assert_array_equal(out.value, ref.value)
+        np.testing.assert_array_equal(xv.grad, xc.grad)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("branch", sorted(_CONV_BRANCHES))

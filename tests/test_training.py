@@ -149,6 +149,29 @@ class TestTrainToy:
         with pytest.raises(FloatingPointError, match="diverged"):
             training.train_toy(net, pair, TrainConfig(iters=3))
 
+    @pytest.mark.parametrize(
+        "lr_dims, hr_dims, message",
+        [
+            ((3, 2, 4, 4, 1), (3, 2, 8, 8, 1), r"^input grid 3x2 != configured 2x2$"),
+            ((2, 2, 4, 4, 2), (2, 2, 8, 8, 2), r"^network expects 1 input channel, got 2$"),
+            ((2, 2, 4, 4, 1), (2, 2, 16, 16, 1), r"^HR field dims \(2, 2, 16, 16, 1\) != \(2, 2, 8, 8, 1\)"),
+            ((2, 2, 4, 4, 1), (2, 2, 8, 6, 1), r"^HR field dims \(2, 2, 8, 6, 1\) != \(2, 2, 8, 8, 1\)"),
+            ((2, 2, 4, 4, 1), (2, 1, 8, 8, 1), r"^HR field dims \(2, 1, 8, 8, 1\) != \(2, 2, 8, 8, 1\)"),
+        ],
+        ids=["lr-grid", "lr-channels", "hr-scale", "hr-height", "hr-grid"],
+    )
+    def test_bad_pair_leaves_the_net_unchanged(self, lr_dims, hr_dims, message):
+        cfg = network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2)
+        net = network.build(cfg, np.float32)
+        before = {n: a.copy() for n, a in net.params.items()}
+        pair = (LfTensor(np.zeros(lr_dims)), LfTensor(np.zeros(hr_dims)))
+        with pytest.raises(ValueError, match=message):
+            training.train_toy(net, pair, TrainConfig(iters=2))
+        assert list(net.params) == list(before)
+        for name, a in net.params.items():
+            assert a.dtype == np.float32, name
+            np.testing.assert_array_equal(a, before[name], err_msg=name)
+
     def test_params_promoted_to_f64(self):
         cfg = network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2)
         net = network.build(cfg, np.float32)
