@@ -1,6 +1,6 @@
 """Light-field super-resolution with many-to-many attention.
 
-Pure numpy/scipy: a tape autodiff engine, the correlation-block network and
+Pure NumPy: a tape autodiff engine, the correlation-block network and
 its per-view baseline, quality metrics, local attribution maps, geometric
 self-ensembling, and a toy training loop, plus a CLI (`m2mtnet`).
 """

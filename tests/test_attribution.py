@@ -126,11 +126,32 @@ class TestBlurPath:
         got = attribution._blur_lf(data, width)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
-    def test_cli_import_leaves_scipy_ndimage_out(self):
-        code = "import sys, m2mtnet.cli; sys.exit('scipy.ndimage' in sys.modules)"
+    def test_cli_run_loads_no_scipy(self):
+        """Importing the CLI, gelu in both dtypes and a taped forward plus
+        backward of a toy m2m net leave every scipy module unloaded."""
+        code = """
+import sys
+import numpy as np
+import m2mtnet.cli
+from m2mtnet import network, ops
+from m2mtnet.autodiff import Tape, Var
+for dtype in (np.float32, np.float64):
+    ops.gelu(Var(np.linspace(-8, 8, 101, dtype=dtype)))
+net = network.build(network.NetConfig(u=2, v=2, c=3, c_cor=5, n1=2, n2=1, r=2), np.float64)
+t = Tape()
+xv = t.var(np.random.default_rng(0).standard_normal((2, 2, 4, 4, 1)))
+out = net.forward_var(xv, net.param_vars(t))
+t.backward(out, np.ones_like(out.value))
+assert xv.grad is not None
+print([m for m in sys.modules if m.split(".")[0] == "scipy"])
+"""
         path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path})
-        assert proc.returncode == 0
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_path_index_bounds(self):
         lf = _ramp_lf()

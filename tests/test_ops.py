@@ -858,6 +858,70 @@ class TestNormalizationsActivations:
         assert gradcheck(lambda v: ops.vsum(ops.gelu(v)), rng.standard_normal((4, 4))) < TOL
 
 
+class TestErf:
+    """ops.erf, the NumPy port of the Cephes rationals, against
+    scipy.special.erf bit for bit, and gelu unchanged by erf's chunking."""
+
+    @staticmethod
+    def _cases(dtype):
+        rng = np.random.default_rng(26)
+        fi = np.finfo(dtype)
+        edges = [np.nextafter(dtype(v), dtype(d)) for v in (1, -1, 6, -6) for d in (-10, 10)]
+        step = ops._CHUNK_BYTES // ops._ERF_ITEM_BYTES  # elements in one batch_slices step
+        assert len(ops.batch_slices(step, ops._ERF_ITEM_BYTES)) == 1
+        assert len(ops.batch_slices(step + 1, ops._ERF_ITEM_BYTES)) == 2
+        big = (4 * rng.standard_normal(step + 1)).astype(dtype)
+        read_only = (4 * rng.standard_normal((20, 50))).astype(dtype)
+        read_only.flags.writeable = False
+        return {
+            "normal": (4 * rng.standard_normal(10**6)).astype(dtype),
+            "grid": np.linspace(-9, 9, 360_001, dtype=dtype),
+            "edges": np.array(edges + [1, -1, 6, -6], dtype),
+            "special": np.array(
+                [8, -8, np.inf, -np.inf, np.nan, fi.smallest_subnormal, -fi.smallest_subnormal,
+                 fi.tiny / 2, -fi.tiny / 2, fi.tiny, fi.max, -fi.max], dtype),
+            "zeros": np.array([0.0, -0.0], dtype),
+            "empty": np.zeros((3, 0), dtype),
+            "0-d": np.array(-1.5, dtype),
+            "transposed": (4 * rng.standard_normal((300, 200))).astype(dtype)[::2].T,
+            "read-only": read_only,
+            "step - 1": big[: step - 1],
+            "step": big[:step],
+            "step + 1": big,
+        }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_scipy_exactly(self, dtype):
+        """Equal values, signs of zero and dtype; the input is left as it was."""
+        for name, x in self._cases(dtype).items():
+            before = x.copy()
+            got, ref = ops.erf(x), scipy.special.erf(x)
+            assert got.dtype == dtype and got.shape == x.shape, name
+            assert np.array_equal(got, ref, equal_nan=True), name
+            assert np.array_equal(np.signbit(got), np.signbit(ref)), name
+            assert np.array_equal(x, before, equal_nan=True), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunks_change_no_gelu_value_or_gradient(self, dtype, monkeypatch):
+        x = (4 * np.random.default_rng(28).standard_normal((5, 37))).astype(dtype)
+        g = np.random.default_rng(29).standard_normal(x.shape).astype(dtype)
+
+        def run():
+            t = Tape()
+            xv = t.var(x)
+            out = ops.gelu(xv)
+            t.backward(out, g)
+            return out.value, xv.grad
+
+        monkeypatch.setattr(ops, "_CHUNK_BYTES", 1 << 40)
+        ref = run()
+        monkeypatch.setattr(ops, "_CHUNK_BYTES", 7 * ops._ERF_ITEM_BYTES)
+        assert len(ops.batch_slices(x.size, ops._ERF_ITEM_BYTES)) == -(-x.size // 7)
+        for got, want in zip(run(), ref):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+
 class TestPixelShuffle:
     def test_rearrangement_oracle(self):
         rng = np.random.default_rng(25)
