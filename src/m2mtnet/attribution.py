@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import lfio, ops
 from .autodiff import Tape, Var
-from .lftensor import LfTensor, to_macpi
+from .lftensor import LfTensor, to_layout
 from .metrics import _gaussian_taps
 
 __all__ = [
@@ -66,7 +66,7 @@ class LamConfig:
     sai: tuple[int, int] | None = None
     literal: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not 0 <= self.sigma < np.inf:
@@ -119,7 +119,6 @@ def _blur_lf(data: np.ndarray, width: float) -> np.ndarray:
 
 def gaussian_path(lf: LfTensor, k: int, cfg: LamConfig) -> LfTensor:
     """Path sample gamma(k/steps): blur width sigma*(1 - k/steps)."""
-    cfg.validate()
     if not 0 <= k <= cfg.steps:
         raise ValueError(f"path index {k} outside [0, {cfg.steps}]")
     width = cfg.sigma * (1.0 - k / cfg.steps)
@@ -203,19 +202,18 @@ def lam(net, lr: LfTensor, cfg: LamConfig) -> LamResult:
     """Attribution of net's output window w.r.t. every input pixel.
 
     Runs in float64 whatever the stored weight dtype.  net may be either
-    architecture; it only needs cfg.r, check_input, astype, forward_var and
-    param_vars.  Before any work, lr, sai and window are checked against
-    net (and the r*W x r*H output view).  The parameters are constants, so
-    each backward computes the input gradient alone.
+    architecture; it only needs cfg.r, mixes_views, check_input, astype,
+    forward_var and param_vars.  Before any work, lr, sai and window are
+    checked against net (and the r*W x r*H output view).  The parameters
+    are constants, so each backward computes the input gradient alone.
 
     A net whose class sets mixes_views = False (the per-view baseline) is
     run on the probed view only: each path sample's view s goes through
     type(net) built with u = v = 1 on the same parameters, and the gradient
     lands in view s of an otherwise zero map.  That map equals the
     full-grid one exactly, since such a net gives every other view zero
-    gradient.  A net without the attribute is taken to mix views.
+    gradient.
     """
-    cfg.validate()
     net.check_input(lr.data.shape)
     su, sv = _resolve_sai(lr.data.shape, cfg.sai)
     _check_window(cfg.window, net.cfg.r * lr.w, net.cfg.r * lr.h)
@@ -224,7 +222,7 @@ def lam(net, lr: LfTensor, cfg: LamConfig) -> LamResult:
     net64 = net.astype(np.float64)
     acc = np.zeros_like(path[0])
     sai, view = (su, sv), (slice(None), slice(None))
-    if not getattr(net, "mixes_views", True):
+    if not net.mixes_views:
         net64 = type(net)(replace(net.cfg, u=1, v=1), net64.params)
         sai, view = (0, 0), (slice(su, su + 1), slice(sv, sv + 1))
     for k in range(1, s + 1):
@@ -239,7 +237,7 @@ def lam(net, lr: LfTensor, cfg: LamConfig) -> LamResult:
         else:
             acc[view] += x.grad * (path[k][view] - path[k - 1][view])
     amap = np.abs(acc).sum(axis=4)
-    macpi = to_macpi(LfTensor(amap[..., None]))[:, :, 0]
+    macpi = to_layout("macpi", LfTensor(amap[..., None]))[:, :, 0]
     try:
         g = gini(amap)
         return LamResult(map=amap, macpi=macpi, di=(1.0 - g) * 100.0, gini_coeff=g)

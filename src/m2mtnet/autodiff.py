@@ -86,10 +86,6 @@ class Tape:
         # None once backward has spent the tape
         self._records: list[tuple[Var, tuple, Callable]] | None = []
 
-    def var(self, value) -> Var:
-        """Create a leaf Var on this tape."""
-        return Var(value, self)
-
     def record(self, out: Var, parents: Sequence[Var], vjp: Callable) -> None:
         if self._records is None:
             raise ValueError("tape is spent: its backward has run, so it records nothing more")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -23,18 +22,6 @@ __all__ = [
     "layout_shape",
     "to_layout",
     "from_layout",
-    "to_spatial",
-    "from_spatial",
-    "to_angular",
-    "from_angular",
-    "to_epi_h",
-    "from_epi_h",
-    "to_epi_v",
-    "from_epi_v",
-    "to_merged",
-    "from_merged",
-    "to_macpi",
-    "macpi_to_lf",
     "read_lft1",
     "write_lft1",
 ]
@@ -82,13 +69,6 @@ class LfTensor:
     def dims(self) -> tuple[int, int, int, int, int]:
         return self.data.shape
 
-    def astype(self, dtype) -> "LfTensor":
-        return LfTensor(self.data.astype(dtype))
-
-    def sai(self, u: int, v: int) -> np.ndarray:
-        """One sub-aperture image as a (W, H, C) array."""
-        return self.data[u, v]
-
 
 def _check_dims(t: np.ndarray, expect: tuple[int, ...], what: str) -> None:
     if t.shape != expect:
@@ -120,8 +100,6 @@ LAYOUTS: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {
     "images": ((0, 1, 4, 3, 2), (2, 1, 1, 1)),
 }
 
-_INVERSE_NAMES = {"macpi": "macpi_to_lf"}
-
 
 def layout_shape(name: str, dims) -> tuple[int, ...]:
     """Dims of layout `name` for a light field of dims (U, V, W, H, C)."""
@@ -139,7 +117,7 @@ def to_layout(name: str, lf: LfTensor) -> np.ndarray:
 
 def from_layout(name: str, t: np.ndarray, u: int, v: int, w: int, h: int) -> LfTensor:
     """Inverse of to_layout; C is read from the axis that holds it."""
-    what = _INVERSE_NAMES.get(name, f"from_{name}")
+    what = f"from_layout({name!r})"
     order, groups = LAYOUTS[name]
     unit = layout_shape(name, (u, v, w, h, 1))
     k = int(np.cumsum(groups).searchsorted(order.index(4), side="right"))  # C's axis
@@ -152,20 +130,6 @@ def from_layout(name: str, t: np.ndarray, u: int, v: int, w: int, h: int) -> LfT
     _check_dims(t, layout_shape(name, dims), what)
     arr = t.reshape([dims[a] for a in order]).transpose(np.argsort(order))
     return LfTensor(np.ascontiguousarray(arr))
-
-
-to_spatial = partial(to_layout, "spatial")
-from_spatial = partial(from_layout, "spatial")
-to_angular = partial(to_layout, "angular")
-from_angular = partial(from_layout, "angular")
-to_epi_h = partial(to_layout, "epi_h")
-from_epi_h = partial(from_layout, "epi_h")
-to_epi_v = partial(to_layout, "epi_v")
-from_epi_v = partial(from_layout, "epi_v")
-to_merged = partial(to_layout, "merged")
-from_merged = partial(from_layout, "merged")
-to_macpi = partial(to_layout, "macpi")
-macpi_to_lf = partial(from_layout, "macpi")
 
 
 # ---------------------------------------------------------------------------

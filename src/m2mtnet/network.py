@@ -15,6 +15,7 @@ degrades exactly to bicubic.
 """
 from __future__ import annotations
 
+import math
 import re
 import struct
 from collections import OrderedDict
@@ -59,7 +60,7 @@ class NetConfig:
     # FLOPs per multiply-accumulate in count_flops: a multiply and an add
     flops_per_mac: ClassVar[int] = 2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.u, self.v, self.c, self.c_cor) < 1:
             raise ValueError("u, v, c, c_cor must be >= 1")
         if self.n1 < 1:
@@ -93,12 +94,6 @@ class _SrNet:
 
     def param_vars(self, tape: Tape | None) -> "OrderedDict[str, Var]":
         return OrderedDict((n, Var(a, tape)) for n, a in self.params.items())
-
-    def num_params(self) -> int:
-        return sum(a.size for a in self.params.values())
-
-    def param_subtotal(self, prefix: str) -> int:
-        return sum(a.size for n, a in self.params.items() if n.startswith(prefix))
 
     def astype(self, dtype) -> "_SrNet":
         conv = OrderedDict((n, a.astype(dtype)) for n, a in self.params.items())
@@ -254,7 +249,6 @@ _NETS = {"m2m": Network, "o2o": O2OBaseline}
 
 def build(cfg: NetConfig, dtype=np.float32) -> _SrNet:
     """Deterministically initialize the cfg.arch network from cfg.seed."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     params: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for name, dims, init in param_specs(cfg):
@@ -274,9 +268,10 @@ def build_o2o(cfg: NetConfig, dtype=np.float32) -> O2OBaseline:
 # ---------------------------------------------------------------------------
 # Analytic cost model
 
-def count_params(net: _SrNet):
-    """Per-tensor parameter counts in registry order, plus the total."""
-    rows = [(n, a.size) for n, a in net.params.items()]
+def count_params(cfg: NetConfig):
+    """Per-tensor parameter counts in registry order, plus the total, read
+    from param_specs: no net is built."""
+    rows = [(n, math.prod(dims)) for n, dims, _ in param_specs(cfg)]
     return rows, sum(s for _, s in rows)
 
 
@@ -295,7 +290,6 @@ def count_flops(cfg: NetConfig, patch: int = 32):
     norms, activations, reshapes, pixel shuffle and the bicubic residual
     are not counted.
     """
-    cfg.validate()
     if patch < 1:
         raise ValueError("patch must be >= 1")
     rows = _layers(cfg, patch)[1]
@@ -429,7 +423,6 @@ def net_from_file(path, u: int, v: int, dtype=np.float32):
     """
     loaded = load_weights(path)
     cfg = config_from_manifest({n: a.shape for n, a in loaded.items()}, u, v)
-    cfg.validate()
     specs = param_specs(cfg)
     expected = {name for name, _, _ in specs}
     for name in loaded:

@@ -160,24 +160,14 @@ def square(a) -> Var:
     return _op(a.value * a.value, (a,), lambda g: (g * (2.0 * a.value),))
 
 
-def vsum(a, axis=None, keepdims: bool = False) -> Var:
+def vsum(a) -> Var:
     a = as_var(a)
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            g = np.expand_dims(g, tuple(ax % len(a.shape) for ax in axes))
-        return (np.ascontiguousarray(np.broadcast_to(g, a.shape)),)
-
-    return _op(a.value.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+    return _op(a.value.sum(), (a,), lambda g: (np.full(a.shape, g, dtype=g.dtype),))
 
 
-def vmean(a, axis=None, keepdims: bool = False) -> Var:
+def vmean(a) -> Var:
     a = as_var(a)
-    n = a.value.size if axis is None else np.prod(
-        [a.value.shape[ax % a.value.ndim] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    return scale(vsum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
+    return scale(vsum(a), 1 / a.value.size)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ class TrainConfig:
     lr: float = 2e-4
     iters: int = 300
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 < self.lr < np.inf:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.iters < 1:
@@ -97,7 +97,6 @@ def train_toy(net, pair: tuple[LfTensor, LfTensor], cfg: TrainConfig) -> list[fl
     net.check_input (LR) and matched (U, V, r*W, r*H, 1) (HR).  Non-finite
     loss aborts with a diagnostic rather than continuing silently.
     """
-    cfg.validate()
     lr_lf, hr_lf = pair
     net.check_input(lr_lf.data.shape)
     r = net.cfg.r

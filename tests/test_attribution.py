@@ -30,6 +30,7 @@ class _IdentityNet:
     the input view (r = 1)."""
 
     cfg = SimpleNamespace(r=1)
+    mixes_views = True
 
     def check_input(self, dims):
         pass
@@ -139,7 +140,7 @@ for dtype in (np.float32, np.float64):
     ops.gelu(Var(np.linspace(-8, 8, 101, dtype=dtype)))
 net = network.build(network.NetConfig(u=2, v=2, c=3, c_cor=5, n1=2, n2=1, r=2), np.float64)
 t = Tape()
-xv = t.var(np.random.default_rng(0).standard_normal((2, 2, 4, 4, 1)))
+xv = Var(np.random.default_rng(0).standard_normal((2, 2, 4, 4, 1)), t)
 out = net.forward_var(xv, net.param_vars(t))
 t.backward(out, np.ones_like(out.value))
 assert xv.grad is not None
@@ -348,16 +349,29 @@ class TestLamOnNetwork:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            LamConfig(window=(0, 0, 2), steps=0).validate()
+            LamConfig(window=(0, 0, 2), steps=0)
         with pytest.raises(ValueError):
-            LamConfig(window=(0, 0, 0)).validate()
+            LamConfig(window=(0, 0, 0))
         with pytest.raises(ValueError):
-            LamConfig(window=(0, 0, 2), sigma=-1.0).validate()
+            LamConfig(window=(0, 0, 2), sigma=-1.0)
 
     @pytest.mark.parametrize("sigma", [np.inf, np.nan])
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
-            LamConfig(window=(0, 0, 2), sigma=sigma).validate()
+            LamConfig(window=(0, 0, 2), sigma=sigma)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"steps": 0}, "steps must be >= 1"),
+            ({"sigma": -1.0}, "sigma must be finite and >= 0"),
+            ({"window": (0, 0, 0)}, "bad window"),
+            ({"window": (-1, 0, 2)}, "bad window"),
+        ],
+    )
+    def test_replace_rejects_bad_values(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            replace(LamConfig(window=(0, 0, 2)), **change)
 
 
 class _FullGridO2O(network.O2OBaseline):

@@ -42,13 +42,13 @@ class TestVar:
 
     def test_tape_var_is_owned(self):
         t = Tape()
-        assert t.var(np.ones(2)).tape is t
+        assert Var(np.ones(2), t).tape is t
 
 
 class TestTape:
     def test_records_appended_per_op(self):
         t = Tape()
-        x = t.var(np.ones(3))
+        x = Var(np.ones(3), t)
         y = ops.add(x, x)
         z = ops.vsum(y)
         assert len(t) == 2
@@ -56,7 +56,7 @@ class TestTape:
 
     def test_backward_simple_chain(self):
         t = Tape()
-        x = t.var(np.array([1.0, 2.0, 3.0]))
+        x = Var(np.array([1.0, 2.0, 3.0]), t)
         y = ops.vsum(ops.square(x))
         t.backward(y, 1.0)
         np.testing.assert_allclose(x.grad, [2.0, 4.0, 6.0])
@@ -64,7 +64,7 @@ class TestTape:
     def test_shared_subexpression_accumulates(self):
         # z = x*x + x*x -> dz/dx = 4x via two vjp contributions
         t = Tape()
-        x = t.var(np.array([3.0]))
+        x = Var(np.array([3.0]), t)
         sq = ops.square(x)
         z = ops.vsum(ops.add(sq, sq))
         t.backward(z, 1.0)
@@ -74,8 +74,8 @@ class TestTape:
         # add's vjp hands one array to a and b; square(a) is recorded before
         # add, so its contribution to a arrives after that array is stored
         t = Tape()
-        a = t.var(np.array([1.0, 2.0]))
-        b = t.var(np.array([3.0, 4.0]))
+        a = Var(np.array([1.0, 2.0]), t)
+        b = Var(np.array([3.0, 4.0]), t)
         sq = ops.square(a)
         s = ops.add(a, b)
         t.backward(ops.add(s, sq), np.array([5.0, 6.0]))
@@ -85,7 +85,7 @@ class TestTape:
 
     def test_seed_scales_gradient(self):
         t = Tape()
-        x = t.var(np.array([2.0]))
+        x = Var(np.array([2.0]), t)
         y = ops.vsum(ops.square(x))
         t.backward(y, 5.0)
         np.testing.assert_allclose(x.grad, [20.0])
@@ -93,7 +93,7 @@ class TestTape:
     def test_constants_get_no_gradient(self):
         # tape-less Vars flow through ops but backward gives them nothing
         t = Tape()
-        x = t.var(np.full(2, 2.0))
+        x = Var(np.full(2, 2.0), t)
         c = Var(np.full(2, 3.0))
         y = ops.vsum(ops.mul(x, c))
         t.backward(y, 1.0)
@@ -108,7 +108,7 @@ class TestTape:
         net = network.build(replace(TOY, arch=arch), np.float64)
         rng = np.random.default_rng(5)
         t = Tape()
-        x = t.var(rng.random((2, 2, 4, 4, 1)))
+        x = Var(rng.random((2, 2, 4, 4, 1)), t)
         pv = net.param_vars(None)
         out = net.forward_var(x, pv)
         t.backward(out, rng.standard_normal(out.shape))
@@ -117,8 +117,8 @@ class TestTape:
 
     def test_backward_rejects_foreign_output(self):
         t1, t2 = Tape(), Tape()
-        x = t2.var(np.ones(2))
-        y = ops.vsum(ops.square(t1.var(np.ones(2))))
+        x = Var(np.ones(2), t2)
+        y = ops.vsum(ops.square(Var(np.ones(2), t1)))
         z = ops.vsum(ops.square(x))
         with pytest.raises(ValueError, match="belong"):
             t2.backward(y, 1.0)
@@ -129,7 +129,7 @@ class TestTape:
 
     def test_backward_rejects_bad_seed_dims(self):
         t = Tape()
-        x = t.var(np.ones((2, 2)))
+        x = Var(np.ones((2, 2)), t)
         y = ops.add(x, x)
         with pytest.raises(ValueError, match="seed dims"):
             t.backward(y, np.ones(3))
@@ -140,11 +140,11 @@ class TestTape:
     def test_mixing_tapes_is_an_error(self):
         t1, t2 = Tape(), Tape()
         with pytest.raises(ValueError):
-            ops.add(t1.var(np.ones(2)), t2.var(np.ones(2)))
+            ops.add(Var(np.ones(2), t1), Var(np.ones(2), t2))
 
     def test_backward_spends_the_tape(self):
         t = Tape()
-        x = t.var(np.ones(2))
+        x = Var(np.ones(2), t)
         y = ops.vsum(ops.square(x))
         assert len(t) == 2
         t.backward(y, 1.0)
@@ -155,7 +155,7 @@ class TestTape:
 
     def test_spent_tape_refuses_records(self):
         t = Tape()
-        x = t.var(np.ones(2))
+        x = Var(np.ones(2), t)
         t.backward(ops.vsum(x), 1.0)
         with pytest.raises(ValueError, match="spent"):
             ops.add(x, 1.0)
@@ -165,7 +165,7 @@ class TestTape:
 
     def test_raising_vjp_leaves_the_tape_spent(self):
         t = Tape()
-        x = t.var(np.ones(2))
+        x = Var(np.ones(2), t)
         y = ops.vsum(x)
         out = Var(y.value, t)
 
@@ -185,7 +185,7 @@ class TestTape:
         would hold one per step."""
         n, depth = 250_000, 12
         t = Tape()
-        y = t.var(np.linspace(-1.0, 1.0, n))
+        y = Var(np.linspace(-1.0, 1.0, n), t)
         for _ in range(depth):
             y = ops.leaky_relu(ops.add(y, 1.0))
         seed = np.ones(n)

@@ -95,7 +95,7 @@ class TestLayoutHelpers:
         rng = np.random.default_rng(5)
         x = _rand_lf(rng)
         m = blocks.lf_to_merged(Var(x)).value
-        ref = lftensor.to_merged(lftensor.LfTensor(x))
+        ref = lftensor.to_layout("merged", lftensor.LfTensor(x))
         np.testing.assert_array_equal(m, ref[0])
 
     def test_merged_round_trip(self):
@@ -231,9 +231,9 @@ class TestWiring:
         pm = _params(cfg, "m2mt")
         pa = _params(cfg, "ang")
         t = Tape()
-        x = t.var(_rand_lf(rng))
-        pmv = {k: t.var(v) for k, v in pm.items()}
-        pav = {k: t.var(v) for k, v in pa.items()}
+        x = Var(_rand_lf(rng), t)
+        pmv = {k: Var(v, t) for k, v in pm.items()}
+        pav = {k: Var(v, t) for k, v in pa.items()}
         out = blocks.correlation_block_forward(x, pmv, pav)
         t.backward(ops.vsum(ops.square(out)), 1.0)
         assert np.abs(x.grad).max() > 0
@@ -271,7 +271,7 @@ class TestLayoutTable:
     @pytest.mark.parametrize("name", sorted(lftensor.LAYOUTS))
     def test_backward_applies_the_inverse_permutation(self, name):
         tape = Tape()
-        x = tape.var(np.zeros(self.DIMS5))
+        x = Var(np.zeros(self.DIMS5), tape)
         y = blocks._to(x, name)
         seed = np.arange(y.value.size, dtype=np.float64).reshape(y.value.shape)
         tape.backward(y, seed)
@@ -286,7 +286,7 @@ class TestLayoutTable:
         transpose = ops.transpose
         monkeypatch.setattr(ops, "transpose", lambda a, axes: calls.append(axes) or transpose(a, axes))
         tape = Tape()
-        x = tape.var(np.zeros(self.DIMS5))
+        x = Var(np.zeros(self.DIMS5), tape)
         blocks._from(blocks._to(x, name), name, self.DIMS5)
         reorders = lftensor.LAYOUTS[name][0] != (0, 1, 2, 3, 4)
         assert len(calls) == (2 if reorders else 0)

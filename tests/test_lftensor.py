@@ -18,14 +18,7 @@ def _arange_lf(u, v, w, h, c, dtype=np.float64):
     return LfTensor(np.arange(n, dtype=dtype).reshape(u, v, w, h, c))
 
 
-VIEW_PAIRS = [
-    (lft.to_spatial, lft.from_spatial),
-    (lft.to_angular, lft.from_angular),
-    (lft.to_epi_h, lft.from_epi_h),
-    (lft.to_epi_v, lft.from_epi_v),
-    (lft.to_merged, lft.from_merged),
-    (lft.to_macpi, lft.macpi_to_lf),
-]
+VIEWS = ("spatial", "angular", "epi_h", "epi_v", "merged", "macpi")
 
 
 class TestContainer:
@@ -42,14 +35,6 @@ class TestContainer:
         with pytest.raises(ValueError):
             LfTensor(np.zeros((2, 0, 4, 4, 1)))
 
-    def test_sai_extracts_one_view(self):
-        lf = _arange_lf(3, 3, 2, 2, 1)
-        np.testing.assert_array_equal(lf.sai(1, 2), lf.data[1, 2])
-
-    def test_astype_preserves_values(self):
-        lf = _arange_lf(2, 2, 2, 2, 1)
-        np.testing.assert_allclose(lf.astype(np.float32).data, lf.data)
-
 
 class TestViewShapes:
     """Each view's 3-D shape as a function of (U, V, W, H, C)."""
@@ -57,12 +42,12 @@ class TestViewShapes:
     def test_shapes(self):
         lf = _arange_lf(2, 3, 4, 5, 6)
         u, v, w, h, c = lf.dims
-        assert lft.to_spatial(lf).shape == (u * v, w * h, c)
-        assert lft.to_angular(lf).shape == (w * h, u * v, c)
-        assert lft.to_epi_h(lf).shape == (v * h, u * w, c)
-        assert lft.to_epi_v(lf).shape == (u * w, v * h, c)
-        assert lft.to_merged(lf).shape == (1, w * h, u * v * c)
-        assert lft.to_macpi(lf).shape == (h * u, w * v, c)
+        assert lft.to_layout("spatial", lf).shape == (u * v, w * h, c)
+        assert lft.to_layout("angular", lf).shape == (w * h, u * v, c)
+        assert lft.to_layout("epi_h", lf).shape == (v * h, u * w, c)
+        assert lft.to_layout("epi_v", lf).shape == (u * w, v * h, c)
+        assert lft.to_layout("merged", lf).shape == (1, w * h, u * v * c)
+        assert lft.to_layout("macpi", lf).shape == (h * u, w * v, c)
 
 
 class TestRoundTrips:
@@ -73,16 +58,16 @@ class TestRoundTrips:
         for _ in range(60):
             u, v, w, h, c = (int(rng.choice(sizes)) for _ in range(5))
             lf = LfTensor(rng.standard_normal((u, v, w, h, c)))
-            for fwd, inv in VIEW_PAIRS:
-                back = inv(fwd(lf), u, v, w, h)
+            for name in VIEWS:
+                back = lft.from_layout(name, lft.to_layout(name, lf), u, v, w, h)
                 np.testing.assert_array_equal(back.data, lf.data)
 
     def test_views_are_permutations(self):
         # every view must contain each element exactly once
         lf = _arange_lf(2, 2, 3, 3, 2)
         flat = np.sort(lf.data, axis=None)
-        for fwd, _ in VIEW_PAIRS:
-            np.testing.assert_array_equal(np.sort(fwd(lf), axis=None), flat)
+        for name in VIEWS:
+            np.testing.assert_array_equal(np.sort(lft.to_layout(name, lf), axis=None), flat)
 
 
 class TestElementPlacement:
@@ -94,44 +79,44 @@ class TestElementPlacement:
 
     def test_spatial_placement(self):
         lf = _arange_lf(2, 2, 2, 2, 2)
-        t = lft.to_spatial(lf)
+        t = lft.to_layout("spatial", lf)
         for u, v, x, y, ch in self._each_index(lf.dims):
             assert t[u * lf.v + v, x * lf.h + y, ch] == lf.data[u, v, x, y, ch]
 
     def test_angular_placement(self):
         lf = _arange_lf(2, 2, 2, 2, 2)
-        t = lft.to_angular(lf)
+        t = lft.to_layout("angular", lf)
         for u, v, x, y, ch in self._each_index(lf.dims):
             assert t[x * lf.h + y, u * lf.v + v, ch] == lf.data[u, v, x, y, ch]
 
     def test_epi_h_placement(self):
         lf = _arange_lf(2, 2, 2, 2, 2)
-        t = lft.to_epi_h(lf)
+        t = lft.to_layout("epi_h", lf)
         for u, v, x, y, ch in self._each_index(lf.dims):
             assert t[v * lf.h + y, u * lf.w + x, ch] == lf.data[u, v, x, y, ch]
 
     def test_epi_v_placement(self):
         lf = _arange_lf(2, 2, 2, 2, 2)
-        t = lft.to_epi_v(lf)
+        t = lft.to_layout("epi_v", lf)
         for u, v, x, y, ch in self._each_index(lf.dims):
             assert t[u * lf.w + x, v * lf.h + y, ch] == lf.data[u, v, x, y, ch]
 
     def test_merged_placement(self):
         lf = _arange_lf(2, 2, 2, 2, 2)
-        t = lft.to_merged(lf)
+        t = lft.to_layout("merged", lf)
         for u, v, x, y, ch in self._each_index(lf.dims):
             assert t[0, x * lf.h + y, (u * lf.v + v) * lf.c + ch] == lf.data[u, v, x, y, ch]
 
     def test_macpi_placement(self):
         """Macro-pixel at (y, x) holds the full U x V angular patch."""
         lf = _arange_lf(2, 2, 2, 2, 2)
-        t = lft.to_macpi(lf)
+        t = lft.to_layout("macpi", lf)
         for u, v, x, y, ch in self._each_index(lf.dims):
             assert t[y * lf.u + u, x * lf.v + v, ch] == lf.data[u, v, x, y, ch]
 
     def test_merged_rejects_indivisible_channels(self):
-        with pytest.raises(ValueError):
-            lft.from_merged(np.zeros((1, 4, 7)), 2, 2, 2, 2)
+        with pytest.raises(ValueError, match=r"from_layout\('merged'\)"):
+            lft.from_layout("merged", np.zeros((1, 4, 7)), 2, 2, 2, 2)
 
 
 class TestTensorFile:

@@ -30,17 +30,24 @@ def _shapes(path):
 
 
 class TestConfig:
-    def test_defaults_validate(self):
-        NetConfig().validate()
+    BAD = [("n1", 0), ("n2", 0), ("r", 3), ("arch", "both"), ("seed", -1), ("u", 0), ("c_cor", 0)]
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [("n1", 0), ("n2", 0), ("r", 3), ("arch", "both"), ("seed", -1)],
-    )
+    def test_defaults_validate(self):
+        NetConfig()
+
+    @pytest.mark.parametrize("field,value", BAD)
     def test_rejects_bad_values(self, field, value):
-        cfg = NetConfig(**{**SMALL.__dict__, field: value})
         with pytest.raises(ValueError):
-            cfg.validate()
+            NetConfig(**{**SMALL.__dict__, field: value})
+
+    @pytest.mark.parametrize("field,value", BAD)
+    def test_replace_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError):
+            replace(SMALL, **{field: value})
+
+    def test_replace_keeps_the_message(self):
+        with pytest.raises(ValueError, match="upscale factor must be 2 or 4, got 3"):
+            replace(NetConfig(), r=3)
 
 
 class TestBuild:
@@ -68,17 +75,17 @@ class TestBuild:
         assert not any(".m2mt." in n for n in o2o.params)
 
     def test_num_params_matches_arrays(self):
-        net = network.build(SMALL)
-        assert net.num_params() == sum(a.size for a in net.params.values())
-        rows, total = network.count_params(net)
-        assert total == net.num_params()
-        assert len(rows) == len(net.params)
+        for cfg in (SMALL, replace(SMALL, arch="o2o")):
+            net = network.build(cfg)
+            rows, total = network.count_params(cfg)
+            assert rows == [(n, a.size) for n, a in net.params.items()]
+            assert total == sum(a.size for a in net.params.values())
 
     def test_param_subtotal_partition(self):
-        net = network.build(SMALL)
-        blocks_total = sum(net.param_subtotal(f"block{j}.") for j in range(SMALL.n2))
-        head_tail = net.param_subtotal("head.") + net.param_subtotal("tail.")
-        assert blocks_total + head_tail == net.num_params()
+        rows, total = network.count_params(SMALL)
+        blocks_total = sum(s for n, s in rows if n.startswith("block"))
+        head_tail = sum(s for n, s in rows if n.startswith(("head.", "tail.")))
+        assert blocks_total + head_tail == total
 
 
 class TestForward:
@@ -185,7 +192,7 @@ class TestTailGroups:
 
         monkeypatch.setattr(ops, "concat", recording_concat)
         t = Tape()
-        xv, pv = t.var(x), net.param_vars(t)
+        xv, pv = Var(x, t), net.param_vars(t)
         out = net.forward_var(xv, pv)
         t.backward(out, np.random.default_rng(6).standard_normal(out.shape))
         return out.value, xv.grad, [p.grad for p in pv.values()], joined
@@ -250,7 +257,8 @@ class TestCostModel:
         ang = (uv * c) + 2 * c + 4 * (c * c + c)
         tail = (4 * c * c + 4 * c) + (1 * c * 9 + 1)
         expect = head + cfg.n2 * (m2mt + ang) + tail
-        assert net.num_params() == expect
+        assert network.count_params(cfg)[1] == expect
+        assert sum(a.size for a in net.params.values()) == expect
 
 
 class TestWeightFiles:
@@ -587,7 +595,7 @@ class TestReadOnlyInputs:
     def _run(net, x):
         plain = net.forward_var(Var(x), net.param_vars(None)).value
         t = Tape()
-        xv, pv = t.var(x), net.param_vars(t)
+        xv, pv = Var(x, t), net.param_vars(t)
         out = net.forward_var(xv, pv)
         t.backward(out, np.cos(out.value))
         return plain, out.value, xv.grad, {n: v.grad for n, v in pv.items()}

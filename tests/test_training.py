@@ -1,5 +1,7 @@
 """Tests for pair construction, losses, Adam, and the overfit loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,16 +25,20 @@ def _plaid_hr(u=2, v=2, w=8, h=8):
 
 
 class TestConfig:
-    def test_defaults_validate(self):
-        TrainConfig().validate()
+    BAD = [("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")), ("iters", 0)]
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")), ("iters", 0)],
-    )
+    def test_defaults_validate(self):
+        TrainConfig()
+
+    @pytest.mark.parametrize("field,value", BAD)
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError):
-            TrainConfig(**{field: value}).validate()
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", BAD)
+    def test_replace_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            replace(TrainConfig(), **{field: value})
 
 
 class TestMakePair:
@@ -63,7 +69,7 @@ class TestLosses:
 
     def test_l1_gradient(self):
         t = Tape()
-        x = t.var(np.array([2.0, -1.0, 0.5, -3.0]))
+        x = Var(np.array([2.0, -1.0, 0.5, -3.0]), t)
         loss = training.l1_loss(x, np.ones(4))
         t.backward(loss, 1.0)
         np.testing.assert_allclose(x.grad, [0.25, -0.25, -0.25, -0.25])  # sign(x - y)/n
