@@ -208,35 +208,35 @@ def lam(net, lr: LfTensor, cfg: LamConfig) -> LamResult:
     are constants, so each backward computes the input gradient alone.
 
     A net whose class sets mixes_views = False (the per-view baseline) is
-    run on the probed view only: each path sample's view s goes through
-    type(net) built with u = v = 1 on the same parameters, and the gradient
-    lands in view s of an otherwise zero map.  That map equals the
-    full-grid one exactly, since such a net gives every other view zero
-    gradient.
+    probed on view s only: just that view is blurred, type(net) built with
+    u = v = 1 on the same parameters runs each path sample, and the
+    gradient lands in view s of an otherwise zero map, which equals the
+    full-grid one exactly: such a net gives every other view zero gradient.
     """
     net.check_input(lr.data.shape)
     su, sv = _resolve_sai(lr.data.shape, cfg.sai)
     _check_window(cfg.window, net.cfg.r * lr.w, net.cfg.r * lr.h)
-    s = cfg.steps
-    path = [gaussian_path(lr, k, cfg).data for k in range(s + 1)]
     net64 = net.astype(np.float64)
-    acc = np.zeros_like(path[0])
     sai, view = (su, sv), (slice(None), slice(None))
     if not net.mixes_views:
         net64 = type(net)(replace(net.cfg, u=1, v=1), net64.params)
         sai, view = (0, 0), (slice(su, su + 1), slice(sv, sv + 1))
+    s = cfg.steps
+    path = [gaussian_path(LfTensor(lr.data[view]), k, cfg).data for k in range(s + 1)]
+    pv = net64.param_vars(None)
+    acc = np.zeros_like(path[0])
     for k in range(1, s + 1):
         tape = Tape()
-        x = Var(path[k][view], tape)
-        out = net64.forward_var(x, net64.param_vars(None))
+        x = Var(path[k], tape)
+        out = net64.forward_var(x, pv)
         d = _detector_var(out, cfg.window, sai)
         tape.backward(d, np.float64(1.0))
         if cfg.literal:
-            nxt = min(k + 1, s)
-            acc[view] += x.grad * (path[k][view] - path[nxt][view]) / s
+            acc += x.grad * (path[k] - path[min(k + 1, s)]) / s
         else:
-            acc[view] += x.grad * (path[k][view] - path[k - 1][view])
-    amap = np.abs(acc).sum(axis=4)
+            acc += x.grad * (path[k] - path[k - 1])
+    amap = np.zeros(lr.data.shape[:4])
+    amap[view] = np.abs(acc).sum(axis=4)
     macpi = to_layout("macpi", LfTensor(amap[..., None]))[:, :, 0]
     try:
         g = gini(amap)

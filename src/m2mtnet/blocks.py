@@ -26,6 +26,10 @@ from .autodiff import Var
 from .lftensor import LAYOUTS, layout_shape
 
 __all__ = [
+    "lf_to_merged",
+    "merged_to_lf",
+    "lf_to_images",
+    "images_to_lf",
     "spatial_self_attention",
     "m2mt_forward",
     "angular_forward",

@@ -122,6 +122,8 @@ class _SrNet:
     def forward_var(self, x: Var, pv: "OrderedDict[str, Var]") -> Var:
         """Differentiable forward: Var (U,V,W,H,1) -> Var (U,V,rW,rH,1).
 
+        The head and the bicubic residual read one image batch of x; the
+        residual joins the tail's images before the one return to the field.
         The tail runs per group of views (ops.batch_slices) whose expanded
         r*r*C channels fit the ops chunk budget, so the expand output and
         its pixel-shuffled copy exist for one group at a time; the groups'
@@ -130,9 +132,8 @@ class _SrNet:
         cfg = self.cfg
         self.check_input(x.value.shape)
         w, h = x.value.shape[2:4]
-        out_dims = (cfg.u, cfg.v, cfg.r * w, cfg.r * h, 1)
 
-        img = blocks.lf_to_images(x)
+        x_img = img = blocks.lf_to_images(x)
         for i in range(cfg.n1):
             img = ops.conv2d(img, pv[f"head.{i}.w"], pv[f"head.{i}.b"])
             if i < cfg.n1 - 1:
@@ -144,10 +145,8 @@ class _SrNet:
         img = blocks.lf_to_images(feat)
         groups = ops.batch_slices(len(img.value), cfg.r * cfg.r * cfg.c * w * h * img.value.itemsize)
         img = ops.concat([self._tail(ops.getitem(img, s), pv) for s in groups])
-        sr = blocks.images_to_lf(img, out_dims)
-
-        up = ops.resize_bicubic(blocks.lf_to_images(x), float(cfg.r))
-        return ops.add(sr, blocks.images_to_lf(up, out_dims))
+        img = ops.add(img, ops.resize_bicubic(x_img, float(cfg.r)))
+        return blocks.images_to_lf(img, (cfg.u, cfg.v, cfg.r * w, cfg.r * h, 1))
 
     def forward(self, lf: LfTensor) -> LfTensor:
         """Plain inference; dtype follows the weights."""

@@ -44,6 +44,7 @@ __all__ = [
     "attention",
     "layer_norm",
     "leaky_relu",
+    "erf",
     "gelu",
     "pixel_shuffle",
     "resample_matrix",

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import ops
 from .autodiff import Tape, Var
-from .lftensor import LfTensor, from_layout, to_layout
+from .lftensor import LfTensor
 
 __all__ = [
     "TrainConfig",
@@ -39,13 +39,13 @@ class TrainConfig:
 
 
 def make_pair(hr: LfTensor, r: int) -> tuple[LfTensor, LfTensor]:
-    """Bicubic-downsample hr by r per view into the (lr, hr) training pair."""
+    """The (lr, hr) training pair: hr bicubic-downsampled by r on its stored (W, H) axes."""
     if r < 1:
         raise ValueError(f"downsample factor must be >= 1, got {r}")
     if hr.w % r or hr.h % r:
         raise ValueError(f"view dims {hr.w}x{hr.h} not divisible by r={r}")
-    lr = ops.resize_bicubic(Var(to_layout("images", hr)), 1.0 / r).value
-    return from_layout("images", lr, hr.u, hr.v, hr.w // r, hr.h // r), hr
+    lr = ops.resize_bicubic(np.moveaxis(hr.data, 4, 0), 1.0 / r).value
+    return LfTensor(np.moveaxis(lr, 0, 4)), hr
 
 
 def l1_loss(pred: Var, target: np.ndarray) -> Var:
@@ -103,8 +103,7 @@ def train_toy(net, pair: tuple[LfTensor, LfTensor], cfg: TrainConfig) -> list[fl
     want = (lr_lf.u, lr_lf.v, r * lr_lf.w, r * lr_lf.h, 1)
     if hr_lf.data.shape != want:
         raise ValueError(f"HR field dims {hr_lf.data.shape} != {want}: the LR grid, {r}x its view size, 1 channel")
-    for name in list(net.params):
-        net.params[name] = net.params[name].astype(np.float64)
+    net.params.update(net.astype(np.float64).params)
     x_const = lr_lf.data.astype(np.float64)
     target = hr_lf.data.astype(np.float64)
     state = AdamState()

@@ -413,6 +413,26 @@ class TestLamOneView:
         off[2, 0] = 0.0
         assert np.all(off == 0.0) and full.map[2, 0].max() > 0
 
+    @pytest.mark.parametrize("arch, blurred", [("m2m", (3, 2, 8, 8, 1)), ("o2o", (1, 1, 8, 8, 1))])
+    def test_blurs_only_the_probed_views(self, arch, blurred, monkeypatch):
+        """Each of the steps + 1 path samples blurs the views the net reads,
+        and the constant parameter Vars are made once per call."""
+        shapes, param_calls = [], []
+        blur, param_vars = attribution._blur_lf, network._SrNet.param_vars
+
+        def spy_blur(data, width):
+            shapes.append(data.shape)
+            return blur(data, width)
+
+        def spy_param_vars(net, tape):
+            param_calls.append(tape)
+            return param_vars(net, tape)
+
+        monkeypatch.setattr(attribution, "_blur_lf", spy_blur)
+        monkeypatch.setattr(network._SrNet, "param_vars", spy_param_vars)
+        self._run(network.build(replace(self.CFG, arch=arch), np.float64), True)
+        assert shapes == [blurred] * 4 and param_calls == [None]
+
     @pytest.mark.parametrize("literal", [True, False], ids=["literal", "standard"])
     def test_m2m_map_unchanged(self, literal):
         net = network.build(self.CFG, np.float64)

@@ -1,11 +1,14 @@
-"""Every name a module of the package exports exists.
+"""Every name a module of the package exports exists, and every public
+function or class a module with __all__ defines is exported.
 
 A name deleted from a module but left in its __all__ makes
 `from m2mtnet.<module> import *` raise; these tests catch such stale
-exports in every module.
+exports in every module.  A public definition left out of __all__ is
+missing from the module's documented surface.
 """
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -38,3 +41,17 @@ def test_star_import(name):
     mod = importlib.import_module(name)
     if hasattr(mod, "__all__"):
         assert set(ns) - {"__builtins__"} == set(mod.__all__)
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if hasattr(importlib.import_module(m), "__all__")])
+def test_public_definitions_are_exported(name):
+    mod = importlib.import_module(name)
+    public = [
+        n
+        for n, obj in vars(mod).items()
+        if not n.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == name
+    ]
+    unlisted = [n for n in public if n not in mod.__all__]
+    assert not unlisted, f"{name} defines {unlisted} but leaves them out of __all__"

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from m2mtnet import network, ops
+from m2mtnet import blocks, network, ops
 from m2mtnet.autodiff import Tape, Var
 from m2mtnet.lftensor import LfTensor
 from m2mtnet.network import NetConfig
@@ -136,6 +136,30 @@ class TestForward:
         mask = np.ones((2, 2), dtype=bool)
         mask[1, 0] = False
         assert np.all(delta[mask] == 0.0)
+
+    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
+    def test_input_leaves_the_field_layout_once(self, arch, monkeypatch):
+        """The head and the bicubic residual share one image batch of the
+        input, and the output returns to the field layout once."""
+        cfg = replace(SMALL, u=3, v=2, arch=arch)
+        net = network.build(cfg, np.float64)
+        x = Var(_rand_lf(np.random.default_rng(5), cfg, 5, 4).data)
+        to_images, to_lf = [], []
+        lf_to_images, images_to_lf = blocks.lf_to_images, blocks.images_to_lf
+
+        def spy_to_images(v):
+            to_images.append(v)
+            return lf_to_images(v)
+
+        def spy_to_lf(v, dims):
+            to_lf.append(dims)
+            return images_to_lf(v, dims)
+
+        monkeypatch.setattr(blocks, "lf_to_images", spy_to_images)
+        monkeypatch.setattr(blocks, "images_to_lf", spy_to_lf)
+        out = net.forward_var(x, net.param_vars(None))
+        assert sum(v is x for v in to_images) == 1
+        assert to_lf.count(out.shape) == 1 and out.shape == (3, 2, 10, 8, 1)
 
     def test_default_width_forward_peak_memory(self):
         """An f32 forward of the default widths with one block on 5x5 views
@@ -444,6 +468,21 @@ class TestParamSpecs:
         for name, _, init in network.param_specs(cfg):
             if not isinstance(init, tuple):
                 np.testing.assert_array_equal(net.params[name], init)
+
+    def test_o2o_params_do_not_depend_on_the_grid(self):
+        """What lets lam run the per-view baseline on one view: its
+        parameters fit a net of any grid.  The m2m encoder's do not."""
+        grids = ((1, 1), (3, 2), (5, 5))
+        o2o = [network.param_specs(replace(SMALL, u=u, v=v, arch="o2o")) for u, v in grids]
+        assert o2o[0] == o2o[1] == o2o[2]
+        m2m = [network.param_specs(replace(SMALL, u=u, v=v)) for u, v in grids]
+        assert m2m[0] != m2m[1] != m2m[2]
+
+    def test_only_the_per_view_baseline_keeps_views_apart(self):
+        assert {cls: cls.mixes_views for cls in network._NETS.values()} == {
+            network.Network: True,
+            network.O2OBaseline: False,
+        }
 
     def test_net_from_file_reads_once_and_draws_nothing(self, tmp_path, monkeypatch):
         net = network.build(SMALL, np.float64)

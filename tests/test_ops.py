@@ -1077,9 +1077,9 @@ def _protocol_cases():
 
 
 _PROTOCOL = _protocol_cases()
-# built from other ops, so they record once per inner op; and three helpers
+# built from other ops, so they record once per inner op; and four helpers
 # that take no Vars
-_NOT_SELF_RECORDING = {"vmean", "pixel_shuffle", "as_var", "resample_matrix", "batch_slices"}
+_NOT_SELF_RECORDING = {"vmean", "pixel_shuffle", "as_var", "erf", "resample_matrix", "batch_slices"}
 
 
 class TestOpProtocol:

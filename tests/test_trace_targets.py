@@ -48,3 +48,21 @@ def test_tiny_workload_matches_its_reference(name, tmp_path):
     w.setup(tmp_path)
     w.load()
     assert w.check(w.request(), w.reference()) == []
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_traced_tiny_workload_forwards_match_count_flops(name, tmp_path):
+    """The per-forward gate of a traced benchmark run: every request makes
+    forwards_per_request() forwards, and the conv2d, linear and attention
+    FLOPs seen inside each equal count_flops' prediction."""
+    w = WORKLOADS[name](0, tiny=True)
+    w.prepare(tmp_path)
+    w.setup(tmp_path)
+    w.load()
+    tracer = Tracer(flops_per_mac=w.forwards()[0][0].flops_per_mac)
+    tracer.request = 0
+    with tracer:
+        w.request()
+    fwd = tracer.forward_flops()[0]
+    assert len(fwd) == w.forwards_per_request()
+    assert all(predicted == seen > 0 for predicted, seen in fwd), fwd

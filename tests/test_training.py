@@ -1,5 +1,6 @@
 """Tests for pair construction, losses, Adam, and the overfit loop."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from m2mtnet import network, ops, training
 from m2mtnet.autodiff import Tape, Var
-from m2mtnet.lftensor import LfTensor
+from m2mtnet.lftensor import LfTensor, from_layout, to_layout
 from m2mtnet.training import AdamState, TrainConfig
 
 
@@ -55,6 +56,19 @@ class TestMakePair:
                 img = hr.data[uu, vv, :, :, 0].T  # view as (H, W)
                 ref = ops.resize_bicubic(Var(img), 0.5).value
                 np.testing.assert_allclose(lr.data[uu, vv, :, :, 0].T, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("r", [2, 4])
+    @pytest.mark.parametrize("dims", [(3, 2, 12, 8, 1), (2, 3, 16, 12, 1), (1, 1, 8, 20, 1), (2, 1, 8, 4, 2)])
+    def test_equals_the_image_layout_route(self, dims, r, dtype):
+        """Resampling the stored (W, H) axes gives the bits of a resample
+        of the (U*V, C, H, W) image batch, mapped back to the field."""
+        hr = LfTensor(np.random.default_rng(0).random(dims).astype(dtype))
+        lr, same = training.make_pair(hr, r)
+        img = ops.resize_bicubic(to_layout("images", hr), 1.0 / r).value
+        ref = from_layout("images", img, hr.u, hr.v, hr.w // r, hr.h // r)
+        assert same is hr and lr.data.dtype == dtype
+        np.testing.assert_array_equal(lr.data, ref.data)
 
     def test_rejects_indivisible_dims(self):
         with pytest.raises(ValueError):
@@ -178,12 +192,19 @@ class TestTrainToy:
             assert a.dtype == np.float32, name
             np.testing.assert_array_equal(a, before[name], err_msg=name)
 
+    # SHA-256 of the f32 net's 3-step loss curve below, pinned while
+    # train_toy cast the parameters in its own loop; the cast must not move it
+    F32_CURVE_DIGEST = "d15fc334d79e8f9dcb6d66897e55897c04dace4d0f04e731ef1d78530329528e"
+
     def test_params_promoted_to_f64(self):
         cfg = network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2)
         net = network.build(cfg, np.float32)
+        params, names = net.params, list(net.params)
         pair = training.make_pair(_plaid_hr(), 2)
-        training.train_toy(net, pair, TrainConfig(iters=2))
+        curve = training.train_toy(net, pair, TrainConfig(iters=3))
+        assert net.params is params and list(params) == names
         assert all(p.dtype == np.float64 for p in net.params.values())
+        assert hashlib.sha256(np.array(curve).tobytes()).hexdigest() == self.F32_CURVE_DIGEST
 
 
 class TestLossCsv:
