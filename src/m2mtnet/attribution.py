@@ -43,7 +43,6 @@ __all__ = [
     "gaussian_path",
     "detector",
     "gini",
-    "gini_naive",
     "diffusion_index",
     "lam",
     "save_heatmap_pgm",
@@ -181,18 +180,6 @@ def gini(values: np.ndarray) -> float:
     return float(2.0 * np.sum(i * xs) / (n * total) - (n + 1.0) / n)
 
 
-def gini_naive(values: np.ndarray) -> float:
-    """O(n^2) mean-absolute-difference definition; the oracle for gini()."""
-    x = np.asarray(values, dtype=np.float64).ravel()
-    if x.size < 1:
-        raise ValueError("gini needs at least one value")
-    total = x.sum()
-    if total == 0.0:
-        raise ValueError("gini of an all-zero vector is undefined")
-    diff = np.abs(x[:, None] - x[None, :]).sum()
-    return float(diff / (2.0 * x.size * x.size * x.mean()))
-
-
 def diffusion_index(values: np.ndarray) -> float:
     """(1 - Gini) * 100: high means attribution spreads evenly."""
     return (1.0 - gini(values)) * 100.0
@@ -246,9 +233,12 @@ def lam(net, lr: LfTensor, cfg: LamConfig) -> LamResult:
 
 
 def save_heatmap_pgm(path, map2d: np.ndarray) -> None:
-    """Min-max normalized 8-bit PGM rendering of a 2-D map."""
+    """Min-max normalized 8-bit PGM rendering of a finite 2-D map."""
     m = np.asarray(map2d, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"heatmap needs a 2-D map, got ndim {m.ndim}")
+    # a NaN min or max would otherwise normalize the map to all zeros
+    if not np.isfinite(m).all():
+        raise ValueError(f"{path}: map has NaN or infinite values")
     lo, hi = float(m.min()), float(m.max())
     lfio.write_pgm(path, (m - lo) / (hi - lo) if hi > lo else np.zeros(m.shape), 255)

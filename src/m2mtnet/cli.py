@@ -16,7 +16,6 @@ import numpy as np
 
 from . import attribution, ensemble, lfio, metrics, network, ops, training
 from .autodiff import Var, gradcheck
-from .lftensor import write_lft1
 from .network import NetConfig
 
 _CONFIG_KEYS = {f.name: type(f.default) for f in fields(NetConfig)}
@@ -121,7 +120,9 @@ def _cmd_lam(args) -> int:
         print(f"degenerate={'true' if res.degenerate else 'false'}")
         print(f"views_with_support={nonzero}/{lf.u * lf.v}")
     if args.out_map:
-        write_lft1(args.out_map, res.map.astype(np.float64))
+        # np.save given a path would append ".npy"; write exactly the path named
+        with open(args.out_map, "wb") as f:
+            np.save(f, res.map, allow_pickle=False)
         print(f"wrote {args.out_map}")
     if args.out_heatmap:
         attribution.save_heatmap_pgm(args.out_heatmap, res.macpi)
@@ -278,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sai", default=None, help="u,v of the probed view (default central)")
     p.add_argument("--mode", choices=("literal", "standard"), default="literal")
     p.add_argument("--central", type=int, default=None)
-    p.add_argument("--out-map", default=None, help="write the (U,V,W,H) map as a tensor file")
+    p.add_argument("--out-map", default=None, help="write the float64 (U,V,W,H) map as a NumPy .npy file")
     p.add_argument("--out-heatmap", default=None, help="write the macro-pixel map as PGM")
     p.add_argument("--json", action="store_true", help="report as one JSON object, the last stdout line")
     p.set_defaults(fn=_cmd_lam)

@@ -88,11 +88,13 @@ def check_maxval(maxval: int) -> None:
 
 
 def write_pgm(path, img01: np.ndarray, maxval: int = 255) -> None:
-    """Quantize a [0, 1] (H, W) image to a binary PGM."""
+    """Quantize a [0, 1] (H, W) image to a binary PGM; NaN or inf is an error."""
     check_maxval(maxval)
     img = np.asarray(img01, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"write_pgm needs a 2-D image, got ndim {img.ndim}")
+    if not np.isfinite(img).all():
+        raise ValueError(f"{path}: image has NaN or infinite samples")
     q = np.rint(np.clip(img, 0.0, 1.0) * maxval)
     dt = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     with open(path, "wb") as f:
@@ -183,9 +185,16 @@ def central_views(lf: LfTensor, k: int) -> LfTensor:
 
 
 def save_lf_dir(lf: LfTensor, path, maxval: int = 255) -> None:
-    """Write per-view PGMs plus meta.txt; single-channel fields only."""
+    """Write per-view PGMs plus meta.txt; single-channel, finite fields only.
+
+    Every check runs before the directory is created, so a rejected field
+    leaves nothing behind.
+    """
     if lf.c != 1:
         raise ValueError(f"view directories store 1 channel, got {lf.c}")
+    check_maxval(maxval)
+    if not np.isfinite(lf.data).all():
+        raise ValueError(f"light field for {path} has NaN or infinite samples")
     os.makedirs(path, exist_ok=True)
     for uu in range(lf.u):
         for vv in range(lf.v):

@@ -1,4 +1,4 @@
-"""Dense light-field container, its invertible subspace views, and tensor files.
+"""Dense light-field container and its invertible subspace views.
 
 A 4D light field is stored as one contiguous array with axes (U, V, W, H, C):
 angular row u, angular column v, spatial column x, spatial row y, channel.
@@ -11,7 +11,6 @@ stored elements with an exact inverse.  No view changes values, only layout.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ __all__ = [
     "layout_shape",
     "to_layout",
     "from_layout",
-    "read_lft1",
-    "write_lft1",
 ]
 
 
@@ -130,53 +127,3 @@ def from_layout(name: str, t: np.ndarray, u: int, v: int, w: int, h: int) -> LfT
     _check_dims(t, layout_shape(name, dims), what)
     arr = t.reshape([dims[a] for a in order]).transpose(np.argsort(order))
     return LfTensor(np.ascontiguousarray(arr))
-
-
-# ---------------------------------------------------------------------------
-# Tensor file format: magic "LFT1", dtype byte (0 = f32, 1 = f64), ndim byte,
-# two zero bytes, then ndim u64 little-endian dims, then the row-major
-# little-endian payload.
-
-_LFT1_MAGIC = b"LFT1"
-_LFT1_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_LFT1_BYCODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-
-
-def write_lft1(path, arr: np.ndarray) -> None:
-    """Write an array to an LFT1 tensor file (float32 or float64 only)."""
-    dt = np.dtype(arr.dtype)
-    if dt not in _LFT1_BYCODE:
-        raise ValueError(f"LFT1 stores float32/float64, not {dt}")
-    if arr.ndim > 255:
-        raise ValueError("LFT1 ndim limit is 255")
-    code = _LFT1_BYCODE[dt]
-    with open(path, "wb") as f:
-        f.write(_LFT1_MAGIC)
-        f.write(bytes([code, arr.ndim, 0, 0]))
-        f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        f.write(np.ascontiguousarray(arr, dtype=_LFT1_CODES[code]).tobytes())
-
-
-def read_lft1(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != _LFT1_MAGIC:
-        raise ValueError(f"not an LFT1 file: bad magic {raw[:4]!r}")
-    if len(raw) < 8 or len(raw) < 8 + 8 * raw[5]:
-        raise ValueError(f"truncated LFT1 header: file has {len(raw)} bytes")
-    code, ndim, z0, z1 = raw[4:8]
-    if code not in _LFT1_CODES:
-        raise ValueError(f"unknown LFT1 dtype code {code}")
-    if (z0, z1) != (0, 0):
-        raise ValueError("corrupt LFT1 header: reserved bytes nonzero")
-    dims = struct.unpack_from(f"<{ndim}Q", raw, 8)
-    dt = _LFT1_CODES[code]
-    start = 8 + 8 * ndim
-    count = math.prod(dims)
-    expected = start + count * dt.itemsize
-    if len(raw) != expected:
-        raise ValueError(
-            f"truncated LFT1 payload: file has {len(raw)} bytes, header implies {expected}"
-        )
-    arr = np.frombuffer(raw, dtype=dt, count=count, offset=start)
-    return arr.reshape(dims).copy()

@@ -220,7 +220,9 @@ class TestGini:
         rng = np.random.default_rng(6)
         for _ in range(100):
             x = rng.random(rng.integers(2, 40))
-            assert abs(attribution.gini(x) - attribution.gini_naive(x)) < 1e-12
+            # O(n^2) mean-absolute-difference definition, the oracle
+            naive = np.abs(x[:, None] - x[None, :]).sum() / (2.0 * x.size * x.size * x.mean())
+            assert abs(attribution.gini(x) - naive) < 1e-12
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -340,6 +342,13 @@ class TestLamOnNetwork:
         p = tmp_path / "h.pgm"
         attribution.save_heatmap_pgm(p, m)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_heatmap_rejects_non_finite_map(self, tmp_path, bad):
+        p = tmp_path / "h.pgm"
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            attribution.save_heatmap_pgm(p, np.array([[0.0, 1.0], [2.0, bad]]))
+        assert not p.exists()
 
     def test_heatmap_constant_map(self, tmp_path):
         p = tmp_path / "h.pgm"

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from m2mtnet import cli, lfio, network, training
-from m2mtnet.lftensor import LfTensor, read_lft1
+from m2mtnet import attribution, cli, lfio, network, training
+from m2mtnet.lftensor import LfTensor
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -50,6 +50,13 @@ class TestPgm:
         lfio.write_pgm(p, np.array([[-1.0, 2.0]]), 255)
         back, _ = lfio.read_pgm(p)
         np.testing.assert_array_equal(back, [[0, 255]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, tmp_path, bad):
+        p = tmp_path / "img.pgm"
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            lfio.write_pgm(p, np.array([[0.5, bad]]), 255)
+        assert not p.exists()
 
     def test_sixteen_bit_is_big_endian(self, tmp_path):
         p = tmp_path / "img.pgm"
@@ -165,6 +172,20 @@ class TestLfDir:
         with pytest.raises(ValueError) as e:
             lfio.load_lf_dir(d)
         assert str(e.value) == f"{d / 'meta.txt'}: {key}={said}, but the view files give {key}=2"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_leaves_no_directory(self, tmp_path, bad):
+        data = np.full((2, 2, 3, 3, 1), 0.5)
+        data[1, 0, 2, 1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            lfio.save_lf_dir(LfTensor(data), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("maxval", [0, 65536])
+    def test_bad_maxval_leaves_no_directory(self, tmp_path, maxval):
+        with pytest.raises(ValueError, match=f"maxval {maxval} outside"):
+            lfio.save_lf_dir(LfTensor(np.full((1, 1, 2, 2, 1), 0.5)), tmp_path / "out", maxval)
+        assert not (tmp_path / "out").exists()
 
     def test_central_crop(self, tmp_path):
         d, lf = _lf_dir(tmp_path, u=4, v=4)
@@ -315,8 +336,14 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "di=" in out and "views_with_support=4/4" in out
+        # .npy content at exactly the named path, no suffix appended
+        assert sorted(p.name for p in tmp_path.glob("map.lft*")) == ["map.lft"]
+        amap = np.load(map_file, allow_pickle=False)
         # the map attributes over the input field, not the output
-        assert read_lft1(map_file).shape == (2, 2, 8, 8)
+        assert amap.dtype == np.float64 and amap.shape == (2, 2, 8, 8)
+        net = network.net_from_file(weights, 2, 2)
+        lam_cfg = attribution.LamConfig(window=(8, 8, 4), steps=3, sigma=2.0)
+        assert np.array_equal(amap, attribution.lam(net, lfio.load_lf_dir(d), lam_cfg).map)
         img, _ = lfio.read_pgm(heat)
         assert img.shape == (8 * 2, 8 * 2)
 
@@ -575,6 +602,22 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_sr_non_finite_output_exits_one(self, tmp_path, capsys):
+        """A NaN bias reaches every output sample; no views are written as black."""
+        net = network.build(network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2))
+        net.params["tail.squeeze.b"][:] = np.nan
+        weights = tmp_path / "w.m2mw"
+        network.save_weights(weights, net)
+        d, _ = _lf_dir(tmp_path)
+        rc = cli.main(
+            ["sr", "--weights", str(weights), "--input", str(d), "--output", str(tmp_path / "o")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "NaN or infinite" in err
         assert not (tmp_path / "o").exists()
 
     def test_sr_bad_maxval_fails_up_front(self, tmp_path, capsys, monkeypatch):

@@ -4,8 +4,6 @@ Every view must be a bijection (round-trip bit-exact) and must place each
 element exactly where the flattened index formulas say it goes.
 """
 
-import struct
-
 import numpy as np
 import pytest
 
@@ -117,67 +115,3 @@ class TestElementPlacement:
     def test_merged_rejects_indivisible_channels(self):
         with pytest.raises(ValueError, match=r"from_layout\('merged'\)"):
             lft.from_layout("merged", np.zeros((1, 4, 7)), 2, 2, 2, 2)
-
-
-class TestTensorFile:
-    def test_round_trip_f32_f64(self, tmp_path):
-        rng = np.random.default_rng(5)
-        for dt in (np.float32, np.float64):
-            arr = rng.standard_normal((2, 3, 4)).astype(dt)
-            p = tmp_path / f"t_{np.dtype(dt).name}.lft"
-            lft.write_lft1(p, arr)
-            back = lft.read_lft1(p)
-            assert back.dtype == np.dtype(dt)
-            np.testing.assert_array_equal(back, arr)
-
-    def test_scalar_and_1d(self, tmp_path):
-        p = tmp_path / "s.lft"
-        lft.write_lft1(p, np.float64(3.5).reshape(()))
-        assert lft.read_lft1(p).shape == ()
-        lft.write_lft1(p, np.arange(4.0))
-        np.testing.assert_array_equal(lft.read_lft1(p), np.arange(4.0))
-
-    def test_rejects_int_dtype(self, tmp_path):
-        with pytest.raises(ValueError, match="float32/float64"):
-            lft.write_lft1(tmp_path / "x.lft", np.arange(4))
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.lft"
-        p.write_bytes(b"NOPE" + bytes(12))
-        with pytest.raises(ValueError, match="magic"):
-            lft.read_lft1(p)
-
-    def test_bad_dtype_code(self, tmp_path):
-        p = tmp_path / "bad.lft"
-        p.write_bytes(b"LFT1" + bytes([9, 0, 0, 0]))
-        with pytest.raises(ValueError, match="dtype code"):
-            lft.read_lft1(p)
-
-    def test_nonzero_reserved(self, tmp_path):
-        p = tmp_path / "bad.lft"
-        p.write_bytes(b"LFT1" + bytes([0, 0, 1, 0]))
-        with pytest.raises(ValueError, match="reserved"):
-            lft.read_lft1(p)
-
-    @pytest.mark.parametrize("keep", [5, 8, 19])
-    def test_truncated_header(self, tmp_path, keep):
-        """Cut inside the flag bytes, before the dims, or inside them."""
-        p = tmp_path / "t.lft"
-        lft.write_lft1(p, np.zeros((4, 4), dtype=np.float32))
-        p.write_bytes(p.read_bytes()[:keep])
-        with pytest.raises(ValueError, match="truncated LFT1 header"):
-            lft.read_lft1(p)
-
-    def test_dims_past_int64_are_a_truncated_payload(self, tmp_path):
-        """2**32 * 2**32 elements wrap to 0 in int64; the size check must not."""
-        p = tmp_path / "t.lft"
-        p.write_bytes(b"LFT1" + bytes([0, 2, 0, 0]) + struct.pack("<2Q", 2**32, 2**32))
-        with pytest.raises(ValueError, match="truncated LFT1 payload"):
-            lft.read_lft1(p)
-
-    def test_truncated_payload(self, tmp_path):
-        p = tmp_path / "t.lft"
-        lft.write_lft1(p, np.zeros((4, 4), dtype=np.float32))
-        p.write_bytes(p.read_bytes()[:-1])
-        with pytest.raises(ValueError, match="truncated"):
-            lft.read_lft1(p)
