@@ -162,11 +162,13 @@ def gini(values: np.ndarray) -> float:
 
     Equals the mean-absolute-difference definition
     sum_ij |x_i - x_j| / (2 n^2 mean); all-zero input is degenerate and
-    raises ValueError.  Values must be non-negative.
+    raises ValueError.  Values must be finite and non-negative.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     if x.size < 1:
         raise ValueError("gini needs at least one value")
+    if not np.isfinite(x).all():
+        raise ValueError("gini needs finite values")
     if np.any(x < 0):
         raise ValueError("gini expects non-negative values")
     total = x.sum()
@@ -199,6 +201,9 @@ def lam(net, lr: LfTensor, cfg: LamConfig) -> LamResult:
     u = v = 1 on the same parameters runs each path sample, and the
     gradient lands in view s of an otherwise zero map, which equals the
     full-grid one exactly: such a net gives every other view zero gradient.
+
+    A map with a NaN or infinite value is refused with ValueError; an
+    all-zero map is reported as degenerate.
     """
     net.check_input(lr.data.shape)
     su, sv = _resolve_sai(lr.data.shape, cfg.sai)
@@ -224,12 +229,13 @@ def lam(net, lr: LfTensor, cfg: LamConfig) -> LamResult:
             acc += x.grad * (path[k] - path[k - 1])
     amap = np.zeros(lr.data.shape[:4])
     amap[view] = np.abs(acc).sum(axis=4)
+    if not np.isfinite(amap).all():
+        raise ValueError("attribution map has NaN or infinite values: the net's output or gradient is not finite")
     macpi = to_layout("macpi", LfTensor(amap[..., None]))[:, :, 0]
-    try:
-        g = gini(amap)
-        return LamResult(map=amap, macpi=macpi, di=(1.0 - g) * 100.0, gini_coeff=g)
-    except ValueError:
+    if not amap.any():
         return LamResult(map=amap, macpi=macpi, di=100.0, gini_coeff=0.0, degenerate=True)
+    g = gini(amap)
+    return LamResult(map=amap, macpi=macpi, di=(1.0 - g) * 100.0, gini_coeff=g)
 
 
 def save_heatmap_pgm(path, map2d: np.ndarray) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,15 +18,12 @@ from . import attribution, ensemble, lfio, metrics, network, ops, training
 from .autodiff import Var, gradcheck
 from .network import NetConfig
 
-_CONFIG_KEYS = {f.name: type(f.default) for f in fields(NetConfig)}
-
-
 def _f(x) -> str:
     return f"{x:.6g}"
 
 
 def _load_config(path) -> NetConfig:
-    return NetConfig(**lfio.parse_config_file(path, _CONFIG_KEYS))
+    return network.parse_config(lfio.read_kv_file(path), path)
 
 
 def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
@@ -78,7 +75,7 @@ def _cmd_sr(args) -> int:
     lf = lfio.load_lf_dir(args.input, central=args.central)
     net = network.net_from_file(args.weights, lf.u, lf.v)
     if args.scale is not None and args.scale != net.cfg.r:
-        raise ValueError(f"--scale {args.scale} but the weight file implies r={net.cfg.r}")
+        raise ValueError(f"--scale {args.scale} but the weight file holds r={net.cfg.r}")
     if args.ensemble:
         out = ensemble.self_ensemble(net.forward, lf)
     else:

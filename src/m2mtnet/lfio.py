@@ -24,7 +24,7 @@ __all__ = [
     "load_lf_dir",
     "save_lf_dir",
     "central_views",
-    "parse_config_file",
+    "read_kv_file",
 ]
 
 
@@ -110,14 +110,6 @@ def read_ppm(path) -> tuple[np.ndarray, int]:
 _VIEW_RE = re.compile(r"^view_u(\d+)_v(\d+)\.(pgm|ppm)$")
 
 
-def _read_meta(path) -> dict:
-    meta = {}
-    if os.path.isfile(path):
-        for key, val in _parse_kv_lines(path):
-            meta[key] = val
-    return meta
-
-
 def load_lf_dir(path, central: int | None = None) -> LfTensor:
     """Load a view directory into a (U, V, W, H, 1) float32 light field.
 
@@ -141,7 +133,8 @@ def load_lf_dir(path, central: int | None = None) -> LfTensor:
         raise ValueError(f"no view_u*_v*.pgm images in {path}")
     grid = {"u": max(k[0] for k in found) + 1, "v": max(k[1] for k in found) + 1}
     meta_path = os.path.join(path, "meta.txt")
-    for key, text in _read_meta(meta_path).items():
+    meta = read_kv_file(meta_path) if os.path.isfile(meta_path) else []
+    for key, text in dict(meta).items():
         if key in grid and _positive_int(text, f"{meta_path}: {key}") != grid[key]:
             raise ValueError(f"{meta_path}: {key}={text}, but the view files give {key}={grid[key]}")
     nu, nv = grid["u"], grid["v"]
@@ -207,7 +200,9 @@ def save_lf_dir(lf: LfTensor, path, maxval: int = 255) -> None:
         f.write(f"u={lf.u}\nv={lf.v}\nbitdepth={8 if maxval <= 255 else 16}\n")
 
 
-def _parse_kv_lines(path):
+def read_kv_file(path) -> list[tuple[str, str]]:
+    """(key, value) pairs of a file of key=value lines; blank lines and
+    # comments are skipped."""
     pairs = []
     with open(path) as f:
         for ln, line in enumerate(f, 1):
@@ -219,19 +214,3 @@ def _parse_kv_lines(path):
             key, val = line.split("=", 1)
             pairs.append((key.strip(), val.strip()))
     return pairs
-
-
-def parse_config_file(path, known: dict) -> dict:
-    """key=value file -> typed dict; keys outside `known` are errors.
-
-    `known` maps key -> converter, a callable such as int, float or str.
-    """
-    out = {}
-    for key, val in _parse_kv_lines(path):
-        if key not in known:
-            raise ValueError(f"{path}: unknown config key {key!r}")
-        try:
-            out[key] = known[key](val)
-        except ValueError:
-            raise ValueError(f"{path}: bad value {val!r} for {key!r}") from None
-    return out

@@ -12,14 +12,16 @@ Head: n1 per-view 3x3 convs (1->C then C->C), leaky-relu between them.
 Tail: 1x1 conv C -> r*r*C, pixel shuffle by r, 3x3 conv C -> 1.  A bicubic
 upsample of the input is added as a global residual, so a zero-weight network
 degrades exactly to bicubic.
+
+Weight files (M2MW2): magic "M2MW2", u32 LE header byte length, a header of
+key=value lines (dtype, <f4 or <f8, then every NetConfig field), then every
+tensor of param_specs(cfg), in order, packed little-endian in that dtype.
 """
 from __future__ import annotations
 
 import math
-import re
-import struct
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
 import numpy as np
@@ -37,9 +39,8 @@ __all__ = [
     "param_specs",
     "count_params",
     "count_flops",
+    "parse_config",
     "save_weights",
-    "load_weights",
-    "config_from_manifest",
     "net_from_file",
 ]
 
@@ -296,142 +297,92 @@ def count_flops(cfg: NetConfig, patch: int = 32):
 
 
 # ---------------------------------------------------------------------------
-# Weight files: magic "M2MW1", u32 LE manifest byte length, manifest text
-# (one line per tensor: name, dtype, dims, payload offset, tab-separated),
-# then the packed little-endian payload.
+# Configs and weight files
 
-_W_MAGIC = b"M2MW1"
-_W_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
-_W_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+_CONFIG_KEYS = {f.name: type(f.default) for f in fields(NetConfig)}
+
+
+def parse_config(pairs, where) -> NetConfig:
+    """NetConfig from the (key, value) text pairs of a config file or a
+    weight header; a field left out keeps its default.
+
+    Integer fields take ASCII digits only: no sign, underscore or other
+    script's digit.  An unknown key or a bad value is a ValueError naming
+    `where`.
+    """
+    kw = {}
+    for key, val in pairs:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{where}: unknown config key {key!r}")
+        if _CONFIG_KEYS[key] is int:
+            if not (val.isascii() and val.isdigit()):
+                raise ValueError(f"{where}: bad value {val!r} for {key!r}")
+            val = int(val)
+        kw[key] = val
+    return NetConfig(**kw)
+
+
+_W_MAGIC = b"M2MW2"
+_W_DTYPES = ("<f4", "<f8")
+
+
+def _header(cfg: NetConfig, dtype: np.dtype) -> bytes:
+    """dtype, then every NetConfig field in order, one key=value line each."""
+    lines = [f"dtype={dtype.str}"] + [f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg)]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def save_weights(path, net: _SrNet) -> None:
-    lines = []
-    payload = bytearray()
-    for name, arr in net.params.items():
-        dt = np.dtype(arr.dtype)
-        if dt not in _W_NAMES:
-            raise ValueError(f"weight file stores float32/float64, not {dt}")
-        dims = ",".join(str(d) for d in arr.shape)
-        lines.append(f"{name}\t{_W_NAMES[dt]}\t{dims}\t{len(payload)}")
-        payload += np.ascontiguousarray(arr, dtype=dt.newbyteorder("<")).tobytes()
-    manifest = ("\n".join(lines) + "\n").encode()
+    """Write net as an M2MW2 file; every check runs before the file is made."""
+    want = [(name, dims) for name, dims, _ in param_specs(net.cfg)]
+    if [(name, a.shape) for name, a in net.params.items()] != want:
+        raise ValueError("net.params do not match param_specs(net.cfg) in names, order or dims")
+    dtypes = sorted({str(a.dtype) for a in net.params.values()})
+    if dtypes not in (["float32"], ["float64"]):
+        raise ValueError(f"a weight file stores one dtype, float32 or float64, got {', '.join(dtypes)}")
+    dt = np.dtype(dtypes[0]).newbyteorder("<")
+    header = _header(net.cfg, dt)
+    payload = np.concatenate([a.ravel() for a in net.params.values()], dtype=dt)
     with open(path, "wb") as f:
-        f.write(_W_MAGIC)
-        f.write(struct.pack("<I", len(manifest)))
-        f.write(manifest)
+        f.write(_W_MAGIC + len(header).to_bytes(4, "little") + header)
         f.write(payload)
 
 
-def _read_header(f):
-    """Manifest entries of an open weight file, leaving f at the payload."""
-    magic = f.read(5)
-    if magic != _W_MAGIC:
-        raise ValueError(f"not a weight file: bad magic {magic!r}")
-    head = f.read(4)
-    if len(head) < 4:
-        raise ValueError("weight file truncated inside its header")
-    (mlen,) = struct.unpack("<I", head)
-    manifest = f.read(mlen)
-    if len(manifest) < mlen:
-        raise ValueError("weight file truncated inside its manifest")
-    entries, seen = [], set()
-    for line in manifest.decode().splitlines():
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ValueError(f"bad weight manifest line {line!r}: expected 4 tab-separated fields")
-        name, dts, dims, off = fields
-        if dts not in _W_DTYPES:
-            raise ValueError(f"unknown dtype {dts!r} in weight manifest")
-        nums = (dims.split(",") if dims else []) + [off]
-        if not all(x.isascii() and x.isdigit() for x in nums):
-            raise ValueError(f"bad weight manifest line {line!r}: dims and offset must be non-negative integers")
-        *shape, offset = map(int, nums)
-        if name in seen:
-            raise ValueError(f"weight manifest names tensor {name!r} twice")
-        seen.add(name)
-        entries.append((name, dts, tuple(shape), offset))
-    return entries
-
-
-def load_weights(path) -> "OrderedDict[str, np.ndarray]":
-    with open(path, "rb") as f:
-        entries = _read_header(f)
-        payload = f.read()
-    out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    for name, dts, shape, off in entries:
-        dt = _W_DTYPES[dts]
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = off + count * dt.itemsize
-        if end > len(payload):
-            raise ValueError(f"weight file truncated at tensor {name!r}")
-        out[name] = np.frombuffer(payload, dtype=dt, count=count, offset=off).reshape(shape).copy()
-    return out
-
-
-def config_from_manifest(shapes, u: int, v: int) -> NetConfig:
-    """Reconstruct the architecture from a weight file's name -> dims mapping.
-
-    The weight file stores tensors only, so the angular grid (u, v) must come
-    from the input; everything else is implied by layer dims.
-    """
-    if "head.0.w" not in shapes:
-        raise ValueError("weight file has no head.0.w; not a network weight file")
-
-    def dims(name, ndim):
-        if name not in shapes:
-            raise ValueError(f"weight file is missing tensor {name!r}")
-        if len(shapes[name]) != ndim:
-            raise ValueError(f"tensor {name!r} has dims {shapes[name]}, expected {ndim} axes")
-        return shapes[name]
-
-    c = dims("head.0.w", 4)[0]
-    if c < 1:
-        raise ValueError(f"tensor 'head.0.w' has dims {shapes['head.0.w']}: C must be >= 1")
-    n1 = sum(1 for n in shapes if n.startswith("head.") and n.endswith(".w"))
-    block_ids = set()
-    for n in shapes:
-        if n.startswith("block"):
-            if (m := re.match(r"block(\d+)\.", n)) is None:
-                raise ValueError(f"weight file has tensor {n!r}, not named block<i>.<layer>")
-            block_ids.add(int(m.group(1)))
-    if not block_ids:
-        raise ValueError("weight file has no blocks")
-    n2 = max(block_ids) + 1
-    arch = "m2m" if any(n.startswith("block0.m2mt.") for n in shapes) else "o2o"
-    pre = "block0.m2mt." if arch == "m2m" else "block0.sp."
-    c_cor = dims(pre + "q.w", 2)[0]
-    if arch == "m2m" and (din := dims(pre + "encode.w", 2)[0]) != u * v * c:
-        raise ValueError(
-            f"encode input dim {din} != U*V*C = {u}*{v}*{c}; wrong --central or grid?"
-        )
-    r2c = dims("tail.expand.w", 4)[0]
-    r = int(round(np.sqrt(r2c // c)))
-    if r * r * c != r2c:
-        raise ValueError(f"tail expand dim {r2c} is not r*r*C for C={c}")
-    return NetConfig(u=u, v=v, c=c, c_cor=c_cor, n1=n1, n2=n2, r=r, arch=arch)
-
-
 def net_from_file(path, u: int, v: int, dtype=np.float32):
-    """The architecture a weight file implies, holding the file's tensors.
+    """The net a weight file holds, on the input's u x v grid, in dtype.
 
-    The file must hold exactly the tensors of param_specs for that
-    architecture, each with matching dims.
+    The file is read once.  Its header gives the NetConfig, whose
+    param_specs give every tensor's name, dims and offset in the payload.
+    Only m2m parameters depend on the grid, so only an m2m file can be
+    refused for a grid other than the one it was saved on.
     """
-    loaded = load_weights(path)
-    cfg = config_from_manifest({n: a.shape for n, a in loaded.items()}, u, v)
-    specs = param_specs(cfg)
-    expected = {name for name, _, _ in specs}
-    for name in loaded:
-        if name not in expected:
-            raise ValueError(f"weight file has tensor {name!r}, which this network does not")
+    with open(path, "rb") as f:
+        data = f.read()
+    if data[:5] != _W_MAGIC:
+        raise ValueError(f"{path}: not an M2MW2 weight file: bad magic {data[:5]!r}")
+    start = 9 + int.from_bytes(data[5:9], "little")
+    if len(data) < max(9, start):
+        raise ValueError(f"{path}: weight file truncated inside its header")
+    first, _, rest = data[9:start].decode("latin-1").partition("\n")
+    key, _, dts = first.partition("=")
+    if key != "dtype" or dts not in _W_DTYPES:
+        raise ValueError(f"{path}: weight header must start dtype=<f4 or dtype=<f8, got {first!r}")
+    dt = np.dtype(dts)
+    cfg = parse_config((line.partition("=")[::2] for line in rest.splitlines()), path)
+    if _header(cfg, dt) != data[9:start]:
+        raise ValueError(f"{path}: weight header must list every NetConfig field once, in order")
+    grid = replace(cfg, u=u, v=v)
+    specs = param_specs(grid)
+    if specs != param_specs(cfg):
+        raise ValueError(f"{path}: weights for a {cfg.u}x{cfg.v} grid, input grid is {u}x{v}; wrong --central or grid?")
+    count = count_params(grid)[1]
+    if len(data) - start != count * dt.itemsize:
+        raise ValueError(f"{path}: payload holds {len(data) - start} bytes, the header's net needs {count * dt.itemsize}")
+    # a copy per tensor: one block for all of them raised sr_4x_32's peak RSS by 6%
+    flat = np.frombuffer(data, dt, offset=start)
     params: "OrderedDict[str, np.ndarray]" = OrderedDict()
+    off = 0
     for name, dims, _ in specs:
-        if name not in loaded:
-            raise ValueError(f"weight file is missing tensor {name!r}")
-        if loaded[name].shape != dims:
-            raise ValueError(f"tensor {name!r}: file dims {loaded[name].shape} != expected {dims}")
-        params[name] = loaded[name].astype(dtype, copy=False)
-    return _NETS[cfg.arch](cfg, params)
+        params[name] = flat[off : off + math.prod(dims)].reshape(dims).astype(dtype)
+        off += math.prod(dims)
+    return _NETS[cfg.arch](grid, params)

@@ -232,6 +232,11 @@ class TestGini:
         with pytest.raises(ValueError):
             attribution.gini(np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            attribution.gini(np.array([bad, 1.0]))
+
     def test_diffusion_index_mapping(self):
         assert attribution.diffusion_index(np.array([0.0, 0.0, 0.0, 1.0])) == pytest.approx(25.0)
         assert attribution.diffusion_index(np.ones(8)) == pytest.approx(100.0)

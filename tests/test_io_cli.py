@@ -223,23 +223,39 @@ class TestConfigFile:
     def test_typed_parsing(self, tmp_path):
         p = tmp_path / "net.cfg"
         p.write_text("# comment\nu=5\nv=5\nc_cor=7\narch=m2m\n\n")
-        got = lfio.parse_config_file(p, cli._CONFIG_KEYS)
-        assert got == {"u": 5, "v": 5, "c_cor": 7, "arch": "m2m"}
+        assert cli._load_config(p) == network.NetConfig(u=5, v=5, c_cor=7, arch="m2m")
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "net.cfg"
         p.write_text("depth=9\n")
         with pytest.raises(ValueError, match="unknown config key"):
-            lfio.parse_config_file(p, cli._CONFIG_KEYS)
+            cli._load_config(p)
 
     def test_bad_value_and_missing_equals(self, tmp_path):
         p = tmp_path / "net.cfg"
         p.write_text("arch=o2o\nc=wide\n")
         with pytest.raises(ValueError, match="bad value 'wide' for 'c'"):
-            lfio.parse_config_file(p, cli._CONFIG_KEYS)
+            cli._load_config(p)
         p.write_text("just a line\n")
         with pytest.raises(ValueError, match="key=value"):
-            lfio.parse_config_file(p, cli._CONFIG_KEYS)
+            cli._load_config(p)
+
+    def test_weight_headers_use_the_same_reader(self):
+        pairs = [("u", "3"), ("seed", "0"), ("arch", "o2o")]
+        assert network.parse_config(pairs, "h") == network.NetConfig(u=3, seed=0, arch="o2o")
+        with pytest.raises(ValueError) as e:
+            network.parse_config([("flops_per_mac", "2")], "h")
+        assert str(e.value) == "h: unknown config key 'flops_per_mac'"
+
+    @pytest.mark.parametrize("line", ["u=+2", "n2=1_0", "c=\u0664", "seed=-1", "r= 2 2", "c="])
+    def test_integers_are_ascii_digits_only(self, tmp_path, capsys, line):
+        p = _write_cfg(tmp_path)
+        p.write_text(p.read_text() + line + "\n", encoding="utf-8")
+        assert cli.main(["params", "--config", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "bad value" in captured.err
 
     def test_every_netconfig_field_round_trips(self, tmp_path):
         want = network.NetConfig(
@@ -442,7 +458,7 @@ class TestCli:
             (["train-toy", "--lr", "nan"], "lr must be finite and > 0, got nan"),
             (["train-toy", "--lr", "inf"], "lr must be finite and > 0, got inf"),
             (["init", "--seed", "-1"], "seed must be >= 0, got -1"),
-            (["params"], "seed must be >= 0, got -1"),
+            (["params"], "{cfg}: bad value '-1' for 'seed'"),
             (["gradcheck", "--seed", "-1"], "--seed must be >= 0, got -1"),
         ],
         ids=["train-lr-nan", "train-lr-inf", "init-seed", "params-config-seed", "gradcheck-seed"],
@@ -458,7 +474,7 @@ class TestCli:
         }[argv[0]]
         assert cli.main(argv + extra) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: {message.format(cfg=cfg)}\n"
         assert captured.out == ""
 
     def test_python_dash_m_runs_the_cli(self, tmp_path):
@@ -503,18 +519,6 @@ class TestCli:
         assert capsys.readouterr().err == "error: input grid 3x2 != configured 2x2\n"
         assert not (tmp_path / "t.m2mw").exists()
 
-    def test_weights_truncated_in_header_exit_one(self, tmp_path, capsys):
-        d, _ = _lf_dir(tmp_path)
-        weights = tmp_path / "w.m2mw"
-        weights.write_bytes(b"M2MW1")
-        rc = cli.main(
-            ["sr", "--weights", str(weights), "--input", str(d), "--output", str(tmp_path / "o")]
-        )
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "truncated" in err
-
     def test_gradcheck_passes(self, capsys):
         assert cli.main(["gradcheck", "--seed", "0"]) == 0
         out = capsys.readouterr().out
@@ -539,70 +543,79 @@ class TestCli:
         assert f"unknown config key {key!r}" in err
 
     @pytest.mark.parametrize(
-        "missing", ["tail.expand.w", "block0.m2mt.q.w", "block0.m2mt.encode.w", "block0.sp.q.w"]
+        "case, fragment",
+        [
+            ("bad magic", "bad magic b'WRONG'"),
+            ("m2mw1 file", "bad magic b'M2MW1'"),
+            ("magic only", "truncated inside its header"),
+            ("truncated header", "truncated inside its header"),
+            ("unknown key", "unknown config key 'depth'"),
+            ("bad integer", "bad value '+4' for 'c'"),
+            ("zero channels", "u, v, c, c_cor must be >= 1"),
+            ("r=3", "upscale factor must be 2 or 4, got 3"),
+            ("unknown dtype", "must start dtype=<f4 or dtype=<f8, got 'dtype=>f4'"),
+            ("missing field", "must list every NetConfig field once, in order"),
+            ("field twice", "must list every NetConfig field once, in order"),
+            ("short payload", "payload holds"),
+            ("trailing bytes", "payload holds"),
+            ("other grid", "weights for a 3x3 grid, input grid is 2x2; wrong --central or grid?"),
+        ],
     )
-    def test_sr_weights_missing_tensor_exit_one(self, tmp_path, capsys, missing):
-        arch = "o2o" if ".sp." in missing else "m2m"
-        net = network.build(network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2, arch=arch))
-        del net.params[missing]
+    def test_sr_bad_weight_file_one_line(self, tmp_path, capsys, case, fragment):
+        """Each fault of an M2MW2 file (magic, u32 LE header length, key=value
+        header, little-endian payload) is one error line, and nothing is written."""
+        cfg = network.NetConfig(u=3 if case == "other grid" else 2, v=3 if case == "other grid" else 2,
+                                c=4, c_cor=6, n1=1, n2=1, r=2)
+        lines = ["dtype=<f4"] + [f"{k}={v}" for k, v in cfg.__dict__.items()]
+        payload = b"".join(a.astype("<f4").tobytes() for a in network.build(cfg).params.values())
+        edits = {
+            "unknown key": lambda ls: ls + ["depth=3"],
+            "bad integer": lambda ls: [x.replace("c=4", "c=+4") for x in ls],
+            "zero channels": lambda ls: [x.replace("c=4", "c=0") for x in ls],
+            "r=3": lambda ls: [x.replace("r=2", "r=3") for x in ls],
+            "unknown dtype": lambda ls: ["dtype=>f4"] + ls[1:],
+            "missing field": lambda ls: [x for x in ls if not x.startswith("seed=")],
+            "field twice": lambda ls: ls + ["seed=0"],
+        }
+        lines = edits.get(case, lambda ls: ls)(lines)
+        header = "".join(x + "\n" for x in lines).encode()
+        data = b"M2MW2" + len(header).to_bytes(4, "little") + header + payload
+        data = {
+            "bad magic": b"WRONG" + data[5:],
+            "m2mw1 file": b"M2MW1" + (17).to_bytes(4, "little") + b"head.0.w\tf32\t1\t0\n" + bytes(4),
+            "magic only": b"M2MW2",
+            "truncated header": data[: 9 + len(header) - 1],
+            "short payload": data[:-4],
+            "trailing bytes": data + bytes(4),
+        }.get(case, data)
         weights = tmp_path / "w.m2mw"
-        network.save_weights(weights, net)
+        weights.write_bytes(data)
         d, _ = _lf_dir(tmp_path)
-        rc = cli.main(
-            ["sr", "--weights", str(weights), "--input", str(d), "--output", str(tmp_path / "o")]
-        )
+        rc = cli.main(["sr", "--weights", str(weights), "--input", str(d), "--output", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert f"missing tensor {missing!r}" in err
+        assert fragment in err
+        assert not (tmp_path / "o").exists()
 
-    def test_sr_weights_with_zero_channels_exit_one(self, tmp_path, capsys):
-        net = network.build(network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2, arch="o2o"))
-        net.params["head.0.w"] = np.zeros((0, 1, 3, 3), np.float32)
+    def test_lam_non_finite_map_exits_one(self, tmp_path, capsys):
+        """A NaN bias makes the map NaN: no JSON, no map file."""
+        net = network.build(network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2))
+        net.params["tail.squeeze.b"][:] = np.nan
         weights = tmp_path / "w.m2mw"
         network.save_weights(weights, net)
         d, _ = _lf_dir(tmp_path)
         capsys.readouterr()
         rc = cli.main(
-            ["sr", "--weights", str(weights), "--input", str(d), "--output", str(tmp_path / "o")]
+            ["lam", "--weights", str(weights), "--input", str(d), "--window", "8,8,4", "--steps", "3",
+             "--json", "--out-map", str(tmp_path / "m.npy")]
         )
         assert rc == 1
-        assert capsys.readouterr().err == "error: tensor 'head.0.w' has dims (0, 1, 3, 3): C must be >= 1\n"
-
-    @pytest.mark.parametrize("legacy", ["norm", "out_proj", "ffn", "angular_ffn", "ffn_ratio"])
-    def test_sr_rejects_switched_legacy_weights(self, tmp_path, capsys, legacy):
-        """Files laid out as nets with one of the removed switches flipped."""
-        net = network.build(network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2))
-        p = net.params
-        for sub, d in (("m2mt", 6), ("ang", 4)):
-            pre = f"block0.{sub}."
-            if legacy == "norm":
-                for k in ("att_norm.g", "att_norm.b", "ffn_norm.g", "ffn_norm.b"):
-                    p.pop(pre + k, None)
-            elif legacy == "out_proj":
-                del p[pre + "proj.w"], p[pre + "proj.b"]
-            elif legacy == "ffn" and sub == "m2mt":
-                for k in ("ffn_norm.g", "ffn_norm.b", "ffn1.w", "ffn1.b", "ffn2.w", "ffn2.b"):
-                    del p[pre + k]
-            elif legacy == "angular_ffn" and sub == "ang":
-                shapes = {"ffn_norm.g": d, "ffn_norm.b": d, "ffn1.w": (d, 2 * d),
-                          "ffn1.b": 2 * d, "ffn2.w": (2 * d, d), "ffn2.b": d}
-                for k, shape in shapes.items():
-                    p[pre + k] = np.zeros(shape, np.float32)
-            elif legacy == "ffn_ratio" and sub == "m2mt":
-                p[pre + "ffn1.w"] = np.zeros((d, 3 * d), np.float32)
-                p[pre + "ffn1.b"] = np.zeros(3 * d, np.float32)
-                p[pre + "ffn2.w"] = np.zeros((3 * d, d), np.float32)
-        weights = tmp_path / "w.m2mw"
-        network.save_weights(weights, net)
-        d, _ = _lf_dir(tmp_path)
-        rc = cli.main(
-            ["sr", "--weights", str(weights), "--input", str(d), "--output", str(tmp_path / "o")]
-        )
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert not (tmp_path / "o").exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "NaN or infinite" in captured.err
+        assert not (tmp_path / "m.npy").exists()
 
     def test_sr_non_finite_output_exits_one(self, tmp_path, capsys):
         """A NaN bias reaches every output sample; no views are written as black."""

@@ -5,7 +5,6 @@ totals are pinned separately in the acceptance tests.
 """
 
 import hashlib
-import re
 import tracemalloc
 from dataclasses import replace
 
@@ -22,11 +21,6 @@ SMALL = NetConfig(u=2, v=2, c=4, c_cor=6, n1=2, n2=2, r=2, seed=3)
 
 def _rand_lf(rng, cfg, w=4, h=4):
     return LfTensor(rng.standard_normal((cfg.u, cfg.v, w, h, 1)))
-
-
-def _shapes(path):
-    """The name -> dims mapping of a weight file."""
-    return {n: a.shape for n, a in network.load_weights(path).items()}
 
 
 class TestConfig:
@@ -285,83 +279,38 @@ class TestCostModel:
         assert sum(a.size for a in net.params.values()) == expect
 
 
+def _m2mw1_payload(net):
+    """The payload an M2MW1 file held: every tensor, in order, little-endian."""
+    return b"".join(np.ascontiguousarray(a, a.dtype.newbyteorder("<")).tobytes() for a in net.params.values())
+
+
 class TestWeightFiles:
-    def test_round_trip_bit_exact(self, tmp_path):
-        net = network.build(SMALL)
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("r", [2, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
+    def test_round_trip_keeps_the_config_and_every_tensor(self, tmp_path, arch, dtype, r, seed):
+        net = network.build(replace(SMALL, arch=arch, r=r, seed=seed), dtype)
         p = tmp_path / "w.m2mw"
         network.save_weights(p, net)
-        loaded = network.load_weights(p)
-        assert list(loaded) == list(net.params)
-        for k in loaded:
-            np.testing.assert_array_equal(loaded[k], net.params[k])
+        for want in (np.float32, np.float64):
+            again = network.net_from_file(p, SMALL.u, SMALL.v, want)
+            assert again.cfg == net.cfg and type(again) is type(net)
+            assert list(again.params) == list(net.params)
+            for n, a in net.params.items():
+                assert again.params[n].dtype == want
+                assert np.array_equal(again.params[n], a.astype(want))
 
-    def test_net_from_file_checks_dims(self, tmp_path):
-        net = network.build(SMALL)
-        net.params["block0.m2mt.q.b"] = np.zeros(7, np.float32)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layout_is_header_then_the_m2mw1_payload(self, tmp_path, dtype):
+        net = network.build(replace(SMALL, arch="o2o", seed=7), dtype)
         p = tmp_path / "w.m2mw"
         network.save_weights(p, net)
-        with pytest.raises(ValueError, match=re.escape("tensor 'block0.m2mt.q.b': file dims (7,) != expected (6,)")):
-            network.net_from_file(p, SMALL.u, SMALL.v)
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.m2mw"
-        p.write_bytes(b"WRONG" + bytes(8))
-        with pytest.raises(ValueError, match="magic"):
-            network.load_weights(p)
-
-    def test_truncated_header_or_manifest(self, tmp_path):
-        p = tmp_path / "w.m2mw"
-        for data, where in (
-            (b"M2MW1", "header"),
-            (b"M2MW1\x01\x00", "header"),
-            (b"M2MW1" + (100).to_bytes(4, "little") + b"head.0.w", "manifest"),
-        ):
-            p.write_bytes(data)
-            with pytest.raises(ValueError, match=f"truncated inside its {where}"):
-                network.load_weights(p)
-
-    def test_bad_manifest_line_is_named(self, tmp_path):
-        p = tmp_path / "w.m2mw"
-        manifest = b"head.0.w\tf32\t4\t0\nhead.0.b\tf32\t4\n"
-        p.write_bytes(b"M2MW1" + len(manifest).to_bytes(4, "little") + manifest)
-        with pytest.raises(ValueError, match=r"manifest line 'head\.0\.b\\tf32\\t4'"):
-            network.load_weights(p)
-
-    @pytest.mark.parametrize(
-        "line", [b"head.0.w\tf32\t3,x\t0", b"head.0.w\tf32\t3,4\t1.5", b"head.0.w\tf32\t3,4\t-8"]
-    )
-    def test_non_integer_or_negative_manifest_field_is_named(self, tmp_path, line):
-        p = tmp_path / "w.m2mw"
-        manifest = line + b"\n"
-        p.write_bytes(b"M2MW1" + len(manifest).to_bytes(4, "little") + manifest)
-        with pytest.raises(ValueError, match=re.escape(f"bad weight manifest line {line.decode()!r}: dims and offset")):
-            network.load_weights(p)
-
-    def test_truncated_payload(self, tmp_path):
-        net = network.build(SMALL)
-        p = tmp_path / "w.m2mw"
-        network.save_weights(p, net)
-        p.write_bytes(p.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            network.load_weights(p)
-
-    def test_config_reconstructed_from_manifest(self, tmp_path):
-        for cfg in (
-            SMALL,
-            NetConfig(**{**SMALL.__dict__, "r": 4}),
-            NetConfig(**{**SMALL.__dict__, "arch": "o2o"}),
-            NetConfig(**{**SMALL.__dict__, "arch": "o2o", "r": 4, "n1": 3}),
-        ):
-            net = network.build(cfg) if cfg.arch == "m2m" else network.build_o2o(cfg)
-            p = tmp_path / "w.m2mw"
-            network.save_weights(p, net)
-            got = network.config_from_manifest(_shapes(p), cfg.u, cfg.v)
-            # seed and flop convention are not stored in weights; the
-            # baseline never uses c_cor, so it is not recoverable either
-            want = dict(cfg.__dict__)
-            if cfg.arch == "o2o":
-                want["c_cor"] = cfg.c
-            assert {**got.__dict__, "seed": cfg.seed} == want
+        header = (
+            f"dtype={np.dtype(dtype).newbyteorder('<').str}\n"
+            "u=2\nv=2\nc=4\nc_cor=6\nn1=2\nn2=2\nr=2\nseed=7\narch=o2o\n"
+        ).encode()
+        assert p.read_bytes() == b"M2MW2" + len(header).to_bytes(4, "little") + header + _m2mw1_payload(net)
 
     def test_net_from_file_forward_matches(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -372,42 +321,42 @@ class TestWeightFiles:
         lf = _rand_lf(rng, SMALL)
         np.testing.assert_array_equal(again.forward(lf).data, net.forward(lf).data)
 
-    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
-    def test_extra_tensor_rejected(self, tmp_path, arch):
-        # e.g. an angular feed-forward layer the fixed design does not have
-        cfg = replace(SMALL, arch=arch)
-        net = network.build(cfg)
-        extra = "block0.ang.ffn1.w" if arch == "m2m" else "block0.sp.extra.w"
-        net.params[extra] = np.zeros((4, 8), np.float32)
+    def test_o2o_file_loads_on_any_grid(self, tmp_path):
+        net = network.build(replace(SMALL, arch="o2o"))
         p = tmp_path / "w.m2mw"
         network.save_weights(p, net)
-        with pytest.raises(ValueError, match=f"has tensor '{extra}'"):
-            network.net_from_file(p, cfg.u, cfg.v)
-
-    @pytest.mark.parametrize("name", ["blocks_extra", "blockX.m2mt.q.w", "block.0.sp.q.w"])
-    def test_bad_block_name_is_named(self, tmp_path, name):
-        net = network.build(SMALL)
-        net.params[name] = np.zeros((4, 8), np.float32)
-        p = tmp_path / "w.m2mw"
-        network.save_weights(p, net)
-        with pytest.raises(ValueError, match=f"has tensor '{re.escape(name)}', not named block<i>"):
-            network.net_from_file(p, SMALL.u, SMALL.v)
-
-    @pytest.mark.parametrize("name", ["head.0.w", "block0.m2mt.q.w", "block0.m2mt.encode.w", "tail.expand.w"])
-    def test_config_tensor_rank_checked(self, tmp_path, name):
-        net = network.build(SMALL)
-        net.params[name] = np.zeros((), np.float32)
-        p = tmp_path / "w.m2mw"
-        network.save_weights(p, net)
-        with pytest.raises(ValueError, match=f"tensor '{name}' has dims"):
-            network.config_from_manifest(_shapes(p), SMALL.u, SMALL.v)
+        again = network.net_from_file(p, 3, 1)
+        assert again.cfg == replace(net.cfg, u=3, v=1)
 
     def test_wrong_grid_fails_loudly(self, tmp_path):
         net = network.build(SMALL)
         p = tmp_path / "w.m2mw"
         network.save_weights(p, net)
-        with pytest.raises(ValueError, match="encode input dim"):
+        with pytest.raises(ValueError) as e:
             network.net_from_file(p, 3, 3)
+        assert str(e.value) == f"{p}: weights for a 2x2 grid, input grid is 3x3; wrong --central or grid?"
+
+    @pytest.mark.parametrize("fault", ["extra", "missing", "redim", "reordered", "mixed", "float16"])
+    def test_save_refuses_params_that_do_not_fit_the_config(self, tmp_path, fault):
+        net = network.build(SMALL)
+        prm = net.params
+        if fault == "extra":
+            prm["block0.ang.ffn1.w"] = np.zeros((4, 8), np.float32)
+        elif fault == "missing":
+            del prm["block1.ang.v.b"]
+        elif fault == "redim":
+            prm["block0.m2mt.q.b"] = np.zeros(7, np.float32)
+        elif fault == "reordered":
+            prm.move_to_end("head.0.w")
+        elif fault == "mixed":
+            prm["tail.squeeze.b"] = prm["tail.squeeze.b"].astype(np.float64)
+        else:
+            for n in prm:
+                prm[n] = prm[n].astype(np.float16)
+        p = tmp_path / "w.m2mw"
+        with pytest.raises(ValueError):
+            network.save_weights(p, net)
+        assert not p.exists()
 
 
 TOY = NetConfig(u=2, v=2, c=3, c_cor=5, n1=2, n2=1, r=2)
@@ -501,39 +450,11 @@ class TestParamSpecs:
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         again = network.net_from_file(p, SMALL.u, SMALL.v, np.float64)
         assert opened == [p]
-        assert type(again) is network.Network and again.cfg == replace(SMALL, seed=0)
+        assert type(again) is network.Network and again.cfg == SMALL
         assert list(again.params) == list(net.params)
         for n, a in net.params.items():
             assert again.params[n].dtype == a.dtype
             np.testing.assert_array_equal(again.params[n], a)
-
-    def test_missing_tensor_named(self, tmp_path):
-        net = network.build(SMALL)
-        del net.params["block1.ang.v.b"]
-        p = tmp_path / "w.m2mw"
-        network.save_weights(p, net)
-        with pytest.raises(ValueError) as e:
-            network.net_from_file(p, SMALL.u, SMALL.v)
-        assert str(e.value) == "weight file is missing tensor 'block1.ang.v.b'"
-
-    def test_tail_implying_r3_refused_by_validate(self, tmp_path):
-        net = network.build(SMALL)
-        net.params["tail.expand.w"] = np.zeros((9 * SMALL.c, SMALL.c, 1, 1), np.float32)
-        net.params["tail.expand.b"] = np.zeros(9 * SMALL.c, np.float32)
-        p = tmp_path / "w.m2mw"
-        network.save_weights(p, net)
-        with pytest.raises(ValueError) as e:
-            network.net_from_file(p, SMALL.u, SMALL.v)
-        assert str(e.value) == "upscale factor must be 2 or 4, got 3"
-
-    def test_manifest_naming_a_tensor_twice_refused(self, tmp_path):
-        p = tmp_path / "w.m2mw"
-        payload = np.ones(2, "<f4").tobytes() + np.full(2, 7.0, "<f4").tobytes()
-        manifest = b"head.0.w\tf32\t2\t0\nhead.0.w\tf32\t2\t8\n"
-        p.write_bytes(b"M2MW1" + len(manifest).to_bytes(4, "little") + manifest + payload)
-        with pytest.raises(ValueError) as e:
-            network.load_weights(p)
-        assert str(e.value) == "weight manifest names tensor 'head.0.w' twice"
 
 
 class TestCostModelMatchesForward:
