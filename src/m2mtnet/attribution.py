@@ -191,14 +191,15 @@ def lam(net, lr: LfTensor, cfg: LamConfig) -> LamResult:
     """Attribution of net's output window w.r.t. every input pixel.
 
     Runs in float64 whatever the stored weight dtype.  net may be either
-    architecture; it only needs cfg.r, mixes_views, check_input, astype,
-    forward_var and param_vars.  Before any work, lr, sai and window are
-    checked against net (and the r*W x r*H output view).  The parameters
-    are constants, so each backward computes the input gradient alone.
+    architecture; it needs cfg.r, mixes_views, check_input, astype,
+    forward_var and param_vars, and, if it does not mix views, flat and a
+    (cfg, flat) constructor.  lr, sai and window are checked against net
+    (and the r*W x r*H output view) before any work.  The parameters are
+    constants, so each backward computes the input gradient alone.
 
     A net whose class sets mixes_views = False (the per-view baseline) is
     probed on view s only: just that view is blurred, type(net) built with
-    u = v = 1 on the same parameters runs each path sample, and the
+    u = v = 1 on the same flat buffer runs each path sample, and the
     gradient lands in view s of an otherwise zero map, which equals the
     full-grid one exactly: such a net gives every other view zero gradient.
 
@@ -211,7 +212,7 @@ def lam(net, lr: LfTensor, cfg: LamConfig) -> LamResult:
     net64 = net.astype(np.float64)
     sai, view = (su, sv), (slice(None), slice(None))
     if not net.mixes_views:
-        net64 = type(net)(replace(net.cfg, u=1, v=1), net64.params)
+        net64 = type(net)(replace(net.cfg, u=1, v=1), net64.flat)
         sai, view = (0, 0), (slice(su, su + 1), slice(sv, sv + 1))
     s = cfg.steps
     path = [gaussian_path(LfTensor(lr.data[view]), k, cfg).data for k in range(s + 1)]

@@ -78,21 +78,17 @@ def _pairwise_sum(arrays: list) -> np.ndarray:
     return _pairwise_sum(arrays[:mid]) + _pairwise_sum(arrays[mid:])
 
 
-def self_ensemble(forward_fn, lr: LfTensor, transforms=None) -> LfTensor:
+def self_ensemble(forward_fn, lr: LfTensor) -> LfTensor:
     """Average forward_fn over transformed inputs, mapped back.
 
-    forward_fn: LfTensor -> LfTensor.  Outputs are summed pairwise in
-    float64 and divided once, so identical per-transform outputs average to
-    themselves bit-exactly when len(transforms) is a power of two.  By
-    default all eight elements are used; a field with U != V or W != H has
-    no transpose, so it gets the four flip-only elements.
+    forward_fn: LfTensor -> LfTensor.  All eight elements are used; a field
+    with U != V or W != H has no transpose, so it gets the four flip-only
+    elements.  Outputs are summed pairwise in float64 and divided once, so
+    identical per-transform outputs average to themselves bit-exactly.
     """
-    if transforms is None:
-        transforms = all_transforms()
-        if lr.u != lr.v or lr.w != lr.h:
-            transforms = tuple(t for t in transforms if not t.transpose)
-    if len(transforms) == 0:
-        raise ValueError("self_ensemble needs at least one transform")
+    transforms = all_transforms()
+    if lr.u != lr.v or lr.w != lr.h:
+        transforms = tuple(t for t in transforms if not t.transpose)
     outs = [
         apply_transform(invert(t), forward_fn(apply_transform(t, lr))).data.astype(np.float64)
         for t in transforms

@@ -72,6 +72,8 @@ def _read_netpbm(path, magic: bytes, channels: int) -> tuple[np.ndarray, int]:
     if len(raw) - offset < count * dt.itemsize:
         raise ValueError(f"{path}: truncated pixel data")
     samples = np.frombuffer(raw, dtype=dt, count=count, offset=offset)
+    if samples.max(initial=0) > maxval:
+        raise ValueError(f"{path}: sample {samples.max()} above maxval {maxval}")
     shape = (h, w, channels) if channels > 1 else (h, w)
     return samples.reshape(shape).astype(np.int64), maxval
 
@@ -107,7 +109,7 @@ def read_ppm(path) -> tuple[np.ndarray, int]:
     return _read_netpbm(path, b"P6", 3)
 
 
-_VIEW_RE = re.compile(r"^view_u(\d+)_v(\d+)\.(pgm|ppm)$")
+_VIEW_RE = re.compile(r"^view_u([0-9]+)_v([0-9]+)\.(pgm|ppm)$")
 
 
 def load_lf_dir(path, central: int | None = None) -> LfTensor:

@@ -13,15 +13,19 @@ Tail: 1x1 conv C -> r*r*C, pixel shuffle by r, 3x3 conv C -> 1.  A bicubic
 upsample of the input is added as a global residual, so a zero-weight network
 degrades exactly to bicubic.
 
+A net is its NetConfig plus net.flat, one 1-D buffer holding every tensor of
+param_specs(cfg) in order; net.params is a read-only map of views into it.
 Weight files (M2MW2): magic "M2MW2", u32 LE header byte length, a header of
-key=value lines (dtype, <f4 or <f8, then every NetConfig field), then every
-tensor of param_specs(cfg), in order, packed little-endian in that dtype.
+key=value lines (dtype, <f4 or <f8, then every NetConfig field), then
+net.flat, packed little-endian in that dtype.
 """
 from __future__ import annotations
 
 import math
+import os
 from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
+from types import MappingProxyType
 from typing import ClassVar
 
 import numpy as np
@@ -87,18 +91,29 @@ class _SrNet:
 
     mixes_views = True
 
-    def __init__(self, cfg: NetConfig, params: "OrderedDict[str, np.ndarray]"):
-        self.cfg = cfg
-        self.params = params
+    def __init__(self, cfg: NetConfig, flat: np.ndarray):
+        self.cfg, self._views = cfg, {}
+        self.params = MappingProxyType(self._views)
+        self.set_flat(flat)
 
     # -- parameter bookkeeping -------------------------------------------
+
+    def set_flat(self, flat: np.ndarray) -> None:
+        """Make flat the parameter buffer; the same net.params map views it."""
+        count = count_params(self.cfg)[1]
+        if not (isinstance(flat, np.ndarray) and flat.shape == (count,) and flat.dtype in (np.float32, np.float64)):
+            got = f"{flat.dtype} {flat.shape}" if isinstance(flat, np.ndarray) else type(flat).__name__
+            raise ValueError(f"a {self.cfg.arch} net needs a 1-D float32 or float64 buffer of {count} values, got {got}")
+        self.flat, off = flat, 0
+        for name, dims, _ in param_specs(self.cfg):
+            self._views[name] = flat[off : off + math.prod(dims)].reshape(dims)
+            off += math.prod(dims)
 
     def param_vars(self, tape: Tape | None) -> "OrderedDict[str, Var]":
         return OrderedDict((n, Var(a, tape)) for n, a in self.params.items())
 
     def astype(self, dtype) -> "_SrNet":
-        conv = OrderedDict((n, a.astype(dtype)) for n, a in self.params.items())
-        return type(self)(self.cfg, conv)
+        return type(self)(self.cfg, self.flat.astype(dtype))
 
     # -- forward ----------------------------------------------------------
 
@@ -151,7 +166,7 @@ class _SrNet:
 
     def forward(self, lf: LfTensor) -> LfTensor:
         """Plain inference; dtype follows the weights."""
-        x = Var(lf.data.astype(next(iter(self.params.values())).dtype, copy=False))
+        x = Var(lf.data.astype(self.flat.dtype, copy=False))
         out = self.forward_var(x, self.param_vars(None))
         return LfTensor(out.value)
 
@@ -250,14 +265,14 @@ _NETS = {"m2m": Network, "o2o": O2OBaseline}
 def build(cfg: NetConfig, dtype=np.float32) -> _SrNet:
     """Deterministically initialize the cfg.arch network from cfg.seed."""
     rng = np.random.default_rng(cfg.seed)
-    params: "OrderedDict[str, np.ndarray]" = OrderedDict()
+    net = _NETS[cfg.arch](cfg, np.empty(count_params(cfg)[1], dtype))
     for name, dims, init in param_specs(cfg):
         if isinstance(init, tuple):
             a = np.sqrt(6.0 / (init[0] + init[1]))
-            params[name] = rng.uniform(-a, a, size=dims).astype(dtype)
+            net.params[name][...] = rng.uniform(-a, a, size=dims)
         else:
-            params[name] = np.full(dims, init, dtype=dtype)
-    return _NETS[cfg.arch](cfg, params)
+            net.params[name][...] = init
+    return net
 
 
 def build_o2o(cfg: NetConfig, dtype=np.float32) -> O2OBaseline:
@@ -323,7 +338,6 @@ def parse_config(pairs, where) -> NetConfig:
 
 
 _W_MAGIC = b"M2MW2"
-_W_DTYPES = ("<f4", "<f8")
 
 
 def _header(cfg: NetConfig, dtype: np.dtype) -> bytes:
@@ -333,56 +347,40 @@ def _header(cfg: NetConfig, dtype: np.dtype) -> bytes:
 
 
 def save_weights(path, net: _SrNet) -> None:
-    """Write net as an M2MW2 file; every check runs before the file is made."""
-    want = [(name, dims) for name, dims, _ in param_specs(net.cfg)]
-    if [(name, a.shape) for name, a in net.params.items()] != want:
-        raise ValueError("net.params do not match param_specs(net.cfg) in names, order or dims")
-    dtypes = sorted({str(a.dtype) for a in net.params.values()})
-    if dtypes not in (["float32"], ["float64"]):
-        raise ValueError(f"a weight file stores one dtype, float32 or float64, got {', '.join(dtypes)}")
-    dt = np.dtype(dtypes[0]).newbyteorder("<")
+    """Write net as an M2MW2 file: the header, then net.flat."""
+    dt = net.flat.dtype.newbyteorder("<")
     header = _header(net.cfg, dt)
-    payload = np.concatenate([a.ravel() for a in net.params.values()], dtype=dt)
     with open(path, "wb") as f:
         f.write(_W_MAGIC + len(header).to_bytes(4, "little") + header)
-        f.write(payload)
+        f.write(np.ascontiguousarray(net.flat, dt))
 
 
 def net_from_file(path, u: int, v: int, dtype=np.float32):
     """The net a weight file holds, on the input's u x v grid, in dtype.
 
-    The file is read once.  Its header gives the NetConfig, whose
-    param_specs give every tensor's name, dims and offset in the payload.
-    Only m2m parameters depend on the grid, so only an m2m file can be
-    refused for a grid other than the one it was saved on.
+    The header gives the NetConfig, which fixes the payload's length; the
+    payload is read straight into net.flat.  Only m2m parameters depend on
+    the grid, so only an m2m file can be refused for another grid.
     """
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:5] != _W_MAGIC:
-        raise ValueError(f"{path}: not an M2MW2 weight file: bad magic {data[:5]!r}")
-    start = 9 + int.from_bytes(data[5:9], "little")
-    if len(data) < max(9, start):
-        raise ValueError(f"{path}: weight file truncated inside its header")
-    first, _, rest = data[9:start].decode("latin-1").partition("\n")
-    key, _, dts = first.partition("=")
-    if key != "dtype" or dts not in _W_DTYPES:
-        raise ValueError(f"{path}: weight header must start dtype=<f4 or dtype=<f8, got {first!r}")
-    dt = np.dtype(dts)
-    cfg = parse_config((line.partition("=")[::2] for line in rest.splitlines()), path)
-    if _header(cfg, dt) != data[9:start]:
-        raise ValueError(f"{path}: weight header must list every NetConfig field once, in order")
-    grid = replace(cfg, u=u, v=v)
-    specs = param_specs(grid)
-    if specs != param_specs(cfg):
-        raise ValueError(f"{path}: weights for a {cfg.u}x{cfg.v} grid, input grid is {u}x{v}; wrong --central or grid?")
-    count = count_params(grid)[1]
-    if len(data) - start != count * dt.itemsize:
-        raise ValueError(f"{path}: payload holds {len(data) - start} bytes, the header's net needs {count * dt.itemsize}")
-    # a copy per tensor: one block for all of them raised sr_4x_32's peak RSS by 6%
-    flat = np.frombuffer(data, dt, offset=start)
-    params: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    off = 0
-    for name, dims, _ in specs:
-        params[name] = flat[off : off + math.prod(dims)].reshape(dims).astype(dtype)
-        off += math.prod(dims)
-    return _NETS[cfg.arch](grid, params)
+        lead = f.read(9)
+        if lead[:5] != _W_MAGIC:
+            raise ValueError(f"{path}: not an M2MW2 weight file: bad magic {lead[:5]!r}")
+        size = int.from_bytes(lead[5:9], "little")
+        header = f.read(size)
+        if len(lead) < 9 or len(header) < size:
+            raise ValueError(f"{path}: weight file truncated inside its header")
+        first, _, rest = header.decode("latin-1").partition("\n")
+        if first not in ("dtype=<f4", "dtype=<f8"):
+            raise ValueError(f"{path}: weight header must start dtype=<f4 or dtype=<f8, got {first!r}")
+        dt = np.dtype(first[6:])
+        cfg = parse_config((line.partition("=")[::2] for line in rest.splitlines()), path)
+        if _header(cfg, dt) != header:
+            raise ValueError(f"{path}: weight header must list every NetConfig field once, in order")
+        grid = replace(cfg, u=u, v=v)
+        if param_specs(grid) != param_specs(cfg):
+            raise ValueError(f"{path}: weights for a {cfg.u}x{cfg.v} grid, input grid is {u}x{v}; wrong --central or grid?")
+        need, held = count_params(grid)[1] * dt.itemsize, os.fstat(f.fileno()).st_size - f.tell()
+        if held != need:
+            raise ValueError(f"{path}: payload holds {held} bytes, the header's net needs {need}")
+        return _NETS[cfg.arch](grid, np.fromfile(f, dt).astype(dtype, copy=False))

@@ -92,10 +92,10 @@ def train_toy(net, pair: tuple[LfTensor, LfTensor], cfg: TrainConfig) -> list[fl
     """Overfit net on one (lr, hr) pair under the L1 loss; returns the
     per-iteration loss curve.
 
-    Runs in float64 for numerically clean gradients; net.params are updated
-    in place (cast up first if needed), once the pair has passed
-    net.check_input (LR) and matched (U, V, r*W, r*H, 1) (HR).  Non-finite
-    loss aborts with a diagnostic rather than continuing silently.
+    Runs in float64 for numerically clean gradients: once the pair has
+    passed net.check_input (LR) and matched (U, V, r*W, r*H, 1) (HR), a
+    float32 net.flat is cast up, and Adam updates net.params in place.
+    Non-finite loss aborts with a diagnostic rather than continuing.
     """
     lr_lf, hr_lf = pair
     net.check_input(lr_lf.data.shape)
@@ -103,7 +103,7 @@ def train_toy(net, pair: tuple[LfTensor, LfTensor], cfg: TrainConfig) -> list[fl
     want = (lr_lf.u, lr_lf.v, r * lr_lf.w, r * lr_lf.h, 1)
     if hr_lf.data.shape != want:
         raise ValueError(f"HR field dims {hr_lf.data.shape} != {want}: the LR grid, {r}x its view size, 1 channel")
-    net.params.update(net.astype(np.float64).params)
+    net.set_flat(net.flat.astype(np.float64, copy=False))
     x_const = lr_lf.data.astype(np.float64)
     target = hr_lf.data.astype(np.float64)
     state = AdamState()
@@ -118,8 +118,7 @@ def train_toy(net, pair: tuple[LfTensor, LfTensor], cfg: TrainConfig) -> list[fl
             raise FloatingPointError(f"loss diverged to {val} at iteration {it}")
         curve.append(val)
         tape.backward(loss, np.float64(1.0))
-        grads = {n: pv[n].grad for n in net.params}
-        adam_step(net.params, grads, state, cfg)
+        adam_step(net.params, {n: pv[n].grad for n in net.params}, state, cfg)
     return curve
 
 

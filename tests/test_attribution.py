@@ -418,7 +418,7 @@ class TestLamOneView:
         net = network.build(replace(self.CFG, arch="o2o"), np.float64)
         assert not net.mixes_views
         one = self._run(net, literal)
-        full = self._run(_FullGridO2O(net.cfg, net.params), literal)
+        full = self._run(_FullGridO2O(net.cfg, net.flat), literal)
         np.testing.assert_array_equal(one.map, full.map)
         assert one.di == full.di and one.gini_coeff == full.gini_coeff
         np.testing.assert_array_equal(one.macpi, full.macpi)

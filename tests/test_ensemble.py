@@ -98,18 +98,6 @@ class TestSelfEnsemble:
         out = self_ensemble(lambda a: LfTensor(2.0 * a.data), lf)
         np.testing.assert_array_equal(out.data, 2.0 * lf.data)
 
-    def test_subset_of_transforms(self):
-        rng = np.random.default_rng(6)
-        lf = _rand_lf(rng)
-        ts = [LfTransform(), LfTransform(flip_x=True)]
-        out = self_ensemble(lambda a: LfTensor(a.data.copy()), lf, transforms=ts)
-        np.testing.assert_allclose(out.data, lf.data, rtol=1e-15)
-
-    def test_empty_transform_list_rejected(self):
-        rng = np.random.default_rng(7)
-        with pytest.raises(ValueError):
-            self_ensemble(lambda a: a, _rand_lf(rng), transforms=[])
-
     def test_breaks_symmetry_only_where_the_function_does(self):
         """A non-equivariant function must average to something new."""
         rng = np.random.default_rng(8)

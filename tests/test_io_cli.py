@@ -446,6 +446,23 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {view}: header width must be a positive integer, got '-4'\n"
 
+    @pytest.mark.parametrize("maxval, sample", [(100, 255), (255, 0), (1000, 1001)])
+    def test_sample_above_maxval_exits_one(self, tmp_path, capsys, maxval, sample):
+        d, _ = _lf_dir(tmp_path, w=2, h=2)
+        view = d / "view_u1_v0.pgm"
+        dt = ">u2" if maxval > 255 else "u1"
+        view.write_bytes(f"P5\n2 2\n{maxval}\n".encode() + np.array([0, 1, 2, sample], dt).tobytes())
+        assert cli.main(["metrics", "--a", str(d), "--b", str(d)]) == (0 if sample <= maxval else 1)
+        err = capsys.readouterr().err
+        assert err == ("" if sample <= maxval else f"error: {view}: sample {sample} above maxval {maxval}\n")
+
+    def test_view_names_take_ascii_digits_only(self, tmp_path, capsys):
+        d = tmp_path / "lf"
+        d.mkdir()
+        lfio.write_pgm(d / "view_u\u0660_v0.pgm", np.zeros((2, 2)))
+        assert cli.main(["metrics", "--a", str(d), "--b", str(d)]) == 1
+        assert capsys.readouterr().err == f"error: no view_u*_v*.pgm images in {d}\n"
+
     def test_bad_meta_grid_exits_one(self, tmp_path, capsys):
         d, _ = _lf_dir(tmp_path)
         (d / "meta.txt").write_text("u=abc\nv=2\n")

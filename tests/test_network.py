@@ -336,27 +336,54 @@ class TestWeightFiles:
             network.net_from_file(p, 3, 3)
         assert str(e.value) == f"{p}: weights for a 2x2 grid, input grid is 3x3; wrong --central or grid?"
 
-    @pytest.mark.parametrize("fault", ["extra", "missing", "redim", "reordered", "mixed", "float16"])
-    def test_save_refuses_params_that_do_not_fit_the_config(self, tmp_path, fault):
+
+class TestFlatBuffer:
+    """A net is its config plus one buffer: every parameter is a view into
+    net.flat, in param_specs order, and the name -> view map is read-only."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
+    def test_params_are_views_of_flat(self, arch, dtype):
+        net = network.build(replace(SMALL, arch=arch), dtype)
+        assert net.flat.dtype == dtype and net.flat.shape == (network.count_params(net.cfg)[1],)
+        assert np.array_equal(np.concatenate([a.ravel() for a in net.params.values()]), net.flat)
+        for name, a in net.params.items():
+            assert np.shares_memory(a, net.flat), name
+            a[...] = 7.0
+            assert np.all(net.params[name] == 7.0)
+        assert np.all(net.flat == 7.0)
+
+    def test_params_map_is_read_only(self):
         net = network.build(SMALL)
-        prm = net.params
-        if fault == "extra":
-            prm["block0.ang.ffn1.w"] = np.zeros((4, 8), np.float32)
-        elif fault == "missing":
-            del prm["block1.ang.v.b"]
-        elif fault == "redim":
-            prm["block0.m2mt.q.b"] = np.zeros(7, np.float32)
-        elif fault == "reordered":
-            prm.move_to_end("head.0.w")
-        elif fault == "mixed":
-            prm["tail.squeeze.b"] = prm["tail.squeeze.b"].astype(np.float64)
-        else:
-            for n in prm:
-                prm[n] = prm[n].astype(np.float16)
-        p = tmp_path / "w.m2mw"
-        with pytest.raises(ValueError):
-            network.save_weights(p, net)
-        assert not p.exists()
+        with pytest.raises(TypeError):
+            net.params["head.0.b"] = np.zeros(4, np.float32)
+        with pytest.raises(TypeError):
+            del net.params["head.0.b"]
+
+    def test_astype_and_file_give_a_fresh_buffer(self, tmp_path):
+        net = network.build(SMALL, np.float64)
+        network.save_weights(tmp_path / "w.m2mw", net)
+        for again in (net.astype(np.float64), network.net_from_file(tmp_path / "w.m2mw", SMALL.u, SMALL.v, np.float64)):
+            assert np.array_equal(again.flat, net.flat) and not np.shares_memory(again.flat, net.flat)
+            assert again.flat.flags.writeable
+
+    @pytest.mark.parametrize("fault", ["short", "long", "2-D", "float16", "int64", "mapping"])
+    def test_constructor_refuses_a_buffer_that_does_not_fit(self, fault):
+        count = network.count_params(SMALL)[1]
+        flat = {
+            "short": np.zeros(count - 1),
+            "long": np.zeros(count + 1),
+            "2-D": np.zeros((1, count)),
+            "float16": np.zeros(count, np.float16),
+            "int64": np.zeros(count, np.int64),
+            "mapping": network.build(SMALL).params,
+        }[fault]
+        with pytest.raises(ValueError, match=rf"^a m2m net needs a 1-D float32 or float64 buffer of {count} values, got "):
+            network.Network(SMALL, flat)
+
+    def test_build_refuses_a_dtype_a_file_cannot_hold(self):
+        with pytest.raises(ValueError, match="1-D float32 or float64 buffer"):
+            network.build(SMALL, np.float16)
 
 
 TOY = NetConfig(u=2, v=2, c=3, c_cor=5, n1=2, n2=1, r=2)
@@ -544,10 +571,10 @@ class TestReadOnlyInputs:
         rng = np.random.default_rng(17)
         net = network.build(replace(TOY, arch=arch), np.float64)
         # random weights everywhere, so no branch is skipped by a zero
-        for name, a in net.params.items():
-            net.params[name] = rng.standard_normal(a.shape) * 0.3
+        for a in net.params.values():
+            a[...] = rng.standard_normal(a.shape) * 0.3
         x = rng.standard_normal((TOY.u, TOY.v, 4, 4, 1))
-        for a in [x, *net.params.values()]:
+        for a in [x, net.flat, *net.params.values()]:
             a.setflags(write=writable)
         return net, x
 

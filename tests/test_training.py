@@ -134,6 +134,14 @@ class TestAdam:
         training.adam_step({"w": arr}, {"w": np.array([1.0])}, AdamState(), cfg)
         assert arr[0] != 1.0
 
+    def test_updates_a_nets_buffer_through_its_views(self):
+        net = network.build(network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2), np.float64)
+        before = net.flat.copy()
+        grads = {n: np.ones_like(p) for n, p in net.params.items()}
+        training.adam_step(net.params, grads, AdamState(), TrainConfig(lr=0.1))
+        # step 1 moves every parameter by lr * g / (|g| + eps)
+        np.testing.assert_allclose(net.flat, before - 0.1 / (1 + 1e-8), rtol=0, atol=1e-15)
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             training.adam_step(
@@ -153,6 +161,12 @@ class TestTrainToy:
         _, curve = self._setup(iters=60)
         assert len(curve) == 60
         assert curve[-1] < 0.5 * curve[0]
+
+    def test_float64_net_trains_its_own_buffer(self):
+        net = network.build(network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2), np.float64)
+        flat, start = net.flat, net.flat.copy()
+        training.train_toy(net, training.make_pair(_plaid_hr(), 2), TrainConfig(iters=2))
+        assert net.flat is flat and not np.array_equal(flat, start)
 
     def test_deterministic_under_fixed_seed(self):
         _, c1 = self._setup(iters=10)
@@ -200,10 +214,14 @@ class TestTrainToy:
         cfg = network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2)
         net = network.build(cfg, np.float32)
         params, names = net.params, list(net.params)
+        start = net.flat.astype(np.float64)
         pair = training.make_pair(_plaid_hr(), 2)
         curve = training.train_toy(net, pair, TrainConfig(iters=3))
+        # the caller's net, and the map it held, show the trained float64 buffer
         assert net.params is params and list(params) == names
-        assert all(p.dtype == np.float64 for p in net.params.values())
+        assert net.flat.dtype == np.float64
+        assert all(p.dtype == np.float64 and np.shares_memory(p, net.flat) for p in net.params.values())
+        assert not np.array_equal(net.flat, start)
         assert hashlib.sha256(np.array(curve).tobytes()).hexdigest() == self.F32_CURVE_DIGEST
 
 
