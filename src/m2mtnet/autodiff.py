@@ -32,7 +32,9 @@ class Var:
 
     grad always has the same dims as value and starts at zeros (allocated
     lazily so constant-only forward passes stay cheap).  A constant, a Var
-    without a tape, keeps zeros: backward never gives it a gradient.  An
+    without a tape, keeps zeros: backward never gives it a gradient.  Nor
+    need it give one to a taped Var whose gradient is exactly zero (see
+    Tape); grad reads zeros there all the same.  An
     op's value may be a view of, or share memory with, its inputs; grad may
     share memory with other Vars' gradients (a vjp may hand one array to
     several parents).  So neither may be written in place.
@@ -78,7 +80,12 @@ class Tape:
     topological order for backpropagation.  len(tape) counts the records
     not yet replayed: 0 once backward has run.  A record's vjp may return
     None for a parent, and should for a constant parent (tape None), whose
-    gradient backward drops anyway.
+    gradient backward drops anyway.  It may also return None for a taped
+    parent whose gradient is exactly zero, as the conv2d and attention vjps
+    do when their whole output gradient is.  A record whose output received
+    no gradient at all is dropped without running its vjp, so a branch that
+    does not reach the output, or reaches it only through such Nones, costs
+    nothing backward; its Vars' grad reads zeros.
     """
 
     def __init__(self):
@@ -98,10 +105,11 @@ class Tape:
         """Accumulate d(seed . output)/d(leaf) into .grad of every reachable
         Var on this tape; constants get nothing.
 
-        seed must match output's dims.  Each record's vjp runs exactly once,
-        in reverse execution order, and the record is dropped before the next
-        one runs.  The output and seed are checked before anything is
-        consumed; from then on the tape is spent, even if a vjp raises.
+        seed must match output's dims.  Each record's vjp runs at most once,
+        in reverse execution order, and only if its output received a
+        gradient; the record is dropped before the next one runs.  The
+        output and seed are checked before anything is consumed; from then
+        on the tape is spent, even if a vjp raises.
         """
         if output.tape is not self:
             raise ValueError("output does not belong to this tape")
@@ -117,7 +125,9 @@ class Tape:
         output.grad = seed if output._grad is None else output._grad + seed
         while records:
             out, parents, vjp = records.pop()
-            grads = vjp(out.grad)
+            if out._grad is None:
+                continue  # no gradient reached out: its parents get none from it
+            grads = vjp(out._grad)
             for p, g in zip(parents, grads):
                 if p is None or g is None or p.tape is None:
                     continue

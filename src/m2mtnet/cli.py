@@ -27,13 +27,12 @@ def _load_config(path) -> NetConfig:
 
 
 def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
-    try:
-        vals = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        vals = ()
-    if len(vals) != n:
+    """n comma-separated integers of ASCII digits: no sign, space,
+    underscore or other script's digit."""
+    parts = text.split(",")
+    if len(parts) != n or not all(p.isascii() and p.isdigit() for p in parts):
         raise ValueError(f"{what} needs {n} comma-separated integers, got {text!r}")
-    return vals
+    return tuple(map(int, parts))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ the first case.  A vjp maps the output gradient to one gradient per parent,
 in the order of `parents`; it may read the parents' values, which the
 record keeps alive anyway.  A constant parent (no tape) gets None, and the
 vjp skips the work only that gradient needs, such as a conv's kernel GEMMs
-or a linear's dW.  Ops never mutate input arrays, and an op's output, which
+or a linear's dW.  The input gradients of conv2d, attention, linear and
+layer_norm run on the live part of g only, the images, instances or rows
+holding a nonzero value (_live); when every part is live, nothing is
+gathered.  Ops never mutate input arrays, and an op's output, which
 may be a view of or share memory with its input, must never be written in
 place.  Dtype follows the inputs, float32 or float64.
 """
@@ -18,6 +21,7 @@ import math
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Var
 
@@ -84,19 +88,40 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _live(g: np.ndarray) -> np.ndarray | None:
-    """Indices i where g[i] has a nonzero entry (NaN and inf count), or None
-    when every g[i] has one."""
-    live = np.flatnonzero(g.any(axis=tuple(range(1, g.ndim))))
-    return None if len(live) == len(g) else live
+def _live(g: np.ndarray, lead: int = 1) -> tuple[np.ndarray, ...] | None:
+    """The live entries of g over its first `lead` axes, those holding a
+    nonzero value (NaN and inf count), as the index np.nonzero gives:
+    g[live] stacks them on one axis.  None when every entry is live; with
+    lead 0, g is one entry.
+
+    With lead > 1 the entries are looked for within the live entries of
+    axis 0 only: NumPy checks a few long runs of g far faster than many
+    short rows (0.2 ms against 1 ms for lam's (1024, 25, 12) angular g).
+    """
+    if lead == 0:
+        return None
+    first = g.any(axis=tuple(range(1, g.ndim)))
+    if lead == 1:
+        return None if first.all() else np.nonzero(first)
+    outer = np.flatnonzero(first)
+    whole = len(outer) == len(g)
+    mask = (g if whole else g[outer]).any(axis=tuple(range(lead, g.ndim)))
+    if whole and mask.all():
+        return None
+    live = np.nonzero(mask)
+    return (live[0] if whole else outer[live[0]],) + live[1:]
 
 
-def _scatter(part: np.ndarray, live: np.ndarray | None, n: int) -> np.ndarray:
-    """part's rows placed at `live` among n zero rows; part itself when
+def _none_live(live) -> bool:
+    return live is not None and not live[0].size
+
+
+def _scatter(part: np.ndarray, live: tuple[np.ndarray, ...] | None, shape: tuple[int, ...]) -> np.ndarray:
+    """part's entries placed at `live` in zeros of `shape`; part itself when
     live is None."""
     if live is None:
         return part
-    full = np.zeros((n,) + part.shape[1:], part.dtype)
+    full = np.zeros(shape, part.dtype)
     full[live] = part
     return full
 
@@ -238,7 +263,13 @@ def matmul(a, b) -> Var:
 
 
 def linear(x, w, b) -> Var:
-    """x @ w + b over the last axis: (..., Din) -> (..., Dout)."""
+    """x @ w + b over the last axis: (..., Din) -> (..., Dout).
+
+    The input gradient is computed for the live rows of g only, gathered
+    from g as it is, and scattered into zeros.  It is the dense one to
+    rounding: bit for bit where the GEMM rounds a row alike at any row
+    count, which OpenBLAS does not for some shapes (a 48 -> 24 gradient
+    at 17 of 1024 rows).  dW and db use every row."""
     x, w, b = as_var(x), as_var(w), as_var(b)
     din, dout = w.value.shape
     if x.value.shape[-1] != din:
@@ -247,12 +278,16 @@ def linear(x, w, b) -> Var:
         raise ValueError(f"linear: bias dims {b.value.shape} != ({dout},)")
 
     def vjp(g):
-        g2 = g.reshape(-1, dout)
-        return (
-            None if x.tape is None else (g @ w.value.T).reshape(x.shape),
-            None if w.tape is None else x.value.reshape(-1, din).T @ g2,
-            None if b.tape is None else g2.sum(axis=0),
-        )
+        gx = gw = gb = None
+        if x.tape is not None:
+            # the live rows are gathered from g as it is, strided or not
+            live = _live(g, g.ndim - 1)
+            gx = g @ w.value.T if live is None else _scatter(g[live] @ w.value.T, live, x.shape)
+        if w.tape is not None or b.tape is not None:
+            g2 = g.reshape(-1, dout)
+            gw = None if w.tape is None else x.value.reshape(-1, din).T @ g2
+            gb = None if b.tape is None else g2.sum(axis=0)
+        return (gx, gw, gb)
 
     return _op(x.value @ w.value + b.value, (x, w, b), vjp)
 
@@ -280,16 +315,13 @@ def _shift_spans(s: int, n: int) -> tuple[slice, slice]:
 
 
 def _im2col(x: np.ndarray, kh: int, pad: int) -> np.ndarray:
-    """Channels-last windows (B,H,W,kh,kh,C) of the zero-padded x (B,C,H,W);
-    every copy moves contiguous runs of C values."""
+    """Channels-last windows (B,H,W,kh,kh,C) of the zero-padded x (B,C,H,W):
+    one copy of the window view of the channels-last padded input, moving
+    contiguous runs of C values."""
     bsz, cin, h, w = x.shape
     xp = np.zeros((bsz, h + 2 * pad, w + 2 * pad, cin), dtype=x.dtype)
     xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
-    cols = np.empty((bsz, h, w, kh, kh, cin), dtype=x.dtype)
-    for dy in range(kh):
-        for dx in range(kh):
-            cols[:, :, :, dy, dx] = xp[:, dy:dy + h, dx:dx + w]
-    return cols
+    return sliding_window_view(xp, (kh, kh), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3).copy()
 
 
 def _conv_value(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
@@ -373,11 +405,13 @@ def conv2d(x, kernel, bias) -> Var:
     The vjp works on the live images only, those whose output gradient has
     a nonzero entry (a NaN or inf in g counts as one): their input gradient
     is scattered into zeros and the kernel gradient sums over them alone;
-    the bias gradient sums the full g.  With no live image both run on an
-    empty batch and give +0.  A skipped image gets +0 where the dense path
-    could give -0, or NaN when the forward held inf or NaN there
-    (0 * NaN is NaN).  Every taped parent gets a full-shape gradient; a
-    constant one gets None, so a constant kernel costs no kernel GEMM.
+    the bias gradient sums the full g.  With no live image every parent
+    gets None: its gradient is exactly zero, and the records before it
+    need not run (see autodiff.Tape).  A skipped image gets +0 where the
+    dense path could give -0, or NaN when the forward held inf or NaN there
+    (0 * NaN is NaN).  Otherwise every taped parent gets a full-shape
+    gradient; a constant one gets None, so a constant kernel costs no
+    kernel GEMM.
     """
     x, kernel, bias = as_var(x), as_var(kernel), as_var(bias)
     xv = x.value
@@ -394,6 +428,8 @@ def conv2d(x, kernel, bias) -> Var:
 
     def vjp(g):
         live = _live(g)
+        if _none_live(live):
+            return (None, None, None)
         gs = g if live is None else g[live]
         gx = gk = gb = None
         if kernel.tape is not None:
@@ -401,7 +437,7 @@ def conv2d(x, kernel, bias) -> Var:
         if x.tape is not None:
             # input grad = correlation with the spatially flipped, channel-swapped kernel
             kt = kernel.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx = _scatter(_conv_value(gs, kt, None, pad), live, len(g))
+            gx = _scatter(_conv_value(gs, kt, None, pad), live, xv.shape)
         if bias.tape is not None:
             gb = g.sum(axis=(0, 2, 3))
         return (gx, gk, gb)
@@ -473,12 +509,17 @@ def attention(q, k, v) -> Var:
     writes its dk and dv, later row blocks add to them.
 
     The vjp walks the live instances only, those whose output gradient has
-    a nonzero entry (a NaN or inf in g counts as one), gathered and tiled
-    afresh; the others get zero dq, dk and dv.  A skipped instance gets +0
-    where the dense path could give -0, or NaN when the forward held inf or
-    NaN there (0 * NaN is NaN).  Every taped parent gets a full-shape
-    gradient; a constant one gets None and its GEMMs are skipped (dS too,
-    when q and k are both constants).
+    a nonzero entry (a NaN or inf in g counts as one), and of them the
+    live query rows only: the rows whose gradient is nonzero in some live
+    instance.  They are gathered and tiled afresh; k and v keep every row.
+    The others get zero dq, dk and dv: a dead query row adds nothing to
+    dk or dv.  Dropping the dead rows' zero terms changes how the dk and dv
+    sums round, so they agree with the dense path to rounding, not bit for
+    bit.  A skipped instance or row gets +0 where the dense path could give
+    -0, or NaN when the forward held inf or NaN there (0 * NaN is NaN).
+    With no live instance every parent gets None (see conv2d).  Otherwise
+    every taped parent gets a full-shape gradient; a constant one gets None
+    and its GEMMs are skipped (dS too, when q and k are both constants).
     """
     q, k, v = as_var(q), as_var(k), as_var(v)
     qv, kv, vv = q.value, k.value, v.value
@@ -511,13 +552,21 @@ def attention(q, k, v) -> Var:
 
     def vjp(g):
         g3 = g.reshape(o3.shape)
-        gdt = np.result_type(g3, sdt, v3)
         live = _live(g3)
+        if _none_live(live):
+            return (None, None, None)
+        gdt = np.result_type(g3, sdt, v3)
         qs, ks, vs, outs, lses, gs = q3, k3, v3, o3, lse, g3
-        vblocks, vdims = blocks, block_dims
         if live is not None:
             qs, ks, vs, outs, lses, gs = (a[live] for a in (q3, k3, v3, o3, lse, g3))
-            vblocks, vdims = _score_blocks(len(live), tq, tk, sdt.itemsize)
+        # the query rows live in some live instance; k and v keep every row
+        rows = _live(np.swapaxes(gs, 0, 1))
+        if rows is not None:
+            rows = (slice(None),) + rows
+            qs, outs, lses, gs = (a[rows] for a in (qs, outs, lses, gs))
+        vblocks, vdims = blocks, block_dims
+        if live is not None or rows is not None:
+            vblocks, vdims = _score_blocks(gs.shape[0], gs.shape[1], tk, sdt.itemsize)
         gq, gk, gv = (None if x.tape is None else np.empty(a.shape, gdt) for x, a in ((q, qs), (k, ks), (v, vs)))
         p_buf, ds_buf = np.empty(vdims, sdt), np.empty(vdims, gdt)
         kts, vts = np.swapaxes(ks, -1, -2), np.swapaxes(vs, -1, -2)
@@ -537,8 +586,10 @@ def attention(q, k, v) -> Var:
             _into(gk, b, r, np.swapaxes(ds, -1, -2), qs[b, r])
         if gq is not None:
             gq *= c
+            gq = _scatter(gq, rows, (len(gq), tq, gq.shape[-1]))
         return tuple(
-            None if a is None else _scatter(a, live, n).reshape(x.shape) for a, x in ((gq, q), (gk, k), (gv, v))
+            None if a is None else _scatter(a, live, (n,) + a.shape[1:]).reshape(x.shape)
+            for a, x in ((gq, q), (gk, k), (gv, v))
         )
 
     return _op(o3.reshape(batch + o3.shape[1:]), (q, k, v), vjp)
@@ -546,7 +597,8 @@ def attention(q, k, v) -> Var:
 
 def layer_norm(x, gain, offset) -> Var:
     """Normalize the last axis to zero mean / unit variance (1e-5 is added
-    to the variance), then affine."""
+    to the variance), then affine.  The input gradient is computed for the
+    live rows of g only and scattered into zeros."""
     x, gain, offset = as_var(x), as_var(gain), as_var(offset)
     d = x.value.shape[-1]
     if gain.value.shape != (d,) or offset.value.shape != (d,):
@@ -560,10 +612,12 @@ def layer_norm(x, gain, offset) -> Var:
     def vjp(g):
         dx = dg = db = None
         if x.tape is not None:
-            dxhat = g * gain.value
+            live = _live(g, g.ndim - 1)
+            gl, xh, iv = (g, xhat, inv) if live is None else (g[live], xhat[live], inv[live])
+            dxhat = gl * gain.value
             m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            dx = inv * (dxhat - m1 - xhat * m2)
+            m2 = (dxhat * xh).mean(axis=-1, keepdims=True)
+            dx = _scatter(iv * (dxhat - m1 - xh * m2), live, x.shape)
         if gain.tape is not None:
             dg = (g * xhat).reshape(-1, d).sum(axis=0)
         if offset.tape is not None:

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from m2mtnet import attribution, lfio, network
+from m2mtnet import attribution, lfio, network, ops
 from m2mtnet.attribution import LamConfig
 from m2mtnet.autodiff import Tape, Var
 from m2mtnet.lftensor import LfTensor
@@ -400,11 +400,11 @@ class TestLamOneView:
     the full-grid one, bit for bit."""
 
     CFG = network.NetConfig(u=3, v=2, c=4, c_cor=6, n1=2, n2=1, r=2, seed=1)
-    # SHA-256 of the m2m map, computed while lam ran every net on the full
-    # grid and every vjp computed the parameter gradients too
+    # SHA-256 of the m2m map with the row-skipping vjps; TestLamRowSkip
+    # holds it within 1e-13 x max|map| of the dense backward's
     M2M_DIGESTS = {
-        True: "a82a378df977b2bffcccb594acaf602185a75512cd55cae1fddee5eab2a4f7bd",
-        False: "8975e420507b9707cffd062790ebf1202c45b20bcd3c1b19d91411fb7f0a4866",
+        True: "60aa84813284625b82af894ba70ad87a2fc022e506a760f63fd18e96cbdc639c",
+        False: "89c8f50fa083208ac3756f801bd73d9bbcaef803b42aa594408a454a81c1f81c",
     }
 
     @staticmethod
@@ -453,3 +453,30 @@ class TestLamOneView:
         assert net.mixes_views
         res = self._run(net, literal)
         assert hashlib.sha256(res.map.tobytes()).hexdigest() == self.M2M_DIGESTS[literal]
+
+
+class TestLamRowSkip:
+    """lam's backward skips the rows, instances and records no gradient
+    reaches.  Its maps stay within 1e-13 x max|map| of the dense backward's
+    (ops._live reporting every row live), and its DIs within 1e-12."""
+
+    SMALL = (TestLamOneView.CFG, (3, 2, 8, 8, 1), LamConfig(window=(3, 5, 6), steps=3, sigma=2.0, sai=(2, 0)))
+    # the benchmark's lam_c8 net and settings, on a random input
+    C8 = (
+        network.NetConfig(u=5, v=5, c=12, c_cor=24, n1=2, n2=1, r=2),
+        (5, 5, 32, 32, 1),
+        LamConfig(window=(28, 28, 8), steps=6, sigma=4.0),
+    )
+
+    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
+    @pytest.mark.parametrize("case", ["small", "c8"])
+    def test_map_matches_dense_backward(self, case, arch, monkeypatch):
+        cfg, dims, lam_cfg = self.SMALL if case == "small" else self.C8
+        net = network.build(replace(cfg, arch=arch), np.float64)
+        lf = LfTensor(np.random.default_rng(12).random(dims))
+        got = attribution.lam(net, lf, lam_cfg)
+        with monkeypatch.context() as m:
+            m.setattr(ops, "_live", lambda g, lead=1: None)
+            ref = attribution.lam(net, lf, lam_cfg)
+        np.testing.assert_allclose(got.map, ref.map, rtol=0, atol=1e-13 * np.abs(ref.map).max())
+        assert got.di == pytest.approx(ref.di, rel=1e-12, abs=0)

@@ -199,6 +199,91 @@ class TestTape:
         assert peak - start <= 3 * seed.nbytes
 
 
+def _spy_records(t: Tape) -> list:
+    """Wrap every record's vjp on t to log its output Var when it runs."""
+    ran = []
+
+    def spy(out, vjp):
+        def run(g):
+            ran.append(out)
+            return vjp(g)
+
+        return run
+
+    t._records = [(out, parents, spy(out, vjp)) for out, parents, vjp in t._records]
+    return ran
+
+
+def _dense_backward(t: Tape, output: Var, seed) -> None:
+    """Reference replay: every record's vjp runs, on zeros when no gradient
+    reached its output."""
+    records, t._records = t._records, None
+    output.grad = seed
+    for out, parents, vjp in reversed(records):
+        for p, g in zip(parents, vjp(out.grad)):
+            if p is not None and g is not None and p.tape is not None:
+                p.grad = g if p._grad is None else p._grad + g
+
+
+class TestDeadRecords:
+    """backward skips a record whose output received no gradient."""
+
+    @staticmethod
+    def _forward(t: Tape, kind: str):
+        """A graph with a branch that never reaches the output, and two
+        groups of which only the first does, as lam's tail groups."""
+        rng = np.random.default_rng(9)
+        leaves = {
+            "x": Var(rng.standard_normal((2, 3, 4, 5)), t),
+            "k": Var(rng.standard_normal((3, 3, 3, 3)), t),
+            "w": Var(rng.standard_normal((5, 5)), t),
+        }
+        x = leaves["x"]
+        h = ops.leaky_relu(x)
+        unused = ops.linear(ops.transpose(x, (0, 2, 1, 3)), leaves["w"], np.zeros(5))
+        groups = []
+        for i in range(2):
+            part = ops.getitem(h, slice(i, i + 1))
+            if kind == "conv2d":
+                groups.append(ops.conv2d(part, leaves["k"], np.zeros(3)))
+            else:
+                groups.append(ops.attention(part, part, part))
+        y = ops.concat(groups)
+        out = ops.add(ops.vsum(ops.square(ops.getitem(y, slice(0, 1)))), ops.vsum(x))
+        return leaves, out, {"unused": unused, "dead group": groups[1]}
+
+    @pytest.mark.parametrize("kind", ["conv2d", "attention"])
+    def test_branches_without_gradient_never_run(self, kind):
+        t = Tape()
+        leaves, out, dead = self._forward(t, kind)
+        ran = _spy_records(t)
+        t.backward(out, 1.0)
+        ran_ids = {id(v) for v in ran}
+        for name, v in dead.items():
+            # the dead group's own vjp runs on its zero slice of g, hands
+            # its parents None, and so the getitem that feeds it never runs
+            assert (id(v) in ran_ids) == (name == "dead group"), name
+        assert len(ran) == len(ran_ids)  # each at most once
+        assert leaves["w"]._grad is None  # read below as zeros all the same
+        ref = Tape()
+        ref_leaves, ref_out, _ = self._forward(ref, kind)
+        _dense_backward(ref, ref_out, np.float64(1.0))
+        for name, v in leaves.items():
+            r = ref_leaves[name]
+            assert v.grad.dtype == r.grad.dtype, name
+            np.testing.assert_array_equal(v.grad, r.grad, err_msg=name)
+        np.testing.assert_array_equal(leaves["w"].grad, 0)
+
+    def test_getitem_feeding_a_dead_group_is_skipped(self):
+        t = Tape()
+        _, out, dead = self._forward(t, "conv2d")
+        n_before = len(t)
+        ran = _spy_records(t)
+        t.backward(out, 1.0)
+        # the unused linear and transpose, and the dead group's getitem
+        assert n_before - len(ran) == 3
+
+
 class TestRelError:
     def test_exact_match_is_zero(self):
         assert rel_error(1.2345, 1.2345) == 0.0

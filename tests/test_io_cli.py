@@ -394,8 +394,11 @@ class TestCli:
             ("--sigma", "nan", "sigma must be finite and >= 0, got nan"),
             ("--window", "1,2,x", "--window needs 3 comma-separated integers, got '1,2,x'"),
             ("--sai", "1,z", "--sai needs 2 comma-separated integers, got '1,z'"),
+            # int() would take each of these; only ASCII digits are integers here
+            ("--window", "\u0663,3,3", "--window needs 3 comma-separated integers, got '\u0663,3,3'"),
+            ("--window", "1_0,8, +4", "--window needs 3 comma-separated integers, got '1_0,8, +4'"),
         ],
-        ids=["sigma-inf", "sigma-nan", "window", "sai"],
+        ids=["sigma-inf", "sigma-nan", "window", "sai", "window-arabic-indic-digit", "window-underscore-sign"],
     )
     def test_lam_bad_option_one_line(self, tmp_path, capsys, flag, value, message):
         cfg = _write_cfg(tmp_path)

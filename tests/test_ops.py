@@ -785,6 +785,181 @@ class TestFusedAttention:
         assert ratio < 0.25, f"peak {ratio:.2f}x one score array"
 
 
+def _taped_grads(fn, arrays, taped, g):
+    """Gradients of the arrays indexed by `taped` (the others are constants)
+    through fn(*arrays), for the output gradient g."""
+    t = Tape()
+    vs = [Var(a, t) if i in taped else Var(a) for i, a in enumerate(arrays)]
+    t.backward(fn(*vs), g)
+    return [vs[i].grad for i in taped]
+
+
+class TestLive:
+    """ops._live against a plain np.nonzero of the per-entry any()."""
+
+    @pytest.mark.parametrize("lead", [1, 2, 3])
+    @pytest.mark.parametrize("pattern", ["some", "all", "none", "all_outer", "nan"])
+    def test_matches_nonzero_of_any(self, pattern, lead):
+        rng = np.random.default_rng(77)
+        g = rng.standard_normal((6, 5, 4, 3))
+        if pattern == "some":
+            g[rng.random(g.shape[:lead]) < 0.6] = 0
+        elif pattern == "none":
+            g[...] = 0
+        elif pattern == "all_outer":
+            g[:, 1] = 0  # every entry of axis 0 live, some finer ones not
+        elif pattern == "nan":
+            g[...] = 0
+            g[2, 3, 1, 0] = np.nan
+        mask = g.any(axis=tuple(range(lead, g.ndim)))
+        live = ops._live(g, lead)
+        if mask.all():
+            assert live is None
+        else:
+            assert len(live) == lead
+            for a, b in zip(live, np.nonzero(mask)):
+                np.testing.assert_array_equal(a, b)
+
+
+class TestRowSkip:
+    """The attention, layer_norm and linear vjps work on the rows whose
+    output gradient is nonzero.  The reference is the dense path: the same
+    call with ops._live reporting every row live."""
+
+    @staticmethod
+    def _dense(monkeypatch, fn, arrays, taped, g):
+        with monkeypatch.context() as m:
+            m.setattr(ops, "_live", lambda g, lead=1: None)
+            return _taped_grads(fn, arrays, taped, g)
+
+    @staticmethod
+    def _g(rng, shape, case):
+        """A partly-zero output gradient.  "boundary": one instance whose
+        live rows 120..136 straddle the first f64 row-block boundary (128
+        rows of 1024 keys); "angular": one live query row, the same in 36
+        of 1024 instances, as lam's angular attention has it."""
+        g = np.zeros(shape)
+        if case == "boundary":
+            assert ops._score_blocks(1, 1024, 1024, 8)[1][1] == 128
+            g[:, 120:137] = rng.standard_normal((shape[0], 17, shape[-1]))
+        else:
+            inst = rng.choice(shape[0], 36, replace=False)
+            g[inst, 7] = rng.standard_normal((36, shape[-1]))
+        return g
+
+    SHAPES = {"boundary": (1, 1024, 24), "angular": (1024, 25, 12)}
+
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_attention_matches_dense(self, case, monkeypatch):
+        shape = self.SHAPES[case]
+        rng = np.random.default_rng(70)
+        qkv = [rng.standard_normal(shape) for _ in range(3)]
+        g = self._g(rng, shape, case)
+        for taped in ([0, 1, 2], [1, 2], [0]):
+            got = _taped_grads(ops.attention, qkv, taped, g)
+            ref = self._dense(monkeypatch, ops.attention, qkv, taped, g)
+            for a, b in zip(got, ref):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-13 * np.abs(b).max())
+        # a query row with zero output gradient gets +0
+        dq = got[0]
+        dead = ~g.any(axis=-1)
+        np.testing.assert_array_equal(dq[dead], 0)
+        assert not np.signbit(dq[dead]).any()
+
+    # g laid out C-contiguous, and with its last axis strided as a
+    # transposing view hands it on
+    LAYOUTS = {
+        "contiguous": lambda g: g,
+        "strided": lambda g: np.ascontiguousarray(np.swapaxes(g, -1, -2)).swapaxes(-1, -2),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_square_linear_equals_dense(self, case, layout, monkeypatch):
+        """D -> D, as the q, k, v and proj linears: bit for bit, with the
+        live rows gathered from g as it is."""
+        shape = self.SHAPES[case]
+        d = shape[-1]
+        rng = np.random.default_rng(71)
+        arrays = [rng.standard_normal(shape), rng.standard_normal((d, d)), rng.standard_normal(d)]
+        g = self.LAYOUTS[layout](self._g(rng, shape, case))
+        for taped in ([0], [0, 1, 2]):
+            got = _taped_grads(ops.linear, arrays, taped, g)
+            for a, b in zip(got, self._dense(monkeypatch, ops.linear, arrays, taped, g)):
+                np.testing.assert_array_equal(a, b)
+        dead = ~g.any(axis=-1)
+        assert dead.any() and not np.signbit(got[0][dead]).any()
+
+    def test_narrowing_input_gradient_agrees_to_rounding(self, monkeypatch):
+        """A 2D -> D input gradient, as ffn1's: at 17 of 1024 rows OpenBLAS
+        takes another GEMM kernel than at all 1024, which rounds the
+        48-term sums otherwise."""
+        shape = self.SHAPES["boundary"]
+        d = shape[-1]
+        rng = np.random.default_rng(72)
+        arrays = [rng.standard_normal(shape), rng.standard_normal((d, 2 * d)), rng.standard_normal(2 * d)]
+        g = self._g(rng, shape[:-1] + (2 * d,), "boundary")
+        got = _taped_grads(ops.linear, arrays, [0], g)[0]
+        ref = self._dense(monkeypatch, ops.linear, arrays, [0], g)[0]
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_layer_norm_equals_dense(self, case, monkeypatch):
+        shape = self.SHAPES[case]
+        d = shape[-1]
+        rng = np.random.default_rng(73)
+        arrays = [rng.standard_normal(shape) * 3 + 1, 1 + rng.random(d), rng.standard_normal(d)]
+        g = self._g(rng, shape, case)
+        for taped in ([0], [0, 1, 2]):
+            got = _taped_grads(ops.layer_norm, arrays, taped, g)
+            for a, b in zip(got, self._dense(monkeypatch, ops.layer_norm, arrays, taped, g)):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("op", ["linear", "layer_norm"])
+    def test_one_dimensional_input_is_one_row(self, op):
+        """A 1-D input has no row axis to skip along: g is one row."""
+        rng = np.random.default_rng(74)
+        x = rng.standard_normal(4)
+        args = [rng.standard_normal((4, 4)), rng.standard_normal(4)] if op == "linear" else [1 + rng.random(4), np.zeros(4)]
+        for g in (np.zeros(4), rng.standard_normal(4)):
+            (gx,) = _taped_grads(getattr(ops, op), [x] + args, [0], g)
+            assert gx.shape == (4,)
+            if not g.any():
+                np.testing.assert_array_equal(gx, 0)
+
+
+def _im2col_nine_copies(x, kh, pad):
+    """The tap-by-tap route _im2col replaced: a zeroed channels-last padded
+    input, then one strided copy per kernel tap."""
+    bsz, cin, h, w = x.shape
+    xp = np.zeros((bsz, h + 2 * pad, w + 2 * pad, cin), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((bsz, h, w, kh, kh, cin), dtype=x.dtype)
+    for dy in range(kh):
+        for dx in range(kh):
+            cols[:, :, :, dy, dx] = xp[:, dy:dy + h, dx:dx + w]
+    return cols
+
+
+class TestIm2col:
+    # (x dims, dtype): lam's 12-channel convs, the default model's
+    # 48-channel convs in f32, and training's 4x4 views
+    SHAPES = [((25, 12, 32, 32), np.float64), ((25, 48, 32, 32), np.float32), ((25, 48, 4, 4), np.float64)]
+
+    @pytest.mark.parametrize("kh", [3, 1])
+    @pytest.mark.parametrize("shape, dtype", SHAPES)
+    def test_equals_nine_copies(self, shape, dtype, kh):
+        x = np.random.default_rng(75).standard_normal(shape).astype(dtype)
+        cols = ops._im2col(x, kh, (kh - 1) // 2)
+        assert cols.flags.c_contiguous and cols.dtype == dtype
+        np.testing.assert_array_equal(cols, _im2col_nine_copies(x, kh, (kh - 1) // 2))
+
+    def test_strided_input(self):
+        base = np.random.default_rng(76).standard_normal((3, 7, 6, 5))
+        x = base.transpose(0, 3, 1, 2)[:, ::2]
+        np.testing.assert_array_equal(ops._im2col(x, 3, 1), _im2col_nine_copies(x, 3, 1))
+
+
 class TestNormalizationsActivations:
     def test_layer_norm_standardizes(self):
         rng = np.random.default_rng(20)
