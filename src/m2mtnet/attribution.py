@@ -195,7 +195,9 @@ def lam(net, lr: LfTensor, cfg: LamConfig) -> LamResult:
     forward_var and param_vars, and, if it does not mix views, flat and a
     (cfg, flat) constructor.  lr, sai and window are checked against net
     (and the r*W x r*H output view) before any work.  The parameters are
-    constants, so each backward computes the input gradient alone.
+    constants, so each backward computes the input gradient alone.  Each
+    forward returns the probed view alone (forward_var's view argument),
+    so the bicubic residual runs on that view only.
 
     A net whose class sets mixes_views = False (the per-view baseline) is
     probed on view s only: just that view is blurred, type(net) built with
@@ -221,8 +223,8 @@ def lam(net, lr: LfTensor, cfg: LamConfig) -> LamResult:
     for k in range(1, s + 1):
         tape = Tape()
         x = Var(path[k], tape)
-        out = net64.forward_var(x, pv)
-        d = _detector_var(out, cfg.window, sai)
+        out = net64.forward_var(x, pv, view=sai)
+        d = _detector_var(out, cfg.window, (0, 0))
         tape.backward(d, np.float64(1.0))
         if cfg.literal:
             acc += x.grad * (path[k] - path[min(k + 1, s)]) / s

@@ -6,10 +6,13 @@ replays the records once in reverse, pushing vector-Jacobian products from
 each output's accumulated gradient into its parents.  Fan-out is handled by
 addition: a Var consumed twice receives both contributions.
 
-A tape records one forward and is spent by one backward: replay pops each
-record, so an op's saved arrays and the gradients only it referenced are
-freed as soon as they have been used.  A spent tape refuses a second
-backward and any further record.
+A record keeps no value alive.  It holds the gradient slots of its output
+and of its taped parents (see Var), not the Vars, so an activation lives on
+only if a vjp closure keeps it: each vjp keeps the arrays its math reads and
+nothing else.  A tape records one forward and is spent by one backward:
+replay pops each record, so an op's saved arrays and the gradients only it
+referenced are freed as soon as they have been used.  A spent tape refuses
+a second backward and any further record.
 
 A Var may belong to at most one tape; ops refuse to mix Vars from different
 tapes.  Vars created without a tape act as constants: they flow through ops
@@ -27,6 +30,25 @@ import numpy as np
 __all__ = ["Var", "Tape", "gradcheck", "rel_error"]
 
 
+class _Slot:
+    """Where one Var's gradient accumulates: the Var and the records of its
+    tape share it, so a record can take a gradient without keeping the
+    Var's value alive."""
+
+    __slots__ = ("_grad", "dims")
+
+    def __init__(self, dims: tuple[int, ...]):
+        self._grad = None
+        self.dims = dims
+
+    def add(self, g: np.ndarray) -> None:
+        """Accumulate g; the first contribution is stored as is, later ones
+        add out of place, so an array another slot holds is never written."""
+        if g.shape != self.dims:
+            raise ValueError(f"vjp produced dims {g.shape} for parent of dims {self.dims}")
+        self._grad = g if self._grad is None else self._grad + g
+
+
 class Var:
     """A value in the computation: ndarray payload plus gradient slot.
 
@@ -34,23 +56,29 @@ class Var:
     lazily so constant-only forward passes stay cheap).  A constant, a Var
     without a tape, keeps zeros: backward never gives it a gradient.  Nor
     need it give one to a taped Var whose gradient is exactly zero (see
-    Tape); grad reads zeros there all the same.  An
-    op's value may be a view of, or share memory with, its inputs; grad may
-    share memory with other Vars' gradients (a vjp may hand one array to
-    several parents).  So neither may be written in place.
+    Tape); grad reads zeros there all the same.  A taped Var's gradient
+    lives in a slot that its tape's records share; a constant gets one only
+    when grad is read or set.  An op's value may be a view of, or share
+    memory with, its inputs; grad may share memory with other Vars'
+    gradients (a vjp may hand one array to several parents).  So neither
+    may be written in place.
     """
 
-    __slots__ = ("value", "_grad", "tape")
+    __slots__ = ("value", "tape", "_slot")
 
     def __init__(self, value, tape: Optional["Tape"] = None):
         self.value = np.asarray(value)
-        self._grad = None
         self.tape = tape
+        self._slot = None if tape is None else _Slot(self.value.shape)
+
+    @property
+    def _grad(self) -> np.ndarray | None:
+        return None if self._slot is None else self._slot._grad
 
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
-            self._grad = np.zeros_like(self.value)
+            self.grad = np.zeros_like(self.value)
         return self._grad
 
     @grad.setter
@@ -58,7 +86,9 @@ class Var:
         g = np.asarray(g)
         if g.shape != self.value.shape:
             raise ValueError(f"grad dims {g.shape} != value dims {self.value.shape}")
-        self._grad = g
+        if self._slot is None:
+            self._slot = _Slot(g.shape)
+        self._slot._grad = g
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -77,26 +107,29 @@ class Tape:
 
     Records are appended in execution order, so every parent Var was created
     before the record that consumes it; replaying in reverse is a valid
-    topological order for backpropagation.  len(tape) counts the records
-    not yet replayed: 0 once backward has run.  A record's vjp may return
-    None for a parent, and should for a constant parent (tape None), whose
-    gradient backward drops anyway.  It may also return None for a taped
-    parent whose gradient is exactly zero, as the conv2d and attention vjps
-    do when their whole output gradient is.  A record whose output received
-    no gradient at all is dropped without running its vjp, so a branch that
-    does not reach the output, or reaches it only through such Nones, costs
-    nothing backward; its Vars' grad reads zeros.
+    topological order for backpropagation.  A record holds gradient slots,
+    not Vars: its output's, and one per parent, None for a constant.
+    len(tape) counts the records not yet replayed: 0 once backward has run.
+    A record's vjp may return None for a parent, and should for a constant
+    parent (tape None), whose gradient backward drops anyway.  It may also
+    return None for a taped parent whose gradient is exactly zero, as the
+    conv2d and attention vjps do when their whole output gradient is.  A
+    record whose output received no gradient at all is dropped without
+    running its vjp, so a branch that does not reach the output, or reaches
+    it only through such Nones, costs nothing backward; its Vars' grad
+    reads zeros.
     """
 
     def __init__(self):
-        # (output Var, tuple of parent Vars, vjp: g_out -> per-parent grads);
+        # (output slot, per-parent slots, vjp: g_out -> per-parent grads);
         # None once backward has spent the tape
-        self._records: list[tuple[Var, tuple, Callable]] | None = []
+        self._records: list[tuple[_Slot, tuple, Callable]] | None = []
 
     def record(self, out: Var, parents: Sequence[Var], vjp: Callable) -> None:
         if self._records is None:
             raise ValueError("tape is spent: its backward has run, so it records nothing more")
-        self._records.append((out, tuple(parents), vjp))
+        slots = tuple(None if p is None or p.tape is None else p._slot for p in parents)
+        self._records.append((out._slot, slots, vjp))
 
     def __len__(self) -> int:
         return 0 if self._records is None else len(self._records)
@@ -119,23 +152,14 @@ class Tape:
         if seed.shape != output.value.shape:
             raise ValueError(f"seed dims {seed.shape} != output dims {output.value.shape}")
         records, self._records = self._records, None
-        # A first contribution is stored as is, though it may be an array that
-        # another Var holds too (add hands g to both parents); later ones add
-        # out of place, so no shared array is ever written.
-        output.grad = seed if output._grad is None else output._grad + seed
+        output._slot.add(seed)
         while records:
             out, parents, vjp = records.pop()
             if out._grad is None:
                 continue  # no gradient reached out: its parents get none from it
-            grads = vjp(out._grad)
-            for p, g in zip(parents, grads):
-                if p is None or g is None or p.tape is None:
-                    continue
-                if g.shape != p.value.shape:
-                    raise ValueError(
-                        f"vjp produced dims {g.shape} for parent of dims {p.value.shape}"
-                    )
-                p.grad = g if p._grad is None else p._grad + g
+            for p, g in zip(parents, vjp(out._grad)):
+                if p is not None and g is not None:
+                    p.add(g)
 
 
 def rel_error(a: float, n: float) -> float:

@@ -135,7 +135,7 @@ class _SrNet:
         img = ops.pixel_shuffle(img, self.cfg.r)
         return ops.conv2d(img, pv["tail.squeeze.w"], pv["tail.squeeze.b"])
 
-    def forward_var(self, x: Var, pv: "OrderedDict[str, Var]") -> Var:
+    def forward_var(self, x: Var, pv: "OrderedDict[str, Var]", view: tuple[int, int] | None = None) -> Var:
         """Differentiable forward: Var (U,V,W,H,1) -> Var (U,V,rW,rH,1).
 
         The head and the bicubic residual read one image batch of x; the
@@ -144,6 +144,10 @@ class _SrNet:
         r*r*C channels fit the ops chunk budget, so the expand output and
         its pixel-shuffled copy exist for one group at a time; the groups'
         outputs are joined by ops.concat.
+
+        With view = (su, sv) the output is that view alone, (1,1,rW,rH,1),
+        equal to it in the full output: the tail still runs on every view,
+        and the residual is resampled for this view only.
         """
         cfg = self.cfg
         self.check_input(x.value.shape)
@@ -161,8 +165,12 @@ class _SrNet:
         img = blocks.lf_to_images(feat)
         groups = ops.batch_slices(len(img.value), cfg.r * cfg.r * cfg.c * w * h * img.value.itemsize)
         img = ops.concat([self._tail(ops.getitem(img, s), pv) for s in groups])
+        grid = (cfg.u, cfg.v)
+        if view is not None:
+            i, grid = view[0] * cfg.v + view[1], (1, 1)
+            img, x_img = ops.getitem(img, slice(i, i + 1)), ops.getitem(x_img, slice(i, i + 1))
         img = ops.add(img, ops.resize_bicubic(x_img, float(cfg.r)))
-        return blocks.images_to_lf(img, (cfg.u, cfg.v, cfg.r * w, cfg.r * h, 1))
+        return blocks.images_to_lf(img, (*grid, cfg.r * w, cfg.r * h, 1))
 
     def forward(self, lf: LfTensor) -> LfTensor:
         """Plain inference; dtype follows the weights."""

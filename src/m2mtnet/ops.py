@@ -5,13 +5,15 @@ value eagerly, defines its vjp and returns _op(value, parents, vjp).  _op is
 the one place an op joins the tape: the output lives on the parents' tape,
 or is a constant when no parent has one, and the vjp is recorded only in
 the first case.  A vjp maps the output gradient to one gradient per parent,
-in the order of `parents`; it may read the parents' values, which the
-record keeps alive anyway.  A constant parent (no tape) gets None, and the
-vjp skips the work only that gradient needs, such as a conv's kernel GEMMs
-or a linear's dW.  The input gradients of conv2d, attention, linear and
-layer_norm run on the live part of g only, the images, instances or rows
-holding a nonzero value (_live); when every part is live, nothing is
-gathered.  Ops never mutate input arrays, and an op's output, which
+in the order of `parents`.  The tape's record keeps no value alive, so a
+vjp captures no Var: it keeps the dims of its taped parents (_dims) and
+the arrays its math reads, and no more.  A conv2d keeps its input only
+when its kernel is taped; an add or a reshape keeps no array.  A constant
+parent (no tape) gets None, and the vjp skips the work only that gradient
+needs, such as a conv's kernel GEMMs or a linear's dW.  The input
+gradients of conv2d, attention, linear and layer_norm run on the live part
+of g only, the images, instances or rows holding a nonzero value (_live);
+when every part is live, nothing is gathered.  Ops never mutate input arrays, and an op's output, which
 may be a view of or share memory with its input, must never be written in
 place.  Dtype follows the inputs, float32 or float64.
 """
@@ -75,8 +77,17 @@ def _op(value, parents: tuple[Var, ...], vjp: Callable) -> Var:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum g down to `shape`, undoing numpy broadcasting."""
+def _dims(v: Var) -> tuple[int, ...] | None:
+    """v's dims if v is taped, None for a constant: what a vjp keeps of a
+    parent to give it a gradient, or not."""
+    return None if v.tape is None else v.shape
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...] | None) -> np.ndarray | None:
+    """Sum g down to `shape`, undoing numpy broadcasting; None when shape is
+    None, a constant parent's."""
+    if shape is None:
+        return None
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
@@ -131,36 +142,29 @@ def _scatter(part: np.ndarray, live: tuple[np.ndarray, ...] | None, shape: tuple
 
 def add(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return _op(
-        a.value + b.value,
-        (a, b),
-        lambda g: (
-            None if a.tape is None else _unbroadcast(g, a.shape),
-            None if b.tape is None else _unbroadcast(g, b.shape),
-        ),
-    )
+    da, db = _dims(a), _dims(b)
+    return _op(a.value + b.value, (a, b), lambda g: (_unbroadcast(g, da), _unbroadcast(g, db)))
 
 
 def sub(a, b) -> Var:
     a, b = as_var(a), as_var(b)
+    da, db = _dims(a), _dims(b)
     return _op(
         a.value - b.value,
         (a, b),
-        lambda g: (
-            None if a.tape is None else _unbroadcast(g, a.shape),
-            None if b.tape is None else -_unbroadcast(g, b.shape),
-        ),
+        lambda g: (_unbroadcast(g, da), None if db is None else -_unbroadcast(g, db)),
     )
 
 
 def mul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
+    da, db, av, bv = _dims(a), _dims(b), a.value, b.value
     return _op(
-        a.value * b.value,
+        av * bv,
         (a, b),
         lambda g: (
-            None if a.tape is None else _unbroadcast(g * b.value, a.shape),
-            None if b.tape is None else _unbroadcast(g * a.value, b.shape),
+            None if da is None else _unbroadcast(g * bv, da),
+            None if db is None else _unbroadcast(g * av, db),
         ),
     )
 
@@ -178,17 +182,20 @@ def scale(a, c: float) -> Var:
 
 def vabs(a) -> Var:
     a = as_var(a)
-    return _op(np.abs(a.value), (a,), lambda g: (g * np.sign(a.value),))
+    av = a.value
+    return _op(np.abs(av), (a,), lambda g: (g * np.sign(av),))
 
 
 def square(a) -> Var:
     a = as_var(a)
-    return _op(a.value * a.value, (a,), lambda g: (g * (2.0 * a.value),))
+    av = a.value
+    return _op(av * av, (a,), lambda g: (g * (2.0 * av),))
 
 
 def vsum(a) -> Var:
     a = as_var(a)
-    return _op(a.value.sum(), (a,), lambda g: (np.full(a.shape, g, dtype=g.dtype),))
+    dims = a.shape
+    return _op(a.value.sum(), (a,), lambda g: (np.full(dims, g, dtype=g.dtype),))
 
 
 def vmean(a) -> Var:
@@ -201,7 +208,8 @@ def vmean(a) -> Var:
 
 def reshape(a, shape) -> Var:
     a = as_var(a)
-    return _op(a.value.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    dims = a.shape
+    return _op(a.value.reshape(shape), (a,), lambda g: (g.reshape(dims),))
 
 
 def transpose(a, axes) -> Var:
@@ -212,9 +220,10 @@ def transpose(a, axes) -> Var:
 def getitem(a, idx) -> Var:
     """Basic slicing; gradient scatters back into the sliced region."""
     a = as_var(a)
+    dims = a.shape
 
     def vjp(g):
-        gz = np.zeros(a.shape, dtype=g.dtype)
+        gz = np.zeros(dims, dtype=g.dtype)
         gz[idx] = g
         return (gz,)
 
@@ -236,14 +245,13 @@ def concat(xs, axis: int = 0) -> Var:
         if off(x.shape) != off(first.shape):
             raise ValueError(f"concat: input dims {x.shape} do not match {first.shape} off axis {ax}")
     ends = np.cumsum([x.shape[ax] for x in xs]).tolist()
-    lead = (slice(None),) * ax
-
-    def vjp(g):
-        return tuple(
-            None if x.tape is None else g[lead + (slice(e - x.shape[ax], e),)] for x, e in zip(xs, ends)
-        )
-
-    return _op(np.concatenate([x.value for x in xs], axis=ax), tuple(xs), vjp)
+    # each taped input's index into g; None for a constant
+    parts = [None if x.tape is None else (slice(None),) * ax + (slice(e - x.shape[ax], e),) for x, e in zip(xs, ends)]
+    return _op(
+        np.concatenate([x.value for x in xs], axis=ax),
+        tuple(xs),
+        lambda g: tuple(None if p is None else g[p] for p in parts),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +260,13 @@ def concat(xs, axis: int = 0) -> Var:
 def matmul(a, b) -> Var:
     """Matrix product with numpy batch broadcasting on leading axes."""
     a, b = as_var(a), as_var(b)
+    da, db, av, bv = _dims(a), _dims(b), a.value, b.value
     return _op(
-        a.value @ b.value,
+        av @ bv,
         (a, b),
         lambda g: (
-            None if a.tape is None else _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.shape),
-            None if b.tape is None else _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.shape),
+            None if da is None else _unbroadcast(g @ np.swapaxes(bv, -1, -2), da),
+            None if db is None else _unbroadcast(np.swapaxes(av, -1, -2) @ g, db),
         ),
     )
 
@@ -276,17 +285,20 @@ def linear(x, w, b) -> Var:
         raise ValueError(f"linear: input dim {x.value.shape[-1]} != weight Din {din}")
     if b.value.shape != (dout,):
         raise ValueError(f"linear: bias dims {b.value.shape} != ({dout},)")
+    dx, wv, b_taped = _dims(x), w.value, b.tape is not None
+    # x is read by dW alone
+    xw = None if w.tape is None else x.value
 
     def vjp(g):
         gx = gw = gb = None
-        if x.tape is not None:
+        if dx is not None:
             # the live rows are gathered from g as it is, strided or not
             live = _live(g, g.ndim - 1)
-            gx = g @ w.value.T if live is None else _scatter(g[live] @ w.value.T, live, x.shape)
-        if w.tape is not None or b.tape is not None:
+            gx = g @ wv.T if live is None else _scatter(g[live] @ wv.T, live, dx)
+        if xw is not None or b_taped:
             g2 = g.reshape(-1, dout)
-            gw = None if w.tape is None else x.value.reshape(-1, din).T @ g2
-            gb = None if b.tape is None else g2.sum(axis=0)
+            gw = None if xw is None else xw.reshape(-1, din).T @ g2
+            gb = g2.sum(axis=0) if b_taped else None
         return (gx, gw, gb)
 
     return _op(x.value @ w.value + b.value, (x, w, b), vjp)
@@ -425,6 +437,9 @@ def conv2d(x, kernel, bias) -> Var:
     if bias.value.shape != (cout,):
         raise ValueError(f"conv2d: bias dims {bias.value.shape} != ({cout},)")
     pad = (kh - 1) // 2
+    dx, kv, b_taped = _dims(x), kernel.value, bias.tape is not None
+    # x is read by the kernel gradient alone
+    xk = None if kernel.tape is None else xv
 
     def vjp(g):
         live = _live(g)
@@ -432,13 +447,13 @@ def conv2d(x, kernel, bias) -> Var:
             return (None, None, None)
         gs = g if live is None else g[live]
         gx = gk = gb = None
-        if kernel.tape is not None:
-            gk = _conv_kernel_grad(xv if live is None else xv[live], gs, kh, pad)
-        if x.tape is not None:
+        if xk is not None:
+            gk = _conv_kernel_grad(xk if live is None else xk[live], gs, kh, pad)
+        if dx is not None:
             # input grad = correlation with the spatially flipped, channel-swapped kernel
-            kt = kernel.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx = _scatter(_conv_value(gs, kt, None, pad), live, xv.shape)
-        if bias.tape is not None:
+            kt = kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gx = _scatter(_conv_value(gs, kt, None, pad), live, dx)
+        if b_taped:
             gb = g.sum(axis=(0, 2, 3))
         return (gx, gk, gb)
 
@@ -523,6 +538,8 @@ def attention(q, k, v) -> Var:
     """
     q, k, v = as_var(q), as_var(k), as_var(v)
     qv, kv, vv = q.value, k.value, v.value
+    # the parents' dims; the vjp keeps the scaled q, k, v, out and lse
+    dq, dk, dv = _dims(q), _dims(k), _dims(v)
     if qv.shape[-1] != kv.shape[-1]:
         raise ValueError(f"attention: q dim {qv.shape[-1]} != k dim {kv.shape[-1]}")
     if kv.shape[-2] != vv.shape[-2]:
@@ -567,7 +584,7 @@ def attention(q, k, v) -> Var:
         vblocks, vdims = blocks, block_dims
         if live is not None or rows is not None:
             vblocks, vdims = _score_blocks(gs.shape[0], gs.shape[1], tk, sdt.itemsize)
-        gq, gk, gv = (None if x.tape is None else np.empty(a.shape, gdt) for x, a in ((q, qs), (k, ks), (v, vs)))
+        gq, gk, gv = (None if d is None else np.empty(a.shape, gdt) for d, a in ((dq, qs), (dk, ks), (dv, vs)))
         p_buf, ds_buf = np.empty(vdims, sdt), np.empty(vdims, gdt)
         kts, vts = np.swapaxes(ks, -1, -2), np.swapaxes(vs, -1, -2)
         for b, r in vblocks:
@@ -588,8 +605,8 @@ def attention(q, k, v) -> Var:
             gq *= c
             gq = _scatter(gq, rows, (len(gq), tq, gq.shape[-1]))
         return tuple(
-            None if a is None else _scatter(a, live, (n,) + a.shape[1:]).reshape(x.shape)
-            for a, x in ((gq, q), (gk, k), (gv, v))
+            None if a is None else _scatter(a, live, (n,) + a.shape[1:]).reshape(d)
+            for a, d in ((gq, dq), (gk, dk), (gv, dv))
         )
 
     return _op(o3.reshape(batch + o3.shape[1:]), (q, k, v), vjp)
@@ -608,19 +625,22 @@ def layer_norm(x, gain, offset) -> Var:
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
+    # the vjp keeps xhat, inv and the gain; x, xc and mean go
+    dims, gv = _dims(x), gain.value
+    g_taped, o_taped = gain.tape is not None, offset.tape is not None
 
     def vjp(g):
         dx = dg = db = None
-        if x.tape is not None:
+        if dims is not None:
             live = _live(g, g.ndim - 1)
             gl, xh, iv = (g, xhat, inv) if live is None else (g[live], xhat[live], inv[live])
-            dxhat = gl * gain.value
+            dxhat = gl * gv
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xh).mean(axis=-1, keepdims=True)
-            dx = _scatter(iv * (dxhat - m1 - xh * m2), live, x.shape)
-        if gain.tape is not None:
+            dx = _scatter(iv * (dxhat - m1 - xh * m2), live, dims)
+        if g_taped:
             dg = (g * xhat).reshape(-1, d).sum(axis=0)
-        if offset.tape is not None:
+        if o_taped:
             db = g.reshape(-1, d).sum(axis=0)
         return (dx, dg, db)
 
@@ -630,10 +650,18 @@ def layer_norm(x, gain, offset) -> Var:
 # ---------------------------------------------------------------------------
 # Activations
 
+def _leaky(a: np.ndarray, pos: np.ndarray, slope: float) -> np.ndarray:
+    """a where pos holds, a * slope elsewhere."""
+    out = a * slope
+    np.copyto(out, a, where=pos)
+    return out
+
+
 def leaky_relu(x, slope: float = 0.1) -> Var:
+    """x where x > 0, slope * x elsewhere; the vjp keeps the bool mask."""
     x = as_var(x)
-    mask = np.where(x.value > 0, 1.0, slope).astype(x.value.dtype)
-    return _op(x.value * mask, (x,), lambda g: (g * mask,))
+    pos = x.value > 0
+    return _op(_leaky(x.value, pos, slope), (x,), lambda g: (_leaky(g, pos, slope),))
 
 
 # Python floats, not NumPy scalars: under NEP 50 promotion a float64 scalar
@@ -840,10 +868,11 @@ def resize_bicubic(x, scale: float) -> Var:
     hout, wout = int(round(scale * h)), int(round(scale * w))
     if hout < 1 or wout < 1:
         raise ValueError(f"resize_bicubic: scale {scale} collapses {h}x{w} to zero dims")
+    dtype = x.dtype
 
     def vjp(g):
-        mh = resample_matrix(h, hout).astype(x.dtype)
-        mw = resample_matrix(w, wout).astype(x.dtype)
+        mh = resample_matrix(h, hout).astype(dtype)
+        mw = resample_matrix(w, wout).astype(dtype)
         return (mh.T @ g @ mw,)
 
     return _op(_resize_value(x.value, hout, wout), (x,), vjp)

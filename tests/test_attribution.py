@@ -27,7 +27,7 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 class _IdentityNet:
     """Minimal stand-in with the interface lam() needs; its output view is
-    the input view (r = 1)."""
+    the input view (r = 1), and forward_var returns the view asked for."""
 
     cfg = SimpleNamespace(r=1)
     mixes_views = True
@@ -41,8 +41,9 @@ class _IdentityNet:
     def param_vars(self, tape):
         return {}
 
-    def forward_var(self, x, pv):
-        return x
+    def forward_var(self, x, pv, view):
+        su, sv = view
+        return ops.getitem(x, (slice(su, su + 1), slice(sv, sv + 1)))
 
 
 def _ramp_lf(u=2, v=2, w=8, h=8):

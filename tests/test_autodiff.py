@@ -7,13 +7,15 @@ Constants, Vars without a tape, get no gradient.
 
 import hashlib
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from m2mtnet import network, ops
+from m2mtnet import attribution, network, ops, training
 from m2mtnet.autodiff import Tape, Var, gradcheck, rel_error
+from m2mtnet.lftensor import LfTensor
 
 TOY = network.NetConfig(u=2, v=2, c=3, c_cor=5, n1=2, n2=1, r=2)
 
@@ -200,7 +202,8 @@ class TestTape:
 
 
 def _spy_records(t: Tape) -> list:
-    """Wrap every record's vjp on t to log its output Var when it runs."""
+    """Wrap every record's vjp on t to log its output's gradient slot when
+    it runs: a record holds slots, not Vars."""
     ran = []
 
     def spy(out, vjp):
@@ -220,9 +223,9 @@ def _dense_backward(t: Tape, output: Var, seed) -> None:
     records, t._records = t._records, None
     output.grad = seed
     for out, parents, vjp in reversed(records):
-        for p, g in zip(parents, vjp(out.grad)):
-            if p is not None and g is not None and p.tape is not None:
-                p.grad = g if p._grad is None else p._grad + g
+        for p, g in zip(parents, vjp(np.zeros(out.dims) if out._grad is None else out._grad)):
+            if p is not None and g is not None:
+                p.add(g)
 
 
 class TestDeadRecords:
@@ -258,11 +261,11 @@ class TestDeadRecords:
         leaves, out, dead = self._forward(t, kind)
         ran = _spy_records(t)
         t.backward(out, 1.0)
-        ran_ids = {id(v) for v in ran}
+        ran_ids = {id(s) for s in ran}
         for name, v in dead.items():
             # the dead group's own vjp runs on its zero slice of g, hands
             # its parents None, and so the getitem that feeds it never runs
-            assert (id(v) in ran_ids) == (name == "dead group"), name
+            assert (id(v._slot) in ran_ids) == (name == "dead group"), name
         assert len(ran) == len(ran_ids)  # each at most once
         assert leaves["w"]._grad is None  # read below as zeros all the same
         ref = Tape()
@@ -282,6 +285,92 @@ class TestDeadRecords:
         t.backward(out, 1.0)
         # the unused linear and transpose, and the dead group's getitem
         assert n_before - len(ran) == 3
+
+
+def _alive(fn, *arrays) -> list[bool]:
+    """Whether each of fn's taped inputs still has its value once its last
+    name is gone, while fn's output and the tape live on; the backward then
+    runs.  Each input is a fresh array, the output of a scale record, so
+    only fn's records and vjps could keep it."""
+    t = Tape()
+    xs = [ops.scale(Var(a, t), 1.0) for a in arrays]
+    refs = [weakref.ref(x.value) for x in xs]
+    out = fn(*xs)
+    del xs
+    alive = [r() is not None for r in refs]
+    t.backward(out, np.ones(out.shape))
+    return alive
+
+
+_RNG = np.random.default_rng(4)
+_IMG, _TOK = _RNG.standard_normal((2, 3, 4, 4)), _RNG.standard_normal((2, 5, 3))
+_K, _W, _GAIN = _RNG.standard_normal((3, 3, 3, 3)), _RNG.standard_normal((3, 2)), _RNG.standard_normal(3)
+
+
+class TestRecordsKeepOnlyWhatVjpsRead:
+    """A record holds gradient slots, not Vars, and a vjp keeps only the
+    arrays its math reads: any other activation is freed as soon as its
+    last name goes, before the backward."""
+
+    # (fn, its inputs, which inputs stay alive); a view op's output feeds a
+    # scale, so that no live output is a view of its input
+    CASES = {
+        "conv2d, constant kernel": (lambda x: ops.conv2d(x, _K, np.zeros(3)), (_IMG,), [False]),
+        "conv2d, taped kernel": (lambda x, k: ops.conv2d(x, k, np.zeros(3)), (_IMG, _K), [True, True]),
+        "linear, constant weight": (lambda x: ops.linear(x, _W, np.zeros(2)), (_TOK,), [False]),
+        "linear, taped weight": (lambda x, w: ops.linear(x, w, np.zeros(2)), (_TOK, _W), [True, True]),
+        "add": (ops.add, (_TOK, _TOK), [False, False]),
+        "reshape": (lambda a: ops.scale(ops.reshape(a, (-1,)), 2.0), (_TOK,), [False]),
+        "transpose": (lambda a: ops.scale(ops.transpose(a, (2, 0, 1)), 2.0), (_TOK,), [False]),
+        "getitem": (lambda a: ops.scale(ops.getitem(a, (slice(1), slice(1, 4))), 2.0), (_TOK,), [False]),
+        "concat": (lambda a, b: ops.concat([a, b], axis=1), (_TOK, _TOK), [False, False]),
+        "resize_bicubic": (lambda a: ops.resize_bicubic(a, 2.0), (_IMG,), [False]),
+        "leaky_relu": (ops.leaky_relu, (_TOK,), [False]),
+        # attention keeps the scaled q (a copy), k and v, and the output
+        "attention": (ops.attention, (_TOK, _TOK, _TOK), [False, True, True]),
+        # layer_norm keeps xhat, inv and the gain
+        "layer_norm": (lambda x, g: ops.layer_norm(x, g, np.zeros(3)), (_TOK, _GAIN), [False, True]),
+        "gelu": (ops.gelu, (_TOK,), [True]),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_inputs_kept_alive(self, name):
+        fn, arrays, kept = self.CASES[name]
+        assert _alive(fn, *(a.copy() for a in arrays)) == kept
+
+    @staticmethod
+    def _live_peak(fn) -> int:
+        """tracemalloc peak of fn() above the memory traced when it starts,
+        in bytes; fn runs once before, so no first-call cache counts."""
+        fn()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    SMALL = network.NetConfig(u=3, v=3, c=4, c_cor=6, n1=2, n2=1, r=2)
+
+    def test_lam_step_live_peak(self):
+        """One m2m lam step on 3x3x8x8 views.  The peak was 923,560 B when
+        every record kept its parents; with records keeping no value, it is
+        541,695 B.  A vjp that keeps a Var again shows here."""
+        net = network.build(self.SMALL, np.float64)
+        lf = LfTensor(np.random.default_rng(0).random((3, 3, 8, 8, 1)))
+        cfg = attribution.LamConfig(window=(2, 2, 4), steps=1, sigma=2.0)
+        assert self._live_peak(lambda: attribution.lam(net, lf, cfg)) <= 0.65 * 923_560
+
+    def test_training_step_live_peak(self):
+        """One Adam step on 3x3x16x16 HR views.  Taped weights keep the conv
+        and linear inputs, so the saving is smaller: 1,490,524 B when every
+        record kept its parents, 1,201,011 B now."""
+        net = network.build(self.SMALL, np.float64)
+        hr = LfTensor(np.random.default_rng(0).random((3, 3, 16, 16, 1)))
+        pair = training.make_pair(hr, self.SMALL.r)
+        one = training.TrainConfig(iters=1)
+        assert self._live_peak(lambda: training.train_toy(net, pair, one)) <= 0.85 * 1_490_524
 
 
 class TestRelError:

@@ -132,6 +132,18 @@ class TestForward:
         assert np.all(delta[mask] == 0.0)
 
     @pytest.mark.parametrize("arch", ["m2m", "o2o"])
+    def test_one_view_forward_equals_its_view_of_the_full_output(self, arch):
+        """forward_var's view returns that view of the full output, bit for
+        bit, on a 3x2 grid of 5x4 views, so the flat index is su*V + sv."""
+        cfg = replace(SMALL, u=3, v=2, arch=arch)
+        net = network.build(cfg, np.float64)
+        x = Var(_rand_lf(np.random.default_rng(6), cfg, 5, 4).data)
+        full = net.forward_var(x, net.param_vars(None)).value
+        for su, sv in ((0, 0), (2, 1), (1, 0)):
+            one = net.forward_var(x, net.param_vars(None), view=(su, sv)).value
+            np.testing.assert_array_equal(one, full[su : su + 1, sv : sv + 1])
+
+    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
     def test_input_leaves_the_field_layout_once(self, arch, monkeypatch):
         """The head and the bicubic residual share one image batch of the
         input, and the output returns to the field layout once."""
