@@ -4,7 +4,9 @@ Define-by-run: each differentiable op (see the ops module) computes its value
 eagerly and appends a record (output, parents, vjp) to the tape.  backward()
 replays the records once in reverse, pushing vector-Jacobian products from
 each output's accumulated gradient into its parents.  Fan-out is handled by
-addition: a Var consumed twice receives both contributions.
+addition: a Var consumed twice receives both contributions.  A vjp may hand
+a parent it read only a slice of a region of its gradient (_Region); the
+parent's slot adds it into one buffer of the parent's dims.
 
 A record keeps no value alive.  It holds the gradient slots of its output
 and of its taped parents (see Var), not the Vars, so an activation lives on
@@ -23,30 +25,73 @@ gradients it reads.  To train a parameter, put it on the tape.
 """
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 __all__ = ["Var", "Tape", "gradcheck", "rel_error"]
 
 
+class _Region(NamedTuple):
+    """A gradient contribution to one region of its parent, value[index]:
+    what a vjp returns for a parent it read only a slice of."""
+
+    index: object
+    part: np.ndarray
+
+
 class _Slot:
     """Where one Var's gradient accumulates: the Var and the records of its
     tape share it, so a record can take a gradient without keeping the
-    Var's value alive."""
+    Var's value alive.
 
-    __slots__ = ("_grad", "dims")
+    A contribution is a full-dims array or a _Region.  The first full one
+    is stored as is, and later full ones add out of place.  A region adds
+    in place into a buffer the slot owns: zeros it allocates for the first
+    region, a sum it made, or a copy of an array it was handed.  So an
+    array another slot holds is never written, and G regions of one parent
+    cost one full-dims buffer, not G.
+    """
+
+    __slots__ = ("_grad", "dims", "_owned")
 
     def __init__(self, dims: tuple[int, ...]):
         self._grad = None
         self.dims = dims
+        self._owned = False
 
-    def add(self, g: np.ndarray) -> None:
-        """Accumulate g; the first contribution is stored as is, later ones
-        add out of place, so an array another slot holds is never written."""
+    def add(self, g) -> None:
+        if isinstance(g, _Region):
+            self._add_region(g.index, g.part)
+            return
         if g.shape != self.dims:
             raise ValueError(f"vjp produced dims {g.shape} for parent of dims {self.dims}")
-        self._grad = g if self._grad is None else self._grad + g
+        if self._grad is None:
+            self._grad = g
+        else:
+            self._grad, self._owned = self._grad + g, True
+
+    def _add_region(self, index, part: np.ndarray) -> None:
+        first = self._grad is None
+        if first:
+            # zeros in part's memory order, outermost axis first (C order
+            # when an integer index dropped an axis), so a region that is
+            # the whole parent leaves the layout, and so the rounding of
+            # every later reduction, as an unsliced read would
+            order = np.arange(len(self.dims))
+            if part.ndim == len(self.dims):
+                order = np.argsort(part.strides, kind="stable")[::-1]
+            zeros = np.zeros(tuple(self.dims[a] for a in order), part.dtype)
+            self._grad = zeros.transpose(np.argsort(order))
+        elif not self._owned or np.result_type(self._grad, part) != self._grad.dtype:
+            self._grad = self._grad.astype(np.result_type(self._grad, part))
+        self._owned = True
+        if np.shape(self._grad[index]) != part.shape:
+            raise ValueError(f"vjp produced dims {part.shape} for a region of dims {np.shape(self._grad[index])}")
+        if first:
+            self._grad[index] = part
+        else:
+            self._grad[index] += part
 
 
 class Var:
@@ -88,7 +133,7 @@ class Var:
             raise ValueError(f"grad dims {g.shape} != value dims {self.value.shape}")
         if self._slot is None:
             self._slot = _Slot(g.shape)
-        self._slot._grad = g
+        self._slot._grad, self._slot._owned = g, False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -110,7 +155,8 @@ class Tape:
     topological order for backpropagation.  A record holds gradient slots,
     not Vars: its output's, and one per parent, None for a constant.
     len(tape) counts the records not yet replayed: 0 once backward has run.
-    A record's vjp may return None for a parent, and should for a constant
+    A record's vjp returns, per parent, a gradient of the parent's dims, a
+    _Region of it, or None.  It should return None for a constant
     parent (tape None), whose gradient backward drops anyway.  It may also
     return None for a taped parent whose gradient is exactly zero, as the
     conv2d and attention vjps do when their whole output gradient is.  A

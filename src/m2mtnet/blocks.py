@@ -81,9 +81,20 @@ def images_to_lf(x: Var, dims) -> Var:
 
 
 # ---------------------------------------------------------------------------
-# Sub-block pieces.  Each step rebinds its name so that the step's input is
-# freed before the next step allocates: nesting these calls keeps inputs
-# alive and adds ~40 MB to the peak RSS of a 4x forward on 5x5x32x32 views.
+# Sub-block pieces.  An activation is freed once no name holds it, so each
+# stage drops its input as soon as its last reader has run: a step rebinds
+# its name, and a value read by several steps belongs to a helper frame that
+# returns only what comes next (_qkv).  Neither relies on a nested call
+# handing its argument to the callee: CPython 3.11 drops the caller's
+# reference then, 3.10 keeps it on the caller's stack until the call
+# returns.  A caller still holds what it passes in, so a block's input
+# lives through the block, as the outer skip needs it anyway.
+
+def _qkv(t: Var, p: dict) -> tuple[Var, Var, Var]:
+    """q, k and v of the normalized t; the normalized tokens go on return."""
+    a = ops.layer_norm(t, p["att_norm.g"], p["att_norm.b"])
+    return tuple(ops.linear(a, p[f"{n}.w"], p[f"{n}.b"]) for n in "qkv")
+
 
 def spatial_self_attention(t: Var, p: dict) -> Var:
     """Pre-norm self-attention over the tokens of t (..., T, D), residual added.
@@ -92,19 +103,14 @@ def spatial_self_attention(t: Var, p: dict) -> Var:
     residual adds to the raw stream.  The one attention body of all three
     sub-block types; the leading axes batch independent sequences.
     """
-    a_in = ops.layer_norm(t, p["att_norm.g"], p["att_norm.b"])
-    att = ops.attention(
-        ops.linear(a_in, p["q.w"], p["q.b"]),
-        ops.linear(a_in, p["k.w"], p["k.b"]),
-        ops.linear(a_in, p["v.w"], p["v.b"]),
-    )
+    att = ops.attention(*_qkv(t, p))
     att = ops.linear(att, p["proj.w"], p["proj.b"])
     return ops.add(t, att)
 
 
 def _ffn(x: Var, p: dict) -> Var:
-    f_in = ops.layer_norm(x, p["ffn_norm.g"], p["ffn_norm.b"])
-    f = ops.linear(f_in, p["ffn1.w"], p["ffn1.b"])
+    f = ops.layer_norm(x, p["ffn_norm.g"], p["ffn_norm.b"])
+    f = ops.linear(f, p["ffn1.w"], p["ffn1.b"])
     f = ops.gelu(f)
     f = ops.linear(f, p["ffn2.w"], p["ffn2.b"])
     return ops.add(x, f)
@@ -119,14 +125,14 @@ def m2mt_forward(x: Var, p: dict) -> Var:
     run there, and the decoded field is added back to the conv-enriched
     input.  With zero weights the whole sub-block is the identity.
     """
-    pos = ops.conv2d(lf_to_images(x), p["pos1.w"], p["pos1.b"])
-    pos = ops.conv2d(pos, p["pos2.w"], p["pos2.b"])
-    base = ops.add(x, images_to_lf(pos, x.shape))
+    base = ops.conv2d(lf_to_images(x), p["pos1.w"], p["pos1.b"])
+    base = ops.conv2d(base, p["pos2.w"], p["pos2.b"])
+    base = ops.add(x, images_to_lf(base, x.shape))
     i_cor = ops.linear(lf_to_merged(base), p["encode.w"], p["encode.b"])
     i_cor = spatial_self_attention(i_cor, p)
     i_cor = _ffn(i_cor, p)
-    dec = ops.linear(i_cor, p["decode.w"], p["decode.b"])
-    return ops.add(base, merged_to_lf(dec, x.shape))
+    i_cor = ops.linear(i_cor, p["decode.w"], p["decode.b"])
+    return ops.add(base, merged_to_lf(i_cor, x.shape))
 
 
 def angular_forward(x: Var, p: dict) -> Var:
@@ -134,17 +140,41 @@ def angular_forward(x: Var, p: dict) -> Var:
 
     Tokens are the views of one spatial location (dim C), batched over all
     W*H locations; a learned per-view embedding marks angular position.
-    There is no feed-forward layer here.
+    There is no feed-forward layer here.  Every step works per pixel, so
+    on some columns of a field it gives those columns of the whole field's
+    output, bit for bit: correlation_block_forward runs it per chunk of
+    columns.
     """
     t = ops.add(_to(x, "angular"), p["pos_embed"])
     t = spatial_self_attention(t, p)
     return _from(t, "angular", x.shape)
 
 
+# (U*V, C) token arrays of its pixels an angular chunk holds while its
+# attention runs: the tokens, q, k, v and the attention output
+_CHUNK_TOKEN_ARRAYS = 5
+
+
+def _column_chunks(x: Var) -> list[tuple[slice, slice, slice]]:
+    """Indexes of consecutive spatial columns (W) of the field x, as many
+    per chunk as keep the chunk's _CHUNK_TOKEN_ARRAYS token arrays within
+    the ops chunk budget (ops.batch_slices), at least one."""
+    u, v, w, h, c = x.shape
+    column = _CHUNK_TOKEN_ARRAYS * u * v * h * c * x.value.itemsize
+    return [(slice(None), slice(None), s) for s in ops.batch_slices(w, column)]
+
+
 def correlation_block_forward(x: Var, pm: dict, pa: dict) -> Var:
-    """Many-to-many sub-block, then angular sub-block, plus an outer skip."""
+    """Many-to-many sub-block, then angular sub-block, plus an outer skip.
+
+    The angular sub-block runs per chunk of columns (_column_chunks),
+    sliced by ops.getitem and joined by ops.concat, so its q, k, v and
+    attention exist for one chunk at a time; the many-to-many output goes
+    when the last chunk has run, before the join.
+    """
     y = m2mt_forward(x, pm)
-    y = angular_forward(y, pa)
+    y = [angular_forward(ops.getitem(y, i), pa) for i in _column_chunks(y)]
+    y = ops.concat(y, axis=2)
     return ops.add(y, x)
 
 

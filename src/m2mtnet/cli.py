@@ -1,7 +1,8 @@
 """Command-line front end: analysis and inference subcommands.
 
 All numeric output is printed to 6 significant digits, except JSON output
-(`lam --json`), which keeps full float precision.  Malformed inputs,
+(`metrics --json`, `lam --json`), which keeps full float precision; an
+infinite PSNR is null there.  Malformed inputs,
 missing files, and dimension mismatches produce a one-line diagnostic on
 stderr and a nonzero exit code.
 """
@@ -88,10 +89,29 @@ def _cmd_sr(args) -> int:
     return 0
 
 
+def _json_float(x: float) -> float | None:
+    """x, or None (JSON null) for the +inf PSNR of identical views: JSON
+    has no infinity."""
+    return float(x) if np.isfinite(x) else None
+
+
 def _cmd_metrics(args) -> int:
     a = lfio.load_lf_dir(args.a, central=args.central)
     b = lfio.load_lf_dir(args.b, central=args.central)
     rep = metrics.lf_metrics(a, b)
+    if args.json:
+        grid = lambda g: [[_json_float(x) for x in row] for row in g]
+        report = {
+            "psnr_mean": _json_float(rep.psnr_mean),
+            "ssim_mean": _json_float(rep.ssim_mean),
+            "mse": rep.mse,
+            "u": a.u,
+            "v": a.v,
+            "psnr": grid(rep.psnr_grid),
+            "ssim": grid(rep.ssim_grid),
+        }
+        print(json.dumps(report, allow_nan=False))
+        return 0
     print(metrics.format_report(rep))
     for line in metrics.report_lines(rep):
         print(line)
@@ -264,6 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="reconstruction directory")
     p.add_argument("--b", required=True, help="reference directory")
     p.add_argument("--central", type=int, default=None)
+    p.add_argument("--json", action="store_true", help="report as one JSON object, the last stdout line")
     p.set_defaults(fn=_cmd_metrics)
 
     p = sub.add_parser("lam", help="local attribution map for one output window")

@@ -117,7 +117,8 @@ class _SrNet:
 
     # -- forward ----------------------------------------------------------
 
-    def _blocks_forward(self, x: Var, pv) -> Var:
+    def _block(self, x: Var, pv, j: int) -> Var:
+        """Block j of the stack on the field x."""
         raise NotImplementedError
 
     def check_input(self, dims) -> None:
@@ -140,10 +141,12 @@ class _SrNet:
 
         The head and the bicubic residual read one image batch of x; the
         residual joins the tail's images before the one return to the field.
-        The tail runs per group of views (ops.batch_slices) whose expanded
-        r*r*C channels fit the ops chunk budget, so the expand output and
-        its pixel-shuffled copy exist for one group at a time; the groups'
-        outputs are joined by ops.concat.
+        One name, y, carries the activations from the head through the n2
+        blocks (_block) and the tail, rebound at each stage, so a stage's
+        input is freed once the stage has run.  The tail runs per group of views
+        (ops.batch_slices) whose expanded r*r*C channels fit the ops chunk
+        budget, so the expand output and its pixel-shuffled copy exist for
+        one group at a time; the groups' outputs are joined by ops.concat.
 
         With view = (su, sv) the output is that view alone, (1,1,rW,rH,1),
         equal to it in the full output: the tail still runs on every view,
@@ -153,24 +156,23 @@ class _SrNet:
         self.check_input(x.value.shape)
         w, h = x.value.shape[2:4]
 
-        x_img = img = blocks.lf_to_images(x)
+        x_img = y = blocks.lf_to_images(x)
         for i in range(cfg.n1):
-            img = ops.conv2d(img, pv[f"head.{i}.w"], pv[f"head.{i}.b"])
+            y = ops.conv2d(y, pv[f"head.{i}.w"], pv[f"head.{i}.b"])
             if i < cfg.n1 - 1:
-                img = ops.leaky_relu(img, 0.1)
-        feat = blocks.images_to_lf(img, (cfg.u, cfg.v, w, h, cfg.c))
-
-        feat = self._blocks_forward(feat, pv)
-
-        img = blocks.lf_to_images(feat)
-        groups = ops.batch_slices(len(img.value), cfg.r * cfg.r * cfg.c * w * h * img.value.itemsize)
-        img = ops.concat([self._tail(ops.getitem(img, s), pv) for s in groups])
+                y = ops.leaky_relu(y, 0.1)
+        y = blocks.images_to_lf(y, (cfg.u, cfg.v, w, h, cfg.c))
+        for j in range(cfg.n2):
+            y = self._block(y, pv, j)
+        y = blocks.lf_to_images(y)
+        groups = ops.batch_slices(len(y.value), cfg.r * cfg.r * cfg.c * w * h * y.value.itemsize)
+        y = ops.concat([self._tail(ops.getitem(y, s), pv) for s in groups])
         grid = (cfg.u, cfg.v)
         if view is not None:
             i, grid = view[0] * cfg.v + view[1], (1, 1)
-            img, x_img = ops.getitem(img, slice(i, i + 1)), ops.getitem(x_img, slice(i, i + 1))
-        img = ops.add(img, ops.resize_bicubic(x_img, float(cfg.r)))
-        return blocks.images_to_lf(img, (*grid, cfg.r * w, cfg.r * h, 1))
+            y, x_img = ops.getitem(y, slice(i, i + 1)), ops.getitem(x_img, slice(i, i + 1))
+        y = ops.add(y, ops.resize_bicubic(x_img, float(cfg.r)))
+        return blocks.images_to_lf(y, (*grid, cfg.r * w, cfg.r * h, 1))
 
     def forward(self, lf: LfTensor) -> LfTensor:
         """Plain inference; dtype follows the weights."""
@@ -182,12 +184,8 @@ class _SrNet:
 class Network(_SrNet):
     """Many-to-many correlation network."""
 
-    def _blocks_forward(self, x: Var, pv) -> Var:
-        for j in range(self.cfg.n2):
-            pm = _subview(pv, f"block{j}.m2mt.")
-            pa = _subview(pv, f"block{j}.ang.")
-            x = blocks.correlation_block_forward(x, pm, pa)
-        return x
+    def _block(self, x: Var, pv, j: int) -> Var:
+        return blocks.correlation_block_forward(x, _subview(pv, f"block{j}.m2mt."), _subview(pv, f"block{j}.ang."))
 
 
 class O2OBaseline(_SrNet):
@@ -195,10 +193,8 @@ class O2OBaseline(_SrNet):
 
     mixes_views = False
 
-    def _blocks_forward(self, x: Var, pv) -> Var:
-        for j in range(self.cfg.n2):
-            x = blocks.o2o_spatial_forward(x, _subview(pv, f"block{j}.sp."))
-        return x
+    def _block(self, x: Var, pv, j: int) -> Var:
+        return blocks.o2o_spatial_forward(x, _subview(pv, f"block{j}.sp."))
 
 
 def _subview(pv, prefix: str) -> dict:

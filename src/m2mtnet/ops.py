@@ -8,7 +8,12 @@ the first case.  A vjp maps the output gradient to one gradient per parent,
 in the order of `parents`.  The tape's record keeps no value alive, so a
 vjp captures no Var: it keeps the dims of its taped parents (_dims) and
 the arrays its math reads, and no more.  A conv2d keeps its input only
-when its kernel is taped; an add or a reshape keeps no array.  A constant
+when its kernel is taped; an add or a reshape keeps no array.  A getitem's
+vjp returns its g as a region of the parent (autodiff._Region), which the
+parent's gradient slot adds into one buffer of its own, so a Var sliced G
+times costs one parent-sized gradient, not G.  Attention allocates, beside
+its output and row statistics, only buffers of one score block: it scales q
+a block at a time.  A constant
 parent (no tape) gets None, and the vjp skips the work only that gradient
 needs, such as a conv's kernel GEMMs or a linear's dW.  The input
 gradients of conv2d, attention, linear and layer_norm run on the live part
@@ -25,7 +30,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import Var
+from .autodiff import Var, _Region
 
 __all__ = [
     "as_var",
@@ -218,16 +223,11 @@ def transpose(a, axes) -> Var:
 
 
 def getitem(a, idx) -> Var:
-    """Basic slicing; gradient scatters back into the sliced region."""
+    """Basic slicing.  The gradient is g as a region of the parent
+    (autodiff._Region): the parent's gradient slot adds it into its own
+    full-dims buffer, so G slices of one Var cost one such buffer."""
     a = as_var(a)
-    dims = a.shape
-
-    def vjp(g):
-        gz = np.zeros(dims, dtype=g.dtype)
-        gz[idx] = g
-        return (gz,)
-
-    return _op(a.value[idx], (a,), vjp)
+    return _op(a.value[idx], (a,), lambda g: (_Region(idx, g),))
 
 
 def concat(xs, axis: int = 0) -> Var:
@@ -489,10 +489,16 @@ def _score_blocks(n: int, tq: int, tk: int, itemsize: int):
     return [(b, r) for b in inst for r in rows], (inst[0].stop, rows[0].stop, tk)
 
 
-def _scores(buf: np.ndarray, a: np.ndarray, bt: np.ndarray, b: slice, r: slice) -> np.ndarray:
-    """a[b, r] @ bt[b] into the leading part of a block-sized buffer: a
-    block's scores q kT, or its g vT in the vjp."""
-    return np.matmul(a[b, r], bt[b], out=buf[: b.stop - b.start, : r.stop - r.start])
+def _scaled(qbuf: np.ndarray, q3: np.ndarray, c: float, b: slice, r: slice) -> np.ndarray:
+    """A block's q rows times c, q3[b, r] * c, into the leading part of a
+    block-sized q buffer."""
+    return np.multiply(q3[b, r], c, out=qbuf[: b.stop - b.start, : r.stop - r.start])
+
+
+def _scores(buf: np.ndarray, a: np.ndarray, bt: np.ndarray) -> np.ndarray:
+    """A block's rows a times bt into the leading part of a block-sized
+    buffer: its scores q kT, or its g vT in the vjp."""
+    return np.matmul(a, bt, out=buf[: a.shape[0], : a.shape[1]])
 
 
 def _into(acc: np.ndarray | None, b: slice, r: slice, a: np.ndarray, c: np.ndarray) -> None:
@@ -510,18 +516,21 @@ def attention(q, k, v) -> Var:
     """Scaled dot-product attention softmax(q kT / sqrt(D)) v, one tape record.
 
     q: (..., Tq, D), k: (..., Tk, D), v: (..., Tk, Dv); the leading axes
-    must be equal and flatten to n instances.  q is scaled by 1/sqrt(D) once.
-    The (n, Tq, Tk) scores are walked in blocks of at most half the
-    _CHUNK_BYTES budget (1 MiB), see _score_blocks.  Each block is
-    max-subtracted, exponentiated, normalized and multiplied by v while it
-    is still in cache, and each row's log-sum-exp (lse) is stored.
+    must be equal and flatten to n instances.  The (n, Tq, Tk) scores are
+    walked in blocks of at most half the _CHUNK_BYTES budget (1 MiB), see
+    _score_blocks.  Each block's q rows are scaled by 1/sqrt(D) into a
+    block-sized buffer; its scores are max-subtracted, exponentiated,
+    normalized and multiplied by v while they are still in cache, and each
+    row's log-sum-exp (lse) is stored.
 
-    No call, taped or not, holds a full score array: the forward reuses one
-    block-sized buffer.  The vjp keeps the scaled q, k, v, the output and
-    the lse, O(n*T*D) state, and walks the same blocks: P = exp(q kT - lse)
-    is recomputed into one block buffer and dS = P * (g vT - rowsum(g * out))
-    lives in another; dq is written per block, and an instance's first block
-    writes its dk and dv, later row blocks add to them.
+    No call, taped or not, holds a full score array or a scaled copy of q:
+    beside its output and the lse, the forward allocates two block-sized
+    buffers.  The vjp keeps q, k, v, the output and the lse, O(n*T*D)
+    state, and walks the same blocks: each block's q rows are scaled again
+    into a block buffer, P = exp(q kT - lse) is recomputed into another and
+    dS = P * (g vT - rowsum(g * out)) lives in a third; dq is written per
+    block, and an instance's first block writes its dk and dv (from the
+    scaled q rows), later row blocks add to them.
 
     The vjp walks the live instances only, those whose output gradient has
     a nonzero entry (a NaN or inf in g counts as one), and of them the
@@ -538,7 +547,7 @@ def attention(q, k, v) -> Var:
     """
     q, k, v = as_var(q), as_var(k), as_var(v)
     qv, kv, vv = q.value, k.value, v.value
-    # the parents' dims; the vjp keeps the scaled q, k, v, out and lse
+    # the parents' dims; the vjp keeps q, k, v, out and lse
     dq, dk, dv = _dims(q), _dims(k), _dims(v)
     if qv.shape[-1] != kv.shape[-1]:
         raise ValueError(f"attention: q dim {qv.shape[-1]} != k dim {kv.shape[-1]}")
@@ -549,16 +558,17 @@ def attention(q, k, v) -> Var:
         raise ValueError(f"attention: q, k, v leading axes {batch}, {kv.shape[:-2]}, {vv.shape[:-2]} differ")
     n, tq, tk = math.prod(batch), qv.shape[-2], kv.shape[-2]
     c = 1.0 / math.sqrt(qv.shape[-1])
-    q3 = qv.reshape((n,) + qv.shape[-2:]) * c
-    k3, v3 = kv.reshape((n,) + kv.shape[-2:]), vv.reshape((n,) + vv.shape[-2:])
-    sdt = np.result_type(q3, k3)
+    q3, k3, v3 = (a.reshape((n,) + a.shape[-2:]) for a in (qv, kv, vv))
+    # q * c has q's float dtype: c is a weak Python float (NEP 50)
+    qdt = np.result_type(q3.dtype, c)
+    sdt = np.result_type(qdt, k3)
     blocks, block_dims = _score_blocks(n, tq, tk, sdt.itemsize)
     o3 = np.empty((n, tq, v3.shape[-1]), np.result_type(sdt, v3))
     lse = np.empty((n, tq, 1), sdt)
-    buf = np.empty(block_dims, sdt)
+    buf, qbuf = np.empty(block_dims, sdt), np.empty(block_dims[:2] + q3.shape[-1:], qdt)
     kt3 = np.swapaxes(k3, -1, -2)
     for b, r in blocks:
-        s = _scores(buf, q3, kt3, b, r)
+        s = _scores(buf, _scaled(qbuf, q3, c, b, r), kt3[b])
         m = s.max(axis=-1, keepdims=True)
         s -= m
         np.exp(s, out=s)
@@ -586,21 +596,23 @@ def attention(q, k, v) -> Var:
             vblocks, vdims = _score_blocks(gs.shape[0], gs.shape[1], tk, sdt.itemsize)
         gq, gk, gv = (None if d is None else np.empty(a.shape, gdt) for d, a in ((dq, qs), (dk, ks), (dv, vs)))
         p_buf, ds_buf = np.empty(vdims, sdt), np.empty(vdims, gdt)
+        qbuf = np.empty(vdims[:2] + qs.shape[-1:], qdt)
         kts, vts = np.swapaxes(ks, -1, -2), np.swapaxes(vs, -1, -2)
         for b, r in vblocks:
-            p = _scores(p_buf, qs, kts, b, r)
+            qb = _scaled(qbuf, qs, c, b, r)
+            p = _scores(p_buf, qb, kts[b])
             p -= lses[b, r]
             np.exp(p, out=p)
             gb = gs[b, r]
             _into(gv, b, r, np.swapaxes(p, -1, -2), gb)
             if gq is None and gk is None:
                 continue
-            ds = _scores(ds_buf, gs, vts, b, r)
+            ds = _scores(ds_buf, gb, vts[b])
             ds -= (gb * outs[b, r]).sum(axis=-1, keepdims=True)
             ds *= p
             if gq is not None:
                 np.matmul(ds, ks[b], out=gq[b, r])
-            _into(gk, b, r, np.swapaxes(ds, -1, -2), qs[b, r])
+            _into(gk, b, r, np.swapaxes(ds, -1, -2), qb)
         if gq is not None:
             gq *= c
             gq = _scatter(gq, rows, (len(gq), tq, gq.shape[-1]))

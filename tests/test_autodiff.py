@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from m2mtnet import attribution, network, ops, training
-from m2mtnet.autodiff import Tape, Var, gradcheck, rel_error
+from m2mtnet.autodiff import Tape, Var, _Region, gradcheck, rel_error
 from m2mtnet.lftensor import LfTensor
 
 TOY = network.NetConfig(u=2, v=2, c=3, c_cor=5, n1=2, n2=1, r=2)
@@ -84,6 +84,36 @@ class TestTape:
         assert b.grad is s.grad
         np.testing.assert_array_equal(b.grad, [5.0, 6.0])
         np.testing.assert_array_equal(a.grad, [5.0 + 5.0 * 2.0, 6.0 + 6.0 * 4.0])
+
+    def test_later_region_leaves_the_shared_array_alone(self):
+        # concat hands s a view of the seed and add hands that view to a
+        # and b; the getitem of a, recorded first, then adds a region to a
+        t = Tape()
+        a = Var(np.array([1.0, 2.0]), t)
+        b = Var(np.array([3.0, 4.0]), t)
+        first = ops.getitem(a, slice(0, 1))
+        s = ops.add(a, b)
+        seed = np.array([5.0, 6.0, 7.0])
+        t.backward(ops.concat([s, first]), seed)
+        assert b.grad is s.grad and np.shares_memory(b.grad, seed)
+        np.testing.assert_array_equal(seed, [5.0, 6.0, 7.0])
+        np.testing.assert_array_equal(b.grad, [5.0, 6.0])
+        np.testing.assert_array_equal(a.grad, [5.0 + 7.0, 6.0])
+        assert not np.shares_memory(a.grad, seed)
+
+    def test_region_then_shared_array(self):
+        # the region lands in a buffer a's slot owns, so the shared array
+        # that follows is added into it and itself left alone
+        t = Tape()
+        a = Var(np.array([1.0, 2.0]), t)
+        b = Var(np.array([3.0, 4.0]), t)
+        s = ops.add(a, b)
+        last = ops.getitem(a, slice(1, 2))
+        seed = np.array([5.0, 6.0, 7.0])
+        t.backward(ops.concat([s, last]), seed)
+        np.testing.assert_array_equal(seed, [5.0, 6.0, 7.0])
+        np.testing.assert_array_equal(b.grad, [5.0, 6.0])
+        np.testing.assert_array_equal(a.grad, [5.0, 6.0 + 7.0])
 
     def test_seed_scales_gradient(self):
         t = Tape()
@@ -287,6 +317,77 @@ class TestDeadRecords:
         assert n_before - len(ran) == 3
 
 
+def _scatter_backward(t: Tape, output: Var, seed) -> None:
+    """Reference replay: each region gradient becomes zeros of its parent's
+    full dims with the part scattered in, and the tape adds those."""
+    records, t._records = t._records, None
+    output.grad = seed
+    for out, parents, vjp in reversed(records):
+        if out._grad is None:
+            continue
+        for p, g in zip(parents, vjp(out._grad)):
+            if p is not None and g is not None:
+                if isinstance(g, _Region):
+                    full = np.zeros(p.dims, g.part.dtype)
+                    full[g.index] = g.part
+                    g = full
+                p.add(g)
+
+
+class TestRegionGradients:
+    """A getitem's gradient is a region of its parent: the parent's slot
+    adds it into one full-dims buffer of its own."""
+
+    G = 8
+
+    def _groups(self, t, x0):
+        """The tail-groups pattern: x sliced into G groups along axis 0,
+        each group through its own ops, and the groups joined."""
+        x = Var(x0, t)
+        n = len(x0) // self.G
+        parts = [ops.leaky_relu(ops.scale(ops.getitem(x, slice(i * n, (i + 1) * n)), 1.5 + i)) for i in range(self.G)]
+        return x, ops.concat(parts)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_dense_scatter(self, dtype):
+        x0 = np.random.default_rng(0).standard_normal((self.G * 3, 4, 5)).astype(dtype)
+        seed = np.random.default_rng(1).standard_normal(x0.shape).astype(dtype)
+        t = Tape()
+        x, out = self._groups(t, x0)
+        t.backward(out, seed)
+        ref = Tape()
+        rx, rout = self._groups(ref, x0)
+        _scatter_backward(ref, rout, seed)
+        assert x.grad.dtype == dtype
+        np.testing.assert_array_equal(x.grad, rx.grad)
+
+    def test_backward_holds_one_parent_sized_gradient(self):
+        """Scattering each group into zeros of the parent and adding the G
+        arrays held three parent-sized arrays at a time; the regions land
+        in one, beside group-sized temporaries."""
+        x0 = np.random.default_rng(0).standard_normal((self.G * 64, 32, 32))
+        seed = np.ones_like(x0)
+        t = Tape()
+        _, out = self._groups(t, x0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            t.backward(out, seed)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= x0.nbytes + 3 * x0.nbytes // self.G, f"peak {peak / x0.nbytes:.2f}x the parent"
+
+    def test_region_dims_are_checked(self):
+        t = Tape()
+        x = Var(np.zeros((4, 3)), t)
+        y = ops.getitem(x, slice(0, 2))
+        x._slot.add(_Region(slice(0, 2), np.ones((2, 3))))
+        with pytest.raises(ValueError, match="region of dims"):
+            x._slot.add(_Region(slice(0, 1), np.ones((2, 3))))
+        assert y.shape == (2, 3)
+
+
 def _alive(fn, *arrays) -> list[bool]:
     """Whether each of fn's taped inputs still has its value once its last
     name is gone, while fn's output and the tape live on; the backward then
@@ -326,8 +427,9 @@ class TestRecordsKeepOnlyWhatVjpsRead:
         "concat": (lambda a, b: ops.concat([a, b], axis=1), (_TOK, _TOK), [False, False]),
         "resize_bicubic": (lambda a: ops.resize_bicubic(a, 2.0), (_IMG,), [False]),
         "leaky_relu": (ops.leaky_relu, (_TOK,), [False]),
-        # attention keeps the scaled q (a copy), k and v, and the output
-        "attention": (ops.attention, (_TOK, _TOK, _TOK), [False, True, True]),
+        # attention keeps q, k and v (it scales q one block at a time), and
+        # the output
+        "attention": (ops.attention, (_TOK, _TOK, _TOK), [True, True, True]),
         # layer_norm keeps xhat, inv and the gain
         "layer_norm": (lambda x, g: ops.layer_norm(x, g, np.zeros(3)), (_TOK, _GAIN), [False, True]),
         "gelu": (ops.gelu, (_TOK,), [True]),

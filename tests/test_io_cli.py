@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from m2mtnet import attribution, cli, lfio, network, training
+from m2mtnet import attribution, cli, lfio, metrics, network, training
 from m2mtnet.lftensor import LfTensor
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -386,6 +386,41 @@ class TestCli:
         assert rep["degenerate"] is False
         assert rep["views_with_support"] == (4 if arch == "m2m" else 1)
         assert rep["di"] == pytest.approx((1 - rep["gini"]) * 100.0)
+
+    @staticmethod
+    def _metrics_json(capsys, a, b) -> dict:
+        """`metrics --json` of a against b: its one stdout line, parsed with
+        a parse_constant that refuses Infinity and NaN."""
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        capsys.readouterr()
+        assert cli.main(["metrics", "--a", str(a), "--b", str(b), "--json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[-1], parse_constant=refuse)
+
+    def test_metrics_json_keeps_full_precision(self, tmp_path, capsys):
+        a, _ = _lf_dir(tmp_path, "a", u=2, v=3)
+        b = tmp_path / "b"
+        lf = lfio.load_lf_dir(a)
+        lfio.save_lf_dir(LfTensor(np.clip(lf.data + 0.02 * np.arange(6).reshape(2, 3, 1, 1, 1), 0, 1)), b)
+        rep = self._metrics_json(capsys, a, b)
+        assert set(rep) == {"psnr_mean", "ssim_mean", "mse", "u", "v", "psnr", "ssim"}
+        want = metrics.lf_metrics(lfio.load_lf_dir(a), lfio.load_lf_dir(b))
+        assert (rep["u"], rep["v"]) == (2, 3)
+        # the identical (0, 0) view has no finite PSNR
+        assert rep["psnr"][0][0] is None and rep["psnr_mean"] is None
+        assert rep["psnr"][1][2] == want.psnr_grid[1, 2]
+        assert rep["ssim"] == want.ssim_grid.tolist() and rep["ssim_mean"] == want.ssim_mean
+        assert rep["mse"] == want.mse
+
+    def test_metrics_json_identical_views(self, tmp_path, capsys):
+        d, _ = _lf_dir(tmp_path)
+        rep = self._metrics_json(capsys, d, d)
+        assert rep["psnr_mean"] is None and rep["psnr"] == [[None, None], [None, None]]
+        assert rep["ssim_mean"] == 1.0 and rep["mse"] == 0.0
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -784,6 +784,29 @@ class TestFusedAttention:
         ratio = self._peak_over_score_bytes((1, 2048, 8), np.float32, taped=False)
         assert ratio < 0.25, f"peak {ratio:.2f}x one score array"
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_untaped_call_allocates_no_q_sized_array_beyond_its_output(self, dtype):
+        """q is scaled one score block at a time: beside its output and the
+        row lse, an untaped call holds one score block, one block of scaled
+        q rows and a few per-row vectors of a block (max, sum, log of the
+        sum, and reduction temporaries).  A scaled copy of q would add
+        q.nbytes: 3.7 MB more in float32 and 7.9 MB in float64 here."""
+        rng = np.random.default_rng(66)
+        n, tokens, d = 512, 64, 32
+        q, k, v = (rng.standard_normal((n, tokens, d)).astype(dtype) for _ in range(3))
+        _, (bn, brows, btk) = ops._score_blocks(n, tokens, tokens, q.itemsize)
+        blocks_bytes = bn * brows * (btk + d + 8) * q.itemsize
+        lse_bytes = n * tokens * q.itemsize
+        assert blocks_bytes + lse_bytes < q.nbytes / 2
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = ops.attention(Var(q), Var(k), Var(v))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.value.nbytes + lse_bytes + blocks_bytes + 4096
+
 
 def _taped_grads(fn, arrays, taped, g):
     """Gradients of the arrays indexed by `taped` (the others are constants)
