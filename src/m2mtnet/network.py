@@ -166,7 +166,8 @@ class _SrNet:
             y = self._block(y, pv, j)
         y = blocks.lf_to_images(y)
         groups = ops.batch_slices(len(y.value), cfg.r * cfg.r * cfg.c * w * h * y.value.itemsize)
-        y = ops.concat([self._tail(ops.getitem(y, s), pv) for s in groups])
+        y = [self._tail(ops.getitem(y, s), pv) for s in groups]
+        y = ops.concat(y)
         grid = (cfg.u, cfg.v)
         if view is not None:
             i, grid = view[0] * cfg.v + view[1], (1, 1)

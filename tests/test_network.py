@@ -236,28 +236,31 @@ class TestTailGroups:
     ops.getitem and joined by ops.concat, and change no value."""
 
     CFG = NetConfig(u=2, v=3, c=4, c_cor=6, n1=2, n2=1, r=2, seed=3)
-    _BUDGET = ops._CHUNK_BYTES
-    _BLOCK = {cls: cls._block for cls in (network.Network, network.O2OBaseline)}
+    _BUDGET, _SCORE_BLOCKS = ops._CHUNK_BYTES, staticmethod(ops._score_blocks)
+    _COLUMN_CHUNKS = staticmethod(blocks._column_chunks)
 
     def _taped(self, net, x, views, monkeypatch):
         """Output, input gradient and parameter gradients with the tail in
         groups of `views` views, plus the sizes of the groups joined.
 
-        Every block runs as under the default budget in every run: a budget
-        small enough to split the tail also splits the attention rows and
-        the angular sub-block's column chunks, which sum dk and the linear
-        gradients in another order, and the gradient of a key bias, zero
-        but for rounding, then differs by its whole magnitude."""
+        Attention and the angular sub-block's column chunks are tiled as
+        under the default budget in every run: a budget small enough to
+        split the tail also splits the attention rows and the columns,
+        which sums dk and the angular linear gradients in another order,
+        and the gradient of a key bias, zero but for rounding, then differs
+        by its whole magnitude."""
         w, h = x.shape[2:4]
         tail_bytes = net.cfg.r ** 2 * net.cfg.c * w * h * x.itemsize
-        block = self._BLOCK[type(net)]
 
-        def default_budget_block(*args):
-            with monkeypatch.context() as m:
-                m.setattr(ops, "_CHUNK_BYTES", self._BUDGET)
-                return block(*args)
+        def at_default_budget(f):
+            def call(*args):
+                with monkeypatch.context() as m:
+                    m.setattr(ops, "_CHUNK_BYTES", self._BUDGET)
+                    return f(*args)
+            return call
 
-        monkeypatch.setattr(type(net), "_block", default_budget_block)
+        monkeypatch.setattr(ops, "_score_blocks", at_default_budget(self._SCORE_BLOCKS))
+        monkeypatch.setattr(blocks, "_column_chunks", at_default_budget(self._COLUMN_CHUNKS))
         monkeypatch.setattr(ops, "_CHUNK_BYTES", views * tail_bytes)
         joined, concat = [], ops.concat
 
