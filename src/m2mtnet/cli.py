@@ -178,6 +178,7 @@ def _gradcheck_battery(seed: int):
     yield check("linear", lambda x: sumsq(ops.linear(x, w, b)), rng.standard_normal((3, 6)))
     k3 = rng.standard_normal((2, 3, 3, 3))
     b3 = rng.standard_normal(2)
+    # its input gradient, a 2 -> 3 conv at even W, puts two output pixels in each GEMM row
     yield check("conv2d", lambda x: sumsq(ops.conv2d(x, k3, b3)), rng.standard_normal((2, 3, 4, 4)))
     yield check("softmax", lambda x: sumsq(ops.softmax(x, -1)), rng.standard_normal((3, 5)))
     ka = rng.standard_normal((4, 3))
@@ -207,6 +208,8 @@ def _gradcheck_battery(seed: int):
         xc = rng.standard_normal((2, kshape[1], 3, 4))
         yield check(name, lambda x: sumsq(ops.conv2d(x, kc, bc)), xc)
         yield check(f"{name}.k", lambda k: sumsq(ops.conv2d(xc, k, bc)), kc)
+    # the first conv2d entry at odd W, where its input gradient puts one pixel in each row
+    yield check("conv2d.oddw", lambda x: sumsq(ops.conv2d(x, k3, b3)), rng.standard_normal((2, 3, 4, 5)))
     # the key and value inputs of a batched attention, Tq != Tk, Dv != D
     qb, kb, vb = (rng.standard_normal(s) for s in ((2, 3, 4), (2, 5, 4), (2, 5, 3)))
     yield check("attention.k", lambda k: sumsq(ops.attention(qb, k, vb)), kb)

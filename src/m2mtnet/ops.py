@@ -28,7 +28,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Var, _Region
 
@@ -326,14 +325,29 @@ def _shift_spans(s: int, n: int) -> tuple[slice, slice]:
     return slice(max(0, -s), n - max(0, s)), slice(max(0, s), n + min(0, s))
 
 
-def _im2col(x: np.ndarray, kh: int, pad: int) -> np.ndarray:
-    """Channels-last windows (B,H,W,kh,kh,C) of the zero-padded x (B,C,H,W):
-    one copy of the window view of the channels-last padded input, moving
-    contiguous runs of C values."""
+def _im2col(x: np.ndarray, kh: int, pad: int, g: int = 1) -> np.ndarray:
+    """Channels-last windows (B,H,W/g,kh,kh-1+g,C) of the zero-padded x
+    (B,C,H,W), W a multiple of g: the window of g horizontally adjacent
+    output pixels, kh rows by kh-1+g columns, at stride g along W.  One
+    copy of a strided window view of the channels-last padded input,
+    moving contiguous runs of (kh-1+g)*C values.  The view is built by the
+    ndarray constructor, which checks it lies within the padded buffer:
+    sliding_window_view costs 22 us a call, 17x that."""
     bsz, cin, h, w = x.shape
     xp = np.zeros((bsz, h + 2 * pad, w + 2 * pad, cin), dtype=x.dtype)
     xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
-    return sliding_window_view(xp, (kh, kh), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3).copy()
+    sb, sh, sw, sc = xp.strides
+    return np.ndarray((bsz, h, w // g, kh, kh - 1 + g, cin), xp.dtype, xp, 0, (sb, sh, g * sw, sh, sw, sc)).copy()
+
+
+def _group_width(cin: int, cout: int, w: int) -> int:
+    """Output pixels per GEMM row of the 3x3 Cout >= Cin conv: 2 for a
+    narrow one at even W, else 1.  A narrow output leaves the GEMM's N at
+    Cout, where OpenBLAS runs far below its roof ((25600,108)x(108,12) f64
+    at 14.6 GFLOP/s); two pixels a row double N and raise K by a third
+    (34.7 GFLOP/s for (12800,144)x(144,24)).  From Cout 24 up the zeros in
+    the grouped kernel cost what the wider N saves."""
+    return 2 if w % 2 == 0 and (cout <= 16 or cin == 1) else 1
 
 
 def _conv_value(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
@@ -341,9 +355,11 @@ def _conv_value(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
 
     The strategy follows the shapes (see conv2d); no branch gathers an
     im2col through a transposing copy.  The 3x3 Cout >= Cin branch
-    multiplies _im2col's columns, the ones every kernel gradient uses, one
-    chunk of images at a time (batch_slices), each chunk's GEMM writing its
-    rows of a channels-last (B,H,W,Cout) buffer; y is that buffer's view.
+    multiplies _im2col's columns at group width g (_group_width) by the
+    kernel laid out for g pixels a row, one chunk of images at a time
+    (batch_slices).  Each chunk's GEMM writes its rows of a channels-last
+    (B,H,W,Cout) buffer, of which (n*H*W/g, g*Cout) is a plain reshape; y
+    is that buffer's view.
     """
     bsz, cin, h, w = x.shape
     cout, _, kh, kw = k.shape
@@ -361,11 +377,18 @@ def _conv_value(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
                 ox, ix = _shift_spans(dx - pad, w)
                 y[:, :, oy, ox] += z[:, dy, dx, :, iy, ix]
     else:
-        km = k.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
+        # a row holds g output pixels: pixel j of a group reads window
+        # columns j..j+kw-1, and the kernel is zero at the others
+        g = _group_width(cin, cout, w)
+        cols = kh * (kw - 1 + g) * cin
+        km = np.zeros((kh, kw - 1 + g, cin, g, cout), k.dtype)
+        for j in range(g):
+            km[:, j:j + kw, :, j] = k.transpose(2, 3, 1, 0)
+        km = km.reshape(cols, g * cout)
         y = np.empty((bsz, h, w, cout), np.result_type(x, k))
-        for s in batch_slices(bsz, h * w * kh * kw * cin * x.itemsize):
-            n = s.stop - s.start
-            np.matmul(_im2col(x[s], kh, pad).reshape(n * h * w, kh * kw * cin), km, out=y[s].reshape(n * h * w, cout))
+        for s in batch_slices(bsz, h * w // g * cols * x.itemsize):
+            rows = (s.stop - s.start) * h * w // g
+            np.matmul(_im2col(x[s], kh, pad, g).reshape(rows, cols), km, out=y[s].reshape(rows, g * cout))
         y = y.transpose(0, 3, 1, 2)
     if b is not None:
         y += b.reshape(cout, 1, 1)
@@ -401,18 +424,27 @@ def conv2d(x, kernel, bias) -> Var:
         tap planes are then summed, each shifted by its tap offset;
         B*9*Cout*H*W tap planes.
       - 3x3, Cout >= Cin: a channels-last im2col (_im2col) times the
-        kernel, for one chunk of n images at a time; n*Cin*P padded input,
-        n*H*W*9*Cin columns.  The GEMMs write the channels-last output,
-        returned as its (B,Cout,H,W) view: there is no copy back out.
-    The kernel gradient, 1x1 or 3x3, is one GEMM of g against the same
-    im2col columns per chunk (n*H*W*9*Cin, n*H*W*Cin for 1x1), summed over
-    the chunks; the input gradient is the flipped-kernel convolution, which
-    picks its own branch.  A chunk holds as many images as keep its columns
-    within _CHUNK_BYTES (2 MiB), at least one (batch_slices); when all B
-    images fit, the one chunk is the whole batch.  Each chunk is its own
-    GEMM: at the network's shapes the forward and the input gradient are
-    bit-identical to a one-chunk run, while the kernel gradient adds the
-    chunks' sums in another order and agrees with it to rounding.
+        kernel, for one chunk of n images at a time.  A GEMM row holds the
+        window of g horizontally adjacent output pixels, 3 rows by 2+g
+        columns of Cin values; the kernel is zero-filled once into
+        (3, 2+g, Cin, g, Cout), pixel j reading window columns j..j+2.
+        g = 2 when W is even and Cout <= 16 or Cin == 1, else 1, the
+        plain im2col (_group_width).  n*Cin*P padded input,
+        n*H*W/g*3*(2+g)*Cin columns.  The GEMMs write the channels-last
+        output, returned as its (B,Cout,H,W) view: there is no copy back
+        out.  g = 2 gives the g = 1 bytes where BLAS rounds both GEMMs
+        alike (the criterion-8 nets' shapes, every Cin = 1), and agrees to
+        rounding elsewhere.
+    The kernel gradient, 1x1 or 3x3, is one GEMM of the output gradient
+    against the g = 1 im2col columns per chunk (n*H*W*9*Cin, n*H*W*Cin
+    for 1x1), summed over the chunks; the input gradient is the
+    flipped-kernel convolution, which picks its own branch and width.  A
+    chunk holds as many images as keep its columns within _CHUNK_BYTES
+    (2 MiB), at least one (batch_slices); when all B images fit, the one
+    chunk is the whole batch.  Each chunk is its own GEMM: at the
+    network's shapes the forward and the input gradient are bit-identical
+    to a one-chunk run, while the kernel gradient adds the chunks' sums in
+    another order and agrees with it to rounding.
 
     The vjp works on the live images only, those whose output gradient has
     a nonzero entry (a NaN or inf in g counts as one): their input gradient
@@ -662,18 +694,29 @@ def layer_norm(x, gain, offset) -> Var:
 # ---------------------------------------------------------------------------
 # Activations
 
-def _leaky(a: np.ndarray, pos: np.ndarray, slope: float) -> np.ndarray:
-    """a where pos holds, a * slope elsewhere."""
-    out = a * slope
-    np.copyto(out, a, where=pos)
-    return out
-
-
 def leaky_relu(x, slope: float = 0.1) -> Var:
-    """x where x > 0, slope * x elsewhere; the vjp keeps the bool mask."""
+    """x where x > 0, slope * x elsewhere, for 0 < slope <= 1.
+
+    The value is max(x, slope * x): bit for bit the masked form, signed
+    zeros and NaN included.  A slope of 0 is refused, as +inf * 0 is NaN
+    and the max would return it.  A taped call keeps the bool mask x > 0;
+    the vjp builds the factor max(mask, slope), 1 or slope, in g's dtype
+    and the mask's memory order, and multiplies g into it in place."""
+    if not 0 < slope <= 1:
+        raise ValueError(f"leaky_relu: slope must be in (0, 1], got {slope}")
     x = as_var(x)
-    pos = x.value > 0
-    return _op(_leaky(x.value, pos, slope), (x,), lambda g: (_leaky(g, pos, slope),))
+    xv = x.value
+    pos = None if x.tape is None else xv > 0
+
+    def vjp(g):
+        gx = np.array(pos, g.dtype)
+        np.maximum(gx, slope, out=gx)
+        gx *= g
+        return (gx,)
+
+    # asarray: a 0-d x times slope is a scalar, which cannot take out=
+    y = np.asarray(xv * slope)
+    return _op(np.maximum(xv, y, out=y), (x,), vjp)
 
 
 # Python floats, not NumPy scalars: under NEP 50 promotion a float64 scalar

@@ -401,11 +401,13 @@ class TestLamOneView:
     the full-grid one, bit for bit."""
 
     CFG = network.NetConfig(u=3, v=2, c=4, c_cor=6, n1=2, n2=1, r=2, seed=1)
-    # SHA-256 of the m2m map with the row-skipping vjps; TestLamRowSkip
-    # holds it within 1e-13 x max|map| of the dense backward's
+    # SHA-256 of the m2m map with the row-skipping vjps and two output
+    # pixels per GEMM row in the narrow convs; TestLamRowSkip holds it within
+    # 1e-13 x max|map| of the dense backward's, test_m2m_map_near_one_pixel_rows
+    # of the one-pixel-row convs'
     M2M_DIGESTS = {
-        True: "60aa84813284625b82af894ba70ad87a2fc022e506a760f63fd18e96cbdc639c",
-        False: "89c8f50fa083208ac3756f801bd73d9bbcaef803b42aa594408a454a81c1f81c",
+        True: "0c04dd4cbaba4e1beebdb2ddff44a0a04407f78ee9445355f75a48245e883d51",
+        False: "cae27406efef0dbbba2b7d620100d8e2e22af49bbc58713e71c8ccfd5a0792a7",
     }
 
     @staticmethod
@@ -454,6 +456,18 @@ class TestLamOneView:
         assert net.mixes_views
         res = self._run(net, literal)
         assert hashlib.sha256(res.map.tobytes()).hexdigest() == self.M2M_DIGESTS[literal]
+
+    @pytest.mark.parametrize("literal", [True, False], ids=["literal", "standard"])
+    def test_m2m_map_near_one_pixel_rows(self, literal, monkeypatch):
+        """The pinned map is within 1e-13 x max|map| of the one the 3x3 convs
+        give with one output pixel per GEMM row (ops._group_width)."""
+        net = network.build(self.CFG, np.float64)
+        got = self._run(net, literal)
+        with monkeypatch.context() as m:
+            m.setattr(ops, "_group_width", lambda cin, cout, w: 1)
+            ref = self._run(net, literal)
+        np.testing.assert_allclose(got.map, ref.map, rtol=0, atol=1e-13 * np.abs(ref.map).max())
+        assert got.di == pytest.approx(ref.di, rel=1e-12, abs=0)
 
 
 class TestLamRowSkip:

@@ -19,11 +19,13 @@ from m2mtnet.lftensor import LfTensor
 
 TOY = network.NetConfig(u=2, v=2, c=3, c_cor=5, n1=2, n2=1, r=2)
 
-# SHA-256 of x.grad in test_constant_parameters_get_no_gradient, computed
-# while constants still received (and the vjps still computed) gradients
+# SHA-256 of x.grad in test_constant_parameters_get_no_gradient, first
+# computed while constants still received (and the vjps still computed)
+# gradients, re-pinned when the narrow 3x3 convs took two output pixels per
+# GEMM row; test_input_gradient_near_one_pixel_rows bounds that move
 INPUT_GRAD_DIGESTS = {
-    "m2m": "84997599f6cdca93abc128d9b91f77b88e91c2c36fb7c63818ff56e30e64f226",
-    "o2o": "09d6321a78484dc0d06e20841b689903d36da6365e786d1db0935e3760578721",
+    "m2m": "45354f0951d24571dfc34df2ab1f48cfb49569c8fe74d33efcbd4f8e54c38bc0",
+    "o2o": "fbf8e1586e30abe2488e53c94f376f5e6983ae9c4d7a3c0ad2b24d324a3500a4",
 }
 
 
@@ -132,11 +134,10 @@ class TestTape:
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
         np.testing.assert_array_equal(c.grad, [0.0, 0.0])
 
-    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
-    def test_constant_parameters_get_no_gradient(self, arch):
-        """A taped forward with constant parameters, as attribution runs it,
-        leaves every parameter without a gradient, and the input gradient
-        is the one the net gave when constants still took gradients."""
+    @staticmethod
+    def _input_grad(arch):
+        """x.grad of the toy net with constant parameters, and those
+        parameters' Vars."""
         net = network.build(replace(TOY, arch=arch), np.float64)
         rng = np.random.default_rng(5)
         t = Tape()
@@ -144,8 +145,27 @@ class TestTape:
         pv = net.param_vars(None)
         out = net.forward_var(x, pv)
         t.backward(out, rng.standard_normal(out.shape))
+        return x.grad, pv
+
+    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
+    def test_constant_parameters_get_no_gradient(self, arch):
+        """A taped forward with constant parameters, as attribution runs it,
+        leaves every parameter without a gradient, and the input gradient
+        is the pinned one."""
+        grad, pv = self._input_grad(arch)
         assert [n for n, p in pv.items() if p._grad is not None] == []
-        assert hashlib.sha256(x.grad.tobytes()).hexdigest() == INPUT_GRAD_DIGESTS[arch]
+        assert hashlib.sha256(grad.tobytes()).hexdigest() == INPUT_GRAD_DIGESTS[arch]
+
+    @pytest.mark.parametrize("arch", ["m2m", "o2o"])
+    def test_input_gradient_near_one_pixel_rows(self, arch, monkeypatch):
+        """The pinned input gradient is within 1e-13 x its largest magnitude
+        of the one the 3x3 convs give with one output pixel per GEMM row
+        (ops._group_width)."""
+        got, _ = self._input_grad(arch)
+        with monkeypatch.context() as m:
+            m.setattr(ops, "_group_width", lambda cin, cout, w: 1)
+            ref, _ = self._input_grad(arch)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
     def test_backward_rejects_foreign_output(self):
         t1, t2 = Tape(), Tape()

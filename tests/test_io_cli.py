@@ -577,7 +577,7 @@ class TestCli:
     def test_gradcheck_passes(self, capsys):
         assert cli.main(["gradcheck", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 18
+        assert out.count("PASS") == 19
         assert "FAIL" not in out
 
     def test_bad_config_key_exits_one(self, tmp_path, capsys):

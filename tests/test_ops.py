@@ -518,6 +518,107 @@ class TestConv2dChunks:
         assert peak < 2 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input bytes"
 
 
+class TestConv2dGroups:
+    """The 3x3 Cout >= Cin branch puts g adjacent output pixels in each GEMM
+    row (ops._group_width): g = 2 for a narrow conv at even W.  Against the
+    g = 1 path it is exact where BLAS rounds both GEMMs alike, as at the
+    lam_c8 shapes, and agrees to rounding elsewhere."""
+
+    # (B, Cin, Cout, H, W) of the criterion-8 nets' 3x3 convs whose forward
+    # or input gradient takes g = 2: head.0 (1 -> 12), head.1 and the m2m
+    # pos convs (12 -> 12), and tail.squeeze's input gradient (1 -> 12 on
+    # the 2x upscaled views); o2o runs the probed view alone
+    LAM = {
+        "m2m.head0": (25, 1, 12, 32, 32),
+        "m2m.head1": (25, 12, 12, 32, 32),
+        "m2m.squeeze_grad": (5, 1, 12, 64, 64),
+        "o2o.head0": (1, 1, 12, 32, 32),
+        "o2o.head1": (1, 12, 12, 32, 32),
+        "o2o.squeeze_grad": (1, 1, 12, 64, 64),
+    }
+    # relative to the g = 1 result's largest magnitude
+    RTOL = {np.float32: 1e-6, np.float64: 1e-14}
+
+    @staticmethod
+    def _run(x, k, b, g):
+        """The forward and the constant-kernel input gradient."""
+        t = Tape()
+        xv = Var(x, t)
+        out = ops.conv2d(xv, k, b)
+        t.backward(out, g)
+        return out.value, xv.grad
+
+    def _both(self, dims, dtype, monkeypatch):
+        """_run with the shape rule, then with one pixel per GEMM row."""
+        bsz, cin, cout, h, w = dims
+        rng = np.random.default_rng(54)
+        x = rng.standard_normal((bsz, cin, h, w)).astype(dtype)
+        k = rng.standard_normal((cout, cin, 3, 3)).astype(dtype)
+        b = rng.standard_normal(cout).astype(dtype)
+        g = rng.standard_normal((bsz, cout, h, w)).astype(dtype)
+        grouped = self._run(x, k, b, g)
+        with monkeypatch.context() as m:
+            m.setattr(ops, "_group_width", lambda cin, cout, w: 1)
+            ref = self._run(x, k, b, g)
+        return grouped, ref
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("conv", sorted(LAM))
+    def test_lam_shapes_equal_one_pixel_rows(self, conv, dtype, monkeypatch):
+        (y, gx), (ry, rgx) = self._both(self.LAM[conv], dtype, monkeypatch)
+        assert y.dtype == gx.dtype == dtype
+        np.testing.assert_array_equal(y, ry)
+        np.testing.assert_array_equal(gx, rgx)
+
+    # 4 -> 4 at 32x32, whose GEMMs round unlike the g = 1 ones; odd H with
+    # even W; the narrowest grouped row (H = 1, W = 2); odd W, which takes
+    # g = 1
+    @pytest.mark.parametrize("dims", [(25, 4, 4, 32, 32), (3, 4, 4, 7, 6), (2, 3, 5, 1, 2), (3, 4, 4, 6, 7)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_agrees_with_one_pixel_rows_to_rounding(self, dims, dtype, monkeypatch):
+        for got, ref in zip(*self._both(dims, dtype, monkeypatch)):
+            assert got.dtype == dtype
+            err = np.abs(got.astype(np.float64) - ref).max() / np.abs(ref).max()
+            assert err <= self.RTOL[dtype], err
+
+    @pytest.mark.parametrize(
+        "cin, cout, w, g",
+        [
+            (12, 12, 32, 2),  # lam_c8's (25,12,32,32) convs
+            (1, 12, 64, 2),
+            (16, 16, 32, 2),
+            (1, 48, 32, 2),  # the default model's head.0
+            (12, 12, 31, 1),  # odd W
+            (1, 48, 5, 1),
+            (24, 24, 32, 1),  # wide Cout
+            (12, 24, 32, 1),
+            (48, 48, 32, 1),
+        ],
+    )
+    def test_group_width_rule(self, cin, cout, w, g):
+        assert ops._group_width(cin, cout, w) == g
+
+    @pytest.mark.parametrize("dims, g", [((2, 12, 12, 4, 6), 2), ((2, 12, 12, 4, 5), 1), ((2, 24, 24, 4, 6), 1)])
+    def test_forward_gathers_the_chosen_width(self, dims, g, monkeypatch):
+        """The forward gathers windows of g pixels, the kernel gradient the
+        window of one pixel whatever the forward took."""
+        widths, im2col = [], ops._im2col
+
+        def spy(x, kh, pad, g=1):
+            widths.append(g)
+            return im2col(x, kh, pad, g)
+
+        monkeypatch.setattr(ops, "_im2col", spy)
+        bsz, cin, cout, h, w = dims
+        rng = np.random.default_rng(55)
+        t = Tape()
+        k = Var(rng.standard_normal((cout, cin, 3, 3)), t)
+        out = ops.conv2d(rng.standard_normal((bsz, cin, h, w)), k, np.zeros(cout))
+        assert widths == [g]
+        t.backward(out, np.ones(out.shape))
+        assert widths == [g, 1]
+
+
 class TestSoftmaxAttention:
     def test_matches_scipy(self):
         rng = np.random.default_rng(15)
@@ -982,6 +1083,26 @@ class TestIm2col:
         x = base.transpose(0, 3, 1, 2)[:, ::2]
         np.testing.assert_array_equal(ops._im2col(x, 3, 1), _im2col_nine_copies(x, 3, 1))
 
+    @pytest.mark.parametrize("shape, dtype", SHAPES + [((2, 3, 5, 6), np.float64)])
+    def test_group_of_two_holds_each_pixels_window(self, shape, dtype):
+        """With g = 2, window columns j..j+2 of a group are the 3x3 window
+        of its pixel j."""
+        x = np.random.default_rng(77).standard_normal(shape).astype(dtype)
+        cols = ops._im2col(x, 3, 1, 2)
+        bsz, cin, h, w = shape
+        assert cols.shape == (bsz, h, w // 2, 3, 4, cin) and cols.flags.c_contiguous
+        one = _im2col_nine_copies(x, 3, 1)
+        for j in range(2):
+            np.testing.assert_array_equal(cols[:, :, :, :, j:j + 3], one[:, :, j::2])
+
+    def test_group_of_two_strided_input(self):
+        base = np.random.default_rng(78).standard_normal((3, 7, 6, 5))
+        x = base.transpose(0, 3, 1, 2)[:, ::2]
+        one = _im2col_nine_copies(x, 3, 1)
+        cols = ops._im2col(x, 3, 1, 2)
+        for j in range(2):
+            np.testing.assert_array_equal(cols[:, :, :, :, j:j + 3], one[:, :, j::2])
+
 
 class TestNormalizationsActivations:
     def test_layer_norm_standardizes(self):
@@ -1014,6 +1135,46 @@ class TestNormalizationsActivations:
             ops.leaky_relu(Var(x), 0.1).value, [-0.2, -0.05, 0.5, 2.0], rtol=1e-12
         )
         assert gradcheck(lambda v: _head(ops.leaky_relu(v, 0.1)), x) < TOL
+
+    @staticmethod
+    def _leaky_masked_copy(a, pos, slope):
+        """The masked-copy route the max replaced: a * slope, then a copied
+        in where pos holds."""
+        out = a * slope
+        np.copyto(out, a, where=pos)
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.1, 0.5, 1.0, 1e-30])
+    def test_leaky_relu_bits_equal_masked_copy(self, slope, dtype):
+        """Value and gradient, bit for bit, on a channels-last field seen
+        as (B,C,H,W), as a 3x3 conv returns it, with signed zeros, infs,
+        NaN and subnormals; g comes in the field's layout and in C order."""
+        rng = np.random.default_rng(25)
+        field = rng.standard_normal((3, 4, 5, 6)).astype(dtype)
+        tiny = np.finfo(dtype).smallest_subnormal
+        field[0, 0, 0] = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny]
+        field[0, 0, 1, :2] = [-tiny, -3 * tiny]
+        x = field.transpose(0, 3, 1, 2)
+        pos = x > 0
+        ref = self._leaky_masked_copy(x, pos, slope)
+        g_last = rng.standard_normal(field.shape).astype(dtype).transpose(0, 3, 1, 2)
+        for g in (g_last, np.ascontiguousarray(g_last)):
+            t = Tape()
+            xv = Var(x, t)
+            out = ops.leaky_relu(xv, slope)
+            t.backward(out, g)
+            assert out.value.dtype == xv.grad.dtype == dtype
+            assert out.value.strides == ref.strides
+            assert out.value.tobytes("A") == ref.tobytes("A")
+            want = self._leaky_masked_copy(g, pos, slope)
+            assert np.ascontiguousarray(xv.grad).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("slope", [0.0, -0.1, 1.5, float("nan")])
+    def test_leaky_relu_refuses_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError) as e:
+            ops.leaky_relu(np.ones(3), slope)
+        assert str(e.value) == f"leaky_relu: slope must be in (0, 1], got {slope}"
 
     def test_gelu_matches_gaussian_cdf_route(self):
         rng = np.random.default_rng(23)

@@ -206,9 +206,11 @@ class TestTrainToy:
             assert a.dtype == np.float32, name
             np.testing.assert_array_equal(a, before[name], err_msg=name)
 
-    # SHA-256 of the f32 net's 3-step loss curve below, pinned while
-    # train_toy cast the parameters in its own loop; the cast must not move it
-    F32_CURVE_DIGEST = "d15fc334d79e8f9dcb6d66897e55897c04dace4d0f04e731ef1d78530329528e"
+    # SHA-256 of the f32 net's 3-step loss curve below, first pinned while
+    # train_toy cast the parameters in its own loop, so the cast must not
+    # move it; re-pinned when the narrow 3x3 convs took two output pixels per
+    # GEMM row, a move test_curve_near_one_pixel_rows bounds
+    F32_CURVE_DIGEST = "09af35947ac7ba87c4241a5fbcbe7a1bf8736c509008e98496e52ca5005e950b"
 
     def test_params_promoted_to_f64(self):
         cfg = network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2)
@@ -223,6 +225,21 @@ class TestTrainToy:
         assert all(p.dtype == np.float64 and np.shares_memory(p, net.flat) for p in net.params.values())
         assert not np.array_equal(net.flat, start)
         assert hashlib.sha256(np.array(curve).tobytes()).hexdigest() == self.F32_CURVE_DIGEST
+
+    def test_curve_near_one_pixel_rows(self, monkeypatch):
+        """The pinned curve is within a relative 1e-13 of the one the 3x3
+        convs give with one output pixel per GEMM row (ops._group_width)."""
+        cfg = network.NetConfig(u=2, v=2, c=4, c_cor=6, n1=1, n2=1, r=2)
+        pair = training.make_pair(_plaid_hr(), 2)
+
+        def curve():
+            return training.train_toy(network.build(cfg, np.float32), pair, TrainConfig(iters=3))
+
+        got = curve()
+        with monkeypatch.context() as m:
+            m.setattr(ops, "_group_width", lambda cin, cout, w: 1)
+            ref = curve()
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
 
 
 class TestLossCsv:
