@@ -1,12 +1,15 @@
 """Light-field super-resolution networks and their weight files.
 
-Two architectures share one head/tail:
+Two architectures share one head/tail and differ in their n2 blocks:
 
-* Network — n2 correlation blocks (many-to-many + angular attention), so all
+* Network — correlation blocks (many-to-many + angular attention), so all
   views inform every output pixel.
 * O2OBaseline — same depth budget but per-view spatial transformers only;
   views never mix.  Exists as the contrast case for receptive-field and
   attribution experiments.
+
+An architecture is one _layers branch (its parameters, cost rows and block
+stack) plus one _NETS entry.
 
 Head: n1 per-view 3x3 convs (1->C then C->C), leaky-relu between them.
 Tail: 1x1 conv C -> r*r*C, pixel shuffle by r, 3x3 conv C -> 1.  A bicubic
@@ -74,14 +77,14 @@ class NetConfig:
             raise ValueError(f"n2 must be >= 1, got {self.n2}")
         if self.r not in (2, 4):
             raise ValueError(f"upscale factor must be 2 or 4, got {self.r}")
-        if self.arch not in ("m2m", "o2o"):
-            raise ValueError(f"arch must be 'm2m' or 'o2o', got {self.arch!r}")
+        if self.arch not in _NETS:
+            raise ValueError(f"arch must be {' or '.join(map(repr, _NETS))}, got {self.arch!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class _SrNet:
-    """Shared head/tail plumbing; subclasses provide the block stack.
+    """Shared head/tail plumbing; the block stack is _layers' runs.
 
     mixes_views says whether an output view can depend on other input
     views.  A net that does not mix them, and whose parameters do not depend
@@ -117,10 +120,6 @@ class _SrNet:
 
     # -- forward ----------------------------------------------------------
 
-    def _block(self, x: Var, pv, j: int) -> Var:
-        """Block j of the stack on the field x."""
-        raise NotImplementedError
-
     def check_input(self, dims) -> None:
         """Refuse input dims other than (cfg.u, cfg.v, W, H, 1)."""
         cfg = self.cfg
@@ -142,11 +141,11 @@ class _SrNet:
         The head and the bicubic residual read one image batch of x; the
         residual joins the tail's images before the one return to the field.
         One name, y, carries the activations from the head through the n2
-        blocks (_block) and the tail, rebound at each stage, so a stage's
-        input is freed once the stage has run.  The tail runs per group of views
-        (ops.batch_slices) whose expanded r*r*C channels fit the ops chunk
-        budget, so the expand output and its pixel-shuffled copy exist for
-        one group at a time; the groups' outputs are joined by ops.concat.
+        blocks (_layers' runs) and the tail, rebound at each stage, so a
+        stage's input is freed once the stage has run.  The tail runs per
+        group of views (ops.batch_slices) whose expanded r*r*C channels fit
+        the ops chunk budget, so the expand output and its pixel-shuffled
+        copy exist for one group at a time, joined by ops.concat.
 
         With view = (su, sv) the output is that view alone, (1,1,rW,rH,1),
         equal to it in the full output: the tail still runs on every view,
@@ -162,8 +161,8 @@ class _SrNet:
             if i < cfg.n1 - 1:
                 y = ops.leaky_relu(y, 0.1)
         y = blocks.images_to_lf(y, (cfg.u, cfg.v, w, h, cfg.c))
-        for j in range(cfg.n2):
-            y = self._block(y, pv, j)
+        for run in _layers(cfg, 1)[2]:
+            y = run(y, pv)
         y = blocks.lf_to_images(y)
         groups = ops.batch_slices(len(y.value), cfg.r * cfg.r * cfg.c * w * h * y.value.itemsize)
         y = [self._tail(ops.getitem(y, s), pv) for s in groups]
@@ -185,17 +184,11 @@ class _SrNet:
 class Network(_SrNet):
     """Many-to-many correlation network."""
 
-    def _block(self, x: Var, pv, j: int) -> Var:
-        return blocks.correlation_block_forward(x, _subview(pv, f"block{j}.m2mt."), _subview(pv, f"block{j}.ang."))
-
 
 class O2OBaseline(_SrNet):
     """Per-view baseline: identical head/tail, isolated spatial transformers."""
 
     mixes_views = False
-
-    def _block(self, x: Var, pv, j: int) -> Var:
-        return blocks.o2o_spatial_forward(x, _subview(pv, f"block{j}.sp."))
 
 
 def _subview(pv, prefix: str) -> dict:
@@ -206,15 +199,18 @@ def _subview(pv, prefix: str) -> dict:
 # Construction
 
 def _layers(cfg: NetConfig, patch: int):
-    """The one walk of the cfg.arch architecture, head to tail: (specs, rows).
+    """The one walk of the cfg.arch architecture: (specs, rows, runs).
 
     specs are param_specs'.  rows hold, for one forward on patch x patch
     views, a (name, flops) row per weight tensor, named like it without
     ".w", and a "<pre>.attention" row per transformer (see count_flops).
+    runs is the block stack: per block, in order, a function of the field y
+    and the parameter Vars pv, appended beside the block's specs and rows.
+    The head and the tail, which every arch shares, are forward_var's own.
     """
     fpm, uv, t = cfg.flops_per_mac, cfg.u * cfg.v, patch * patch
     c, cc, r = cfg.c, cfg.c_cor, cfg.r
-    specs, rows = [], []
+    specs, rows, runs = [], [], []
 
     def conv(name, cout, cin, k, positions=uv * t):
         specs.extend([(f"{name}.w", (cout, cin, k, k), (cin * k * k, cout * k * k)), (f"{name}.b", (cout,), 0)])
@@ -249,11 +245,14 @@ def _layers(cfg: NetConfig, patch: int):
             linear(f"{pre}.decode", cc, uv * c, t)
             specs.append((f"block{j}.ang.pos_embed", (uv, c), (uv, c)))
             transformer(f"block{j}.ang", c, uv, t, ffn=False)
+            runs.append(lambda y, pv, m=f"{pre}.", a=f"block{j}.ang.":
+                        blocks.correlation_block_forward(y, _subview(pv, m), _subview(pv, a)))
         else:
             transformer(f"block{j}.sp", c, t, uv, ffn=True)
+            runs.append(lambda y, pv, sp=f"block{j}.sp.": blocks.o2o_spatial_forward(y, _subview(pv, sp)))
     conv("tail.expand", r * r * c, c, 1)
     conv("tail.squeeze", 1, c, 3, uv * r * r * t)
-    return specs, rows
+    return specs, rows, runs
 
 
 def param_specs(cfg: NetConfig) -> list[tuple[str, tuple[int, ...], object]]:

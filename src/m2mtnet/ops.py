@@ -13,14 +13,14 @@ vjp returns its g as a region of the parent (autodiff._Region), which the
 parent's gradient slot adds into one buffer of its own, so a Var sliced G
 times costs one parent-sized gradient, not G.  Attention allocates, beside
 its output and row statistics, only buffers of one score block: it scales q
-a block at a time.  A constant
-parent (no tape) gets None, and the vjp skips the work only that gradient
-needs, such as a conv's kernel GEMMs or a linear's dW.  The input
-gradients of conv2d, attention, linear and layer_norm run on the live part
-of g only, the images, instances or rows holding a nonzero value (_live);
-when every part is live, nothing is gathered.  Ops never mutate input arrays, and an op's output, which
-may be a view of or share memory with its input, must never be written in
-place.  Dtype follows the inputs, float32 or float64.
+a block at a time.  A constant parent (no tape) gets None, and the vjp
+skips the work only that gradient needs, such as a conv's kernel GEMMs or a
+linear's dW.  The input gradients of conv2d, attention, linear and
+layer_norm run on the live part of g only, the images, instances or rows
+holding a nonzero value (_live); when every part is live, nothing is
+gathered.  Ops never mutate input arrays, and an op's output, which may be
+a view of or share memory with its input, must never be written in place.
+Dtype follows the inputs, float32 or float64.
 """
 from __future__ import annotations
 
@@ -111,7 +111,7 @@ def _live(g: np.ndarray, lead: int = 1) -> tuple[np.ndarray, ...] | None:
 
     With lead > 1 the entries are looked for within the live entries of
     axis 0 only: NumPy checks a few long runs of g far faster than many
-    short rows (0.2 ms against 1 ms for lam's (1024, 25, 12) angular g).
+    short rows.
     """
     if lead == 0:
         return None
@@ -331,8 +331,8 @@ def _im2col(x: np.ndarray, kh: int, pad: int, g: int = 1) -> np.ndarray:
     output pixels, kh rows by kh-1+g columns, at stride g along W.  One
     copy of a strided window view of the channels-last padded input,
     moving contiguous runs of (kh-1+g)*C values.  The view is built by the
-    ndarray constructor, which checks it lies within the padded buffer:
-    sliding_window_view costs 22 us a call, 17x that."""
+    ndarray constructor, which checks it lies within the padded buffer, as
+    sliding_window_view's far costlier call would."""
     bsz, cin, h, w = x.shape
     xp = np.zeros((bsz, h + 2 * pad, w + 2 * pad, cin), dtype=x.dtype)
     xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
@@ -343,10 +343,9 @@ def _im2col(x: np.ndarray, kh: int, pad: int, g: int = 1) -> np.ndarray:
 def _group_width(cin: int, cout: int, w: int) -> int:
     """Output pixels per GEMM row of the 3x3 Cout >= Cin conv: 2 for a
     narrow one at even W, else 1.  A narrow output leaves the GEMM's N at
-    Cout, where OpenBLAS runs far below its roof ((25600,108)x(108,12) f64
-    at 14.6 GFLOP/s); two pixels a row double N and raise K by a third
-    (34.7 GFLOP/s for (12800,144)x(144,24)).  From Cout 24 up the zeros in
-    the grouped kernel cost what the wider N saves."""
+    Cout, where OpenBLAS runs far below its roof; two pixels a row double N
+    and raise K by a third.  From Cout 24 up the zeros in the grouped kernel
+    cost what the wider N saves."""
     return 2 if w % 2 == 0 and (cout <= 16 or cin == 1) else 1
 
 

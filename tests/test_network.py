@@ -205,14 +205,15 @@ class TestForward:
         """forward_var rebinds one name per stage: the head output, block
         0's input, is freed before block 1 starts, and so on."""
         net = network.build(replace(SMALL, arch=arch, n2=3), np.float64)
-        inputs, alive_at_entry, block = [], [], type(net)._block
+        name = {"m2m": "correlation_block_forward", "o2o": "o2o_spatial_forward"}[arch]
+        inputs, alive_at_entry, block = [], [], getattr(blocks, name)
 
-        def spy(self, x, pv, j):
+        def spy(x, *pvs):
             alive_at_entry.append([r() is not None for r in inputs])
             inputs.append(weakref.ref(_root(x.value)))
-            return block(self, x, pv, j)
+            return block(x, *pvs)
 
-        monkeypatch.setattr(type(net), "_block", spy)
+        monkeypatch.setattr(blocks, name, spy)
         net.forward(_rand_lf(np.random.default_rng(2), net.cfg, 6, 5))
         assert alive_at_entry == [[], [False], [False, False]]
 
@@ -602,7 +603,7 @@ class TestCostModelMatchesForward:
     @pytest.mark.parametrize("arch", ["m2m", "o2o"])
     @pytest.mark.parametrize(
         "switches",
-        [{}, {"n1": 1}, {"r": 4}, {"n1": 1, "r": 4}],
+        [{}, {"n1": 1}, {"r": 4}, {"n1": 1, "r": 4}, {"u": 1, "v": 1}],
     )
     def test_per_layer_and_total(self, arch, switches, monkeypatch):
         cfg = replace(NetConfig(u=2, v=3, c=4, c_cor=6, n1=2, n2=2, r=2), arch=arch, **switches)

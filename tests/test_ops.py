@@ -424,10 +424,20 @@ class TestConv2dChunks:
         g = rng.standard_normal((bsz, cout, h, w)).astype(dtype)
         monkeypatch.setattr(ops, "_CHUNK_BYTES", 1 << 40)
         ref = self._run(x, k, b, g)
-        per_image = h * w * 9 * cin * x.itemsize
+        # the forward's im2col columns: (2+gw)-column windows of gw pixels
+        gw = ops._group_width(cin, cout, w)
+        per_image = h * w // gw * 3 * (2 + gw) * cin * x.itemsize
         monkeypatch.setattr(ops, "_CHUNK_BYTES", images * per_image)
         assert len(ops.batch_slices(bsz, per_image)) == -(-bsz // images)
+        item_bytes, batch_slices = [], ops.batch_slices
+
+        def spy(n, item):
+            item_bytes.append(item)
+            return batch_slices(n, item)
+
+        monkeypatch.setattr(ops, "batch_slices", spy)
         y, gx, gk = self._run(x, k, b, g)
+        assert item_bytes[0] == per_image
         np.testing.assert_array_equal(y, ref[0])
         np.testing.assert_array_equal(gx, ref[1])
         assert gk.dtype == dtype
