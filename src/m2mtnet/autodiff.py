@@ -174,7 +174,7 @@ class Tape:
     def record(self, out: Var, parents: Sequence[Var], vjp: Callable) -> None:
         if self._records is None:
             raise ValueError("tape is spent: its backward has run, so it records nothing more")
-        slots = tuple(None if p is None or p.tape is None else p._slot for p in parents)
+        slots = tuple(None if p.tape is None else p._slot for p in parents)
         self._records.append((out._slot, slots, vjp))
 
     def __len__(self) -> int:

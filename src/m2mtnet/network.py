@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
 from typing import ClassVar
@@ -112,8 +111,8 @@ class _SrNet:
             self._views[name] = flat[off : off + math.prod(dims)].reshape(dims)
             off += math.prod(dims)
 
-    def param_vars(self, tape: Tape | None) -> "OrderedDict[str, Var]":
-        return OrderedDict((n, Var(a, tape)) for n, a in self.params.items())
+    def param_vars(self, tape: Tape | None) -> dict[str, Var]:
+        return {n: Var(a, tape) for n, a in self.params.items()}
 
     def astype(self, dtype) -> "_SrNet":
         return type(self)(self.cfg, self.flat.astype(dtype))
@@ -135,7 +134,7 @@ class _SrNet:
         img = ops.pixel_shuffle(img, self.cfg.r)
         return ops.conv2d(img, pv["tail.squeeze.w"], pv["tail.squeeze.b"])
 
-    def forward_var(self, x: Var, pv: "OrderedDict[str, Var]", view: tuple[int, int] | None = None) -> Var:
+    def forward_var(self, x: Var, pv: dict[str, Var], view: tuple[int, int] | None = None) -> Var:
         """Differentiable forward: Var (U,V,W,H,1) -> Var (U,V,rW,rH,1).
 
         The head and the bicubic residual read one image batch of x; the

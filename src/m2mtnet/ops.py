@@ -532,17 +532,6 @@ def _scores(buf: np.ndarray, a: np.ndarray, bt: np.ndarray) -> np.ndarray:
     return np.matmul(a, bt, out=buf[: a.shape[0], : a.shape[1]])
 
 
-def _into(acc: np.ndarray | None, b: slice, r: slice, a: np.ndarray, c: np.ndarray) -> None:
-    """acc[b] = a @ c for an instance's first row block, acc[b] += a @ c for
-    a later one; nothing when acc is None (a constant's dk or dv)."""
-    if acc is None:
-        return
-    if r.start == 0:
-        np.matmul(a, c, out=acc[b])
-    else:
-        acc[b] += a @ c
-
-
 def attention(q, k, v) -> Var:
     """Scaled dot-product attention softmax(q kT / sqrt(D)) v, one tape record.
 
@@ -557,24 +546,24 @@ def attention(q, k, v) -> Var:
     No call, taped or not, holds a full score array or a scaled copy of q:
     beside its output and the lse, the forward allocates two block-sized
     buffers.  The vjp keeps q, k, v, the output and the lse, O(n*T*D)
-    state, and walks the same blocks: each block's q rows are scaled again
-    into a block buffer, P = exp(q kT - lse) is recomputed into another and
-    dS = P * (g vT - rowsum(g * out)) lives in a third; dq is written per
-    block, and an instance's first block writes its dk and dv (from the
-    scaled q rows), later row blocks add to them.
+    state, and tiles the arrays it walks with _score_blocks itself: each
+    block's q rows are scaled again into a block buffer, P = exp(q kT - lse)
+    is recomputed into another and dS = P * (g vT - rowsum(g * out)) lives
+    in a third; dq is written per block, and dk and dv start at zero and
+    every block adds its products to them (dk's from the scaled q rows).
 
     The vjp walks the live instances only, those whose output gradient has
     a nonzero entry (a NaN or inf in g counts as one), and of them the
     live query rows only: the rows whose gradient is nonzero in some live
-    instance.  They are gathered and tiled afresh; k and v keep every row.
-    The others get zero dq, dk and dv: a dead query row adds nothing to
-    dk or dv.  Dropping the dead rows' zero terms changes how the dk and dv
-    sums round, so they agree with the dense path to rounding, not bit for
-    bit.  A skipped instance or row gets +0 where the dense path could give
-    -0, or NaN when the forward held inf or NaN there (0 * NaN is NaN).
-    With no live instance every parent gets None (see conv2d).  Otherwise
-    every taped parent gets a full-shape gradient; a constant one gets None
-    and its GEMMs are skipped (dS too, when q and k are both constants).
+    instance.  They are gathered; k and v keep every row.  The others get
+    zero dq, dk and dv: a dead query row adds nothing to dk or dv.
+    Dropping the dead rows' zero terms changes how the dk and dv sums
+    round, so they agree with the dense path to rounding, not bit for bit.
+    A skipped instance or row gets +0 where the dense path could give -0,
+    or NaN when the forward held inf or NaN there (0 * NaN is NaN).  With
+    no live instance every parent gets None (see conv2d).  Otherwise every
+    taped parent gets a full-shape gradient; a constant one gets None and
+    its GEMMs are skipped.
     """
     q, k, v = as_var(q), as_var(k), as_var(v)
     qv, kv, vv = q.value, k.value, v.value
@@ -622,10 +611,9 @@ def attention(q, k, v) -> Var:
         if rows is not None:
             rows = (slice(None),) + rows
             qs, outs, lses, gs = (a[rows] for a in (qs, outs, lses, gs))
-        vblocks, vdims = blocks, block_dims
-        if live is not None or rows is not None:
-            vblocks, vdims = _score_blocks(gs.shape[0], gs.shape[1], tk, sdt.itemsize)
-        gq, gk, gv = (None if d is None else np.empty(a.shape, gdt) for d, a in ((dq, qs), (dk, ks), (dv, vs)))
+        vblocks, vdims = _score_blocks(len(gs), gs.shape[1], tk, sdt.itemsize)
+        gq = None if dq is None else np.empty(qs.shape, gdt)
+        gk, gv = (None if d is None else np.zeros(a.shape, gdt) for d, a in ((dk, ks), (dv, vs)))
         p_buf, ds_buf = np.empty(vdims, sdt), np.empty(vdims, gdt)
         qbuf = np.empty(vdims[:2] + qs.shape[-1:], qdt)
         kts, vts = np.swapaxes(ks, -1, -2), np.swapaxes(vs, -1, -2)
@@ -635,15 +623,15 @@ def attention(q, k, v) -> Var:
             p -= lses[b, r]
             np.exp(p, out=p)
             gb = gs[b, r]
-            _into(gv, b, r, np.swapaxes(p, -1, -2), gb)
-            if gq is None and gk is None:
-                continue
+            if gv is not None:
+                gv[b] += np.swapaxes(p, -1, -2) @ gb
             ds = _scores(ds_buf, gb, vts[b])
             ds -= (gb * outs[b, r]).sum(axis=-1, keepdims=True)
             ds *= p
             if gq is not None:
                 np.matmul(ds, ks[b], out=gq[b, r])
-            _into(gk, b, r, np.swapaxes(ds, -1, -2), qb)
+            if gk is not None:
+                gk[b] += np.swapaxes(ds, -1, -2) @ qb
         if gq is not None:
             gq *= c
             gq = _scatter(gq, rows, (len(gq), tq, gq.shape[-1]))

@@ -798,6 +798,38 @@ class TestFusedAttention:
             assert a.dtype == np.float32, name
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-5 * np.abs(b).max(), err_msg=name)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_vjp_tiles_what_it_walks(self, dtype, monkeypatch):
+        """With every row live the backward calls _score_blocks once, with
+        the forward's (n, Tq, Tk, itemsize): it does not reuse the
+        forward's tiling."""
+        rng = np.random.default_rng(71)
+        t = Tape()
+        q, k, v = (Var(rng.standard_normal(s).astype(dtype), t) for s in ((2, 3, 5, 4), (2, 3, 6, 4), (2, 3, 6, 5)))
+        out = ops.attention(q, k, v)
+        calls, tile = [], ops._score_blocks
+        monkeypatch.setattr(ops, "_score_blocks", lambda *a: calls.append(a) or tile(*a))
+        t.backward(out, rng.standard_normal(out.shape).astype(dtype))
+        assert calls == [(6, 5, 6, np.dtype(dtype).itemsize)]
+
+    def test_backward_row_blocks_match_one_block(self, monkeypatch):
+        """A forward run in one block, then a backward under a budget that
+        splits each instance into row blocks: dk and dv sum the row blocks
+        and agree with a one-block backward to rounding."""
+        rng = np.random.default_rng(72)
+        arrays = [rng.standard_normal((2, 64, 8)) for _ in range(3)]
+        g = rng.standard_normal((2, 64, 8))
+        ref = self._fused_grads(arrays, g)
+        t = Tape()
+        vs = [Var(a, t) for a in arrays]
+        out = ops.attention(*vs)
+        monkeypatch.setattr(ops, "_CHUNK_BYTES", 16 * 2 * 64 * 8)
+        blocks, _ = ops._score_blocks(2, 64, 64, 8)
+        assert len(blocks) == 8 and all(r.stop - r.start == 16 for _, r in blocks)
+        t.backward(out, g)
+        for name, v, b in zip(("dq", "dk", "dv"), vs, ref):
+            np.testing.assert_allclose(v.grad, b, rtol=1e-12, atol=1e-12 * np.abs(b).max(), err_msg=name)
+
     def test_one_tape_record_per_call(self):
         rng = np.random.default_rng(62)
         q, k, v = (rng.standard_normal((2, 5, 4)) for _ in range(3))
